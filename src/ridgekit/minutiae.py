@@ -190,11 +190,13 @@ def extract_minutiae(skel: Skeleton, image_id: str = "") -> MinutiaeSet:
 
     bif_mask = ridge & (counts >= 4)
     if bif_mask.any():
-        labels, nlab = ndimage.label(bif_mask, structure=np.ones((3, 3)))
-        for lab in range(1, nlab + 1):
-            members = np.argwhere(labels == lab)
-            order = sorted(members.tolist(), key=lambda p: (-counts[p[0], p[1]], p[0], p[1]))
-            y, x = order[0]
+        labels, _ = ndimage.label(bif_mask, structure=np.ones((3, 3)))
+        ys, xs = np.nonzero(labels)
+        lab = labels[ys, xs]
+        # sort members by (label, -count, y, x); each label's first member wins
+        order = np.lexsort((xs, ys, -counts[ys, xs], lab))
+        first = order[np.diff(lab[order], prepend=0) != 0]
+        for y, x in zip(ys[first], xs[first]):
             found.append((int(y), int(x), BIFURCATION))
 
     found.sort()

@@ -110,6 +110,101 @@ def test_frequency_band_invariant():
     assert (present >= 1.0 / 25.0).all() and (present <= 1.0 / 3.0).all()
 
 
+# Reference for estimate_frequency: the per-block helpers it was first
+# written with, one map_coordinates call and one peak search per block.
+
+
+def _oriented_signature(data, cx, cy, theta, window, depth):
+    ux, uy = math.cos(theta + np.pi / 2), math.sin(theta + np.pi / 2)
+    vx, vy = math.cos(theta), math.sin(theta)
+    k = (np.arange(window) - (window - 1) / 2.0)[:, None]
+    d = (np.arange(depth) - (depth - 1) / 2.0)[None, :]
+    xs = cx + k * ux + d * vx
+    ys = cy + k * uy + d * vy
+    vals = ndimage.map_coordinates(
+        data, np.stack([ys, xs]), order=1, mode="constant", cval=np.nan
+    )
+    counts = np.isfinite(vals).sum(axis=1)
+    if (counts < depth // 2).any():
+        return None
+    with np.errstate(invalid="ignore"):
+        return np.nanmean(vals, axis=1)
+
+
+def _period_from_signature(sig):
+    smooth = np.convolve(np.pad(sig, 1, mode="edge"), np.ones(3) / 3.0, mode="valid")
+    interior = smooth[1:-1]
+    idx = (
+        np.nonzero(
+            (interior > smooth[:-2])
+            & (interior >= smooth[2:])
+            & (interior > smooth.mean())
+        )[0]
+        + 1
+    )
+    if len(idx) < 2:
+        return None
+    positions = []
+    for i in idx:
+        y0, y1, y2 = smooth[i - 1], smooth[i], smooth[i + 1]
+        denom = y0 - 2.0 * y1 + y2
+        shift = 0.5 * (y0 - y2) / denom if abs(denom) > 1e-12 else 0.0
+        positions.append(i + np.clip(shift, -0.5, 0.5))
+    period = float(np.diff(positions).mean())
+    if period < enh.MIN_RIDGE_PERIOD or period > enh.MAX_RIDGE_PERIOD:
+        return None
+    return period
+
+
+def _reference_frequency(norm, orient, window=enh.DEFAULT_FREQ_WINDOW):
+    data = norm.pixels
+    h, w = data.shape
+    bs = orient.block_size
+    freq = np.full(orient.theta.shape, np.nan)
+    for r, c in np.ndindex(freq.shape):
+        y0, y1 = r * bs, min((r + 1) * bs, h)
+        x0, x1 = c * bs, min((c + 1) * bs, w)
+        sig = _oriented_signature(
+            data, (x0 + x1 - 1) / 2.0, (y0 + y1 - 1) / 2.0,
+            float(orient.theta[r, c]), window, bs,
+        )
+        period = None if sig is None else _period_from_signature(sig)
+        if period is not None:
+            freq[r, c] = 1.0 / period
+    return enh._fill_absent(freq)
+
+
+def _blurred_noise(seed, size=256):
+    """Gaussian-blurred N(128, 60) noise, the quality gate's hard case."""
+    rng = np.random.default_rng(seed)
+    a = ndimage.gaussian_filter(rng.normal(128.0, 60.0, (size, size)), 2.0)
+    a = (a - a.min()) * 255.0 / (a.max() - a.min())
+    return GrayImage(np.clip(np.rint(a), 0, 255).astype(np.uint8))
+
+
+# sizes with partial edge blocks (250 x 237, 40 x 61) and blurred noise
+PIN_IMAGES = {
+    "256x256": lambda: oriented_image(30.0, noise=20.0, seed=5),
+    "250x237": lambda: generate(SynthSpec(250, 237, ParallelPattern(math.radians(70.0)),
+                                          7.0, noise_amplitude=25.0, seed=6))[0],
+    "40x61": lambda: generate(SynthSpec(61, 40, ParallelPattern(math.radians(10.0)),
+                                        6.0, noise_amplitude=10.0, seed=7))[0],
+    "blurred_noise": lambda: _blurred_noise(8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_IMAGES))
+def test_frequency_matches_per_block_reference(name):
+    norm = normalize(PIN_IMAGES[name]())
+    orient = enh.estimate_orientation(norm)
+    got = enh.estimate_frequency(norm, orient).freq
+    want = _reference_frequency(norm, orient)
+    assert np.isfinite(want).any()
+    assert (np.isnan(got) == np.isnan(want)).all()
+    present = np.isfinite(want)
+    assert (np.round(got[present], 6) == np.round(want[present], 6)).all()
+
+
 def test_region_mask_clean_accepted(clean_stripes):
     img, _ = clean_stripes
     norm = normalize(img)
@@ -232,6 +327,38 @@ def test_gabor_missing_frequency_in_recoverable_block_reports_block():
     mask = enh.RegionMask(16, np.ones((4, 4), bool))
     with pytest.raises(ValueError, match=r"\(1, 2\)"):
         enh.gabor_response(norm, orient, freq, mask)
+
+
+@pytest.mark.parametrize("gaps", [False, True])
+@pytest.mark.parametrize("name", sorted(PIN_IMAGES))
+def test_gabor_separable_matches_dense_path(name, gaps):
+    norm = normalize(PIN_IMAGES[name]())
+    orient = enh.estimate_orientation(norm)
+    freq = enh.estimate_frequency(norm, orient)
+    labels = np.isfinite(freq.freq)
+    if gaps:  # unrecoverable blocks inside block rows, runs of 1 to 3 blocks
+        labels &= np.add.outer(np.arange(orient.rows), np.arange(orient.cols)) % 4 != 1
+    mask = enh.RegionMask(orient.block_size, labels)
+    got = enh.gabor_response(norm, orient, freq, mask)
+    half = math.ceil(3.0 * enh.DEFAULT_SIGMA_X)
+    want = enh._dense_response(norm.pixels, orient, freq, mask, 4.0, 4.0, half)
+    scale = np.abs(want).max()
+    assert scale > 0
+    assert np.abs(got - want).max() <= 1e-9 * scale
+    h, w = want.shape
+    assert (got[~mask.pixel_mask(h, w)] == 0).all()
+
+
+def test_gabor_anisotropic_envelope(clean_stripes):
+    img, _ = clean_stripes
+    norm, orient, freq, mask = _enhance_setup(img)
+    iso = enh.gabor_response(norm, orient, freq, mask, 4.0, 4.0)
+    aniso = enh.gabor_response(norm, orient, freq, mask, 4.0, 6.0)
+    assert aniso.shape == iso.shape
+    assert not np.allclose(aniso, iso)
+    sl = (slice(32, -32), slice(32, -32))
+    cc = np.corrcoef(aniso[sl].ravel(), iso[sl].ravel())[0, 1]
+    assert cc >= 0.9  # the same ridges, a longer envelope along them
 
 
 def test_unrecoverable_pixels_are_background():

@@ -116,6 +116,45 @@ def test_thick_junction_collapses_to_one():
     assert max(abs(bifs[0].x - 5), abs(bifs[0].y - 5)) <= 1
 
 
+def _cluster_representatives(bits):
+    """Per-cluster reference: the member with the highest neighborhood
+    count, ties broken row-major."""
+    counts = ndimage.convolve(bits.astype(int), EIGHT, mode="constant")
+    labels, n = ndimage.label((bits == 1) & (counts >= 4), structure=EIGHT)
+    reps = set()
+    for lab in range(1, n + 1):
+        members = np.argwhere(labels == lab).tolist()
+        y, x = min(members, key=lambda p: (-counts[p[0], p[1]], p[0], p[1]))
+        reps.add((x, y))
+    return reps
+
+
+def test_bifurcation_clusters_tie_breaks():
+    bits = np.zeros((16, 50), np.uint8)
+    # T junction: the stem pixel below the bar has the unique highest count
+    bits[5, 1:10] = 1
+    bits[6:10, 5] = 1
+    # plus: the center and its four neighbors tie; the top one is row-major first
+    bits[5, 17:24] = 1
+    bits[2:9, 20] = 1
+    # 2x2 blob: all four tie; the top row ties too and x decides
+    bits[4:6, 40:42] = 1
+    mset = extract_minutiae(Skeleton(bits), "ties")
+    bifs = {(m.x, m.y) for m in mset.minutiae if m.kind == BIFURCATION}
+    assert bifs == {(5, 6), (20, 4), (40, 4)}
+    assert bifs == _cluster_representatives(bits)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bifurcation_clusters_match_per_cluster_reference(seed):
+    rng = np.random.default_rng(seed)
+    bits = (rng.random((48, 64)) < 0.3).astype(np.uint8)
+    mset = extract_minutiae(Skeleton(bits), "random")
+    bifs = {(m.x, m.y) for m in mset.minutiae if m.kind == BIFURCATION}
+    assert len(bifs) > 10
+    assert bifs == _cluster_representatives(bits)
+
+
 def test_duplicate_coordinates_rejected():
     with pytest.raises(ValueError):
         MinutiaeSet("x", (Minutia(1, 1, ENDING, 0.0), Minutia(1, 1, BIFURCATION, 0.0)), "raw")

@@ -69,6 +69,15 @@ def test_extract_finds_injected_minutiae(tmp_path):
     assert r.matched >= 9
 
 
+def test_extract_anisotropic_gabor_envelope():
+    # sigma_x != sigma_y: the Gabor kernels are not separable
+    img, truth = generate(corpus_spec(5))
+    config = PipelineConfig(sigma_x=4.0, sigma_y=6.0)
+    out = extract_from_image(img, truth.image_id, config)
+    assert not out.rejected
+    assert match_minutiae(out.minutiae, truth, 8.0).matched >= 9
+
+
 def test_extract_rejects_noise(tmp_path):
     rng = np.random.default_rng(0)
     noise = GrayImage(rng.integers(0, 256, (128, 128)).astype(np.uint8))
