@@ -25,10 +25,10 @@ class PipelineConfig:
     target_mean: float = DEFAULT_TARGET_MEAN
     target_variance: float = DEFAULT_TARGET_VARIANCE
     threshold: str = "auto"  # "auto" or an integer 0..255 as text
-    adjacency_window: int = 6
-    border_distance: int = 10
-    reconnect_gap: int = 6
-    spur_length: int = 6
+    adjacency_window: int = PostprocessParams.adjacency_window
+    border_distance: int = PostprocessParams.border_distance
+    reconnect_gap: int = PostprocessParams.reconnect_gap
+    spur_length: int = PostprocessParams.spur_length
     tolerance: float = DEFAULT_TOLERANCE
     dump_intermediates: bool = False
 

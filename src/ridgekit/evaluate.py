@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .minutiae import MinutiaeSet
+from .minutiae import MinutiaeSet, close_pairs
 
 DEFAULT_TOLERANCE = 8.0  # px, ~0.4 mm at 500 dpi
 
@@ -51,6 +51,8 @@ def match_minutiae(
 
     Only pairs within `tolerance` px pair up; kind is not required to match.
     Unpaired truth minutiae are missed, unpaired detections are false.
+    Candidate pairs come from a search of y-sorted truth within the
+    tolerance box (close_pairs), not from all detection/truth pairs.
     """
     if detected.image_id != truth.image_id:
         raise ValueError(
@@ -59,12 +61,14 @@ def match_minutiae(
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
 
+    # every pair within tolerance lies in the Chebyshev box of that radius
+    det, tru = detected.minutiae, truth.minutiae
+    near_i, near_j = close_pairs(det, tru, tolerance)
     candidates = []
-    for i, d in enumerate(detected.minutiae):
-        for j, t in enumerate(truth.minutiae):
-            dist = math.hypot(d.x - t.x, d.y - t.y)
-            if dist <= tolerance:
-                candidates.append((dist, i, j))
+    for i, j in zip(near_i.tolist(), near_j.tolist()):
+        dist = math.hypot(det[i].x - tru[j].x, det[i].y - tru[j].y)
+        if dist <= tolerance:
+            candidates.append((dist, i, j))
     candidates.sort()
 
     used_d: set[int] = set()

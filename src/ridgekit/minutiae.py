@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
 
-from .binary import Skeleton
+from .binary import _NEIGHBOR_OFFSETS, Skeleton
 
 ENDING = "ending"
 BIFURCATION = "bifurcation"
@@ -24,12 +25,13 @@ _CODE_KIND = {"E": ENDING, "B": BIFURCATION}
 RAW = "raw"
 POSTPROCESSED = "postprocessed"
 
-# fixed scan order for skeleton walks: N, NE, E, SE, S, SW, W, NW
-_NEIGHBOR_OFFSETS = (
-    (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1),
-)
-
 DIRECTION_WALK_STEPS = 5
+
+# offsets (dy, dx) within Chebyshev distance 2, by (distance, dy, dx)
+_WINDOW_BY_DISTANCE = sorted(
+    ((dy, dx) for dy in range(-2, 3) for dx in range(-2, 3)),
+    key=lambda d: (max(abs(d[0]), abs(d[1])), d),
+)
 
 
 @dataclass(frozen=True)
@@ -110,52 +112,50 @@ def classify_pixel(skel: Skeleton, x: int, y: int) -> str | None:
     return None  # count 3: plain ridge pixel; count 1: isolated dot
 
 
-def _walk(bits: np.ndarray, start: tuple[int, int], first: tuple[int, int],
-          blocked: set[tuple[int, int]], steps: int) -> tuple[int, int]:
-    """Follow a branch from `start` through `first`, up to `steps` moves.
+def _branch_vectors(
+    bits: np.ndarray, ys: np.ndarray, xs: np.ndarray
+) -> list[list[tuple[float, float]]]:
+    """Unit tangents of the branches leaving each ridge pixel (xs[k], ys[k]).
 
-    Returns the pixel reached. Stops early at dead ends or junction-like
-    pixels (multiple continuations).
+    Each branch is walked from one ridge neighbor of the pixel, taken in
+    _NEIGHBOR_OFFSETS order, for up to DIRECTION_WALK_STEPS moves, each to
+    the first unvisited ridge neighbor; the pixel and all of its branch
+    starts count as visited. A walk stops early at a dead end or where more
+    than one continuation is free. All walks of all pixels advance in
+    lockstep on arrays of flat indices.
     """
-    h, w = bits.shape
-    cur = first
-    visited = {start, first} | blocked
-    for _ in range(steps - 1):
-        nxt = None
-        count = 0
-        for dy, dx in _NEIGHBOR_OFFSETS:
-            ny, nx_ = cur[0] + dy, cur[1] + dx
-            if 0 <= ny < h and 0 <= nx_ < w and bits[ny, nx_] and (ny, nx_) not in visited:
-                count += 1
-                if nxt is None:
-                    nxt = (ny, nx_)
-        if nxt is None or count > 1:
-            break
-        visited.add(nxt)
-        cur = nxt
-    return cur
+    pw = bits.shape[1] + 2
+    flat = np.pad(bits, 1).ravel()  # out-of-image neighbors read as background
+    offsets = np.array([dy * pw + dx for dy, dx in _NEIGHBOR_OFFSETS])
+    centers = (ys.astype(np.int64) + 1) * pw + xs + 1
+    around = centers[:, None] + offsets
+    is_start = flat[around] == 1
+    owner, slot = np.nonzero(is_start)  # walks grouped by pixel, in scan order
+    cur = around[owner, slot]
 
+    # per-walk visited table: center, every start of its pixel, then the path
+    visited = np.full((owner.size, 9 + DIRECTION_WALK_STEPS - 1), -1, np.int64)
+    visited[:, 0] = centers[owner]
+    visited[:, 1:9] = np.where(is_start[owner], around[owner], -1)
+    live = np.arange(owner.size)
+    for step in range(DIRECTION_WALK_STEPS - 1):
+        nxt = cur[live, None] + offsets
+        free = (flat[nxt] == 1) & ~(nxt[:, :, None] == visited[live, None, :]).any(axis=2)
+        go = free.sum(axis=1) == 1
+        live, nxt, free = live[go], nxt[go], free[go]
+        cur[live] = nxt[np.arange(live.size), free.argmax(axis=1)]
+        visited[live, 9 + step] = cur[live]
 
-def _branch_vectors(bits: np.ndarray, y: int, x: int) -> list[tuple[float, float]]:
-    """Unit tangents of the branches leaving ridge pixel (x, y)."""
-    h, w = bits.shape
-    starts = [
-        (y + dy, x + dx)
-        for dy, dx in _NEIGHBOR_OFFSETS
-        if 0 <= y + dy < h and 0 <= x + dx < w and bits[y + dy, x + dx]
-    ]
-    vectors = []
-    for sy, sx in starts:
-        others = {p for p in starts if p != (sy, sx)}
-        ey, ex = _walk(bits, (y, x), (sy, sx), others, DIRECTION_WALK_STEPS)
-        norm = math.hypot(ex - x, ey - y)
-        if norm > 0:
-            vectors.append(((ex - x) / norm, (ey - y) / norm))
+    ey, ex = np.divmod(cur, pw)
+    vectors: list[list[tuple[float, float]]] = [[] for _ in range(len(ys))]
+    for k, dx, dy in zip(owner.tolist(), (ex - 1 - xs[owner]).tolist(),
+                         (ey - 1 - ys[owner]).tolist()):
+        norm = math.hypot(dx, dy)  # > 0: a walk never returns to its center
+        vectors[k].append((dx / norm, dy / norm))
     return vectors
 
 
-def _minutia_direction(bits: np.ndarray, y: int, x: int, kind: str) -> float:
-    vecs = _branch_vectors(bits, y, x)
+def _minutia_direction(vecs: list[tuple[float, float]], kind: str) -> float:
     if not vecs:
         return 0.0
     if kind == ENDING or len(vecs) == 1:
@@ -178,16 +178,15 @@ def extract_minutiae(skel: Skeleton, image_id: str = "") -> MinutiaeSet:
 
     Clusters of 8-adjacent bifurcation-flagged pixels (thick junction
     artifacts) collapse to the member with the highest neighborhood count,
-    ties broken row-major.
+    ties broken row-major. Directions come from short walks along every
+    branch of every minutia, run in lockstep (_branch_vectors).
     """
     bits = skel.bits
     counts = _count_grid(bits)
     ridge = bits == 1
 
-    found: list[tuple[int, int, str]] = []  # (y, x, kind)
-    for y, x in np.argwhere(ridge & (counts == 2)):
-        found.append((int(y), int(x), ENDING))
-
+    end_y, end_x = np.nonzero(ridge & (counts == 2))
+    bif_y = bif_x = np.zeros(0, np.intp)
     bif_mask = ridge & (counts >= 4)
     if bif_mask.any():
         labels, _ = ndimage.label(bif_mask, structure=np.ones((3, 3)))
@@ -196,37 +195,38 @@ def extract_minutiae(skel: Skeleton, image_id: str = "") -> MinutiaeSet:
         # sort members by (label, -count, y, x); each label's first member wins
         order = np.lexsort((xs, ys, -counts[ys, xs], lab))
         first = order[np.diff(lab[order], prepend=0) != 0]
-        for y, x in zip(ys[first], xs[first]):
-            found.append((int(y), int(x), BIFURCATION))
+        bif_y, bif_x = ys[first], xs[first]
 
-    found.sort()
+    ys = np.concatenate([end_y, bif_y])
+    xs = np.concatenate([end_x, bif_x])
+    kinds = [ENDING] * end_y.size + [BIFURCATION] * bif_y.size
+    order = np.lexsort((xs, ys))
+    ys, xs = ys[order], xs[order]
+    vectors = _branch_vectors(bits, ys, xs)
     minutiae = tuple(
-        Minutia(x, y, kind, _minutia_direction(bits, y, x, kind))
-        for y, x, kind in found
+        Minutia(x, y, kinds[k], _minutia_direction(vecs, kinds[k]))
+        for x, y, k, vecs in zip(xs.tolist(), ys.tolist(), order.tolist(), vectors)
     )
     return MinutiaeSet(image_id, minutiae, RAW)
 
 
-def _spur_junction(bits: np.ndarray, ending: Minutia, max_steps: int):
+def _spur_junction(grid: bytearray, pw: int, start: int, max_steps: int):
     """Walk from an ending; if a bifurcation pixel lies within max_steps,
-    return (junction, branch pixels to erase), else None."""
-    h, w = bits.shape
-    path = [(ending.y, ending.x)]
-    cur = path[0]
+    return (junction, branch pixels to erase), else None.
+
+    Pixels are flat indices into `grid`, the skeleton with a 1-pixel zero
+    margin, rows `pw` long.
+    """
+    around = [dy * pw + dx for dy, dx in _NEIGHBOR_OFFSETS]
+    path = [start]
+    cur = start
     visited = {cur}
     for _ in range(max_steps):
-        nxt = None
-        for dy, dx in _NEIGHBOR_OFFSETS:
-            ny, nx_ = cur[0] + dy, cur[1] + dx
-            if 0 <= ny < h and 0 <= nx_ < w and bits[ny, nx_] and (ny, nx_) not in visited:
-                nxt = (ny, nx_)
-                break
+        nxt = next((cur + d for d in around if grid[cur + d] and cur + d not in visited), None)
         if nxt is None:
             return None
         visited.add(nxt)
-        y0, y1 = max(0, nxt[0] - 1), min(h, nxt[0] + 2)
-        x0, x1 = max(0, nxt[1] - 1), min(w, nxt[1] + 2)
-        if int(bits[y0:y1, x0:x1].sum()) >= 4:
+        if 1 + sum(grid[nxt + d] for d in around) >= 4:
             return nxt, path
         path.append(nxt)
         cur = nxt
@@ -256,6 +256,27 @@ def _segment_pixels(a: tuple[int, int], b: tuple[int, int]) -> list[tuple[int, i
     return pixels
 
 
+def close_pairs(a: Sequence[Minutia], b: Sequence[Minutia],
+                reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs (i, j) with a[i] and b[j] within Chebyshev distance
+    `reach`. Only points of b whose y lies within reach of a[i].y are
+    visited, found on y-sorted arrays, so memory grows with those pairs,
+    not with len(a) * len(b).
+    """
+    ay = np.array([m.y for m in a], np.int64)
+    ax = np.array([m.x for m in a], np.int64)
+    by = np.array([m.y for m in b], np.int64)
+    bx = np.array([m.x for m in b], np.int64)
+    order = np.argsort(by, kind="stable")
+    sorted_y = by[order]
+    lo = np.searchsorted(sorted_y, ay - reach, "left")
+    count = np.searchsorted(sorted_y, ay + reach, "right") - lo
+    i = np.repeat(np.arange(ay.size), count)
+    j = order[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)]
+    keep = np.abs(ax[i] - bx[j]) <= reach
+    return i[keep], j[keep]
+
+
 def _angle_between(a: float, b: float) -> float:
     d = abs(a - b) % (2 * math.pi)
     return min(d, 2 * math.pi - d)
@@ -279,56 +300,69 @@ def postprocess(
     Reconnection runs before adjacency removal: with the default windows
     every reconnectable pair is also mutually adjacent, so the stated rules
     would otherwise never repair a ridge.
-    """
-    bits = skel.bits.copy()
-    h, w = bits.shape
-    current: list[Minutia] = list(mset.minutiae)
 
-    # (1) spurs
-    erased: set[tuple[int, int]] = set()
-    for m in [m for m in current if m.kind == ENDING]:
-        if bits[m.y, m.x] == 0:
+    Spur walks run one after another on a flat copy of the skeleton, with a
+    live mask over the input minutiae. Reconnection and adjacency take their
+    candidate pairs from one windowed search on y-sorted coordinate arrays
+    (close_pairs); only those few pairs get the angle and segment checks.
+    """
+    h, w = skel.bits.shape
+    ms = mset.minutiae
+    xs = np.array([m.x for m in ms], np.int64)
+    ys = np.array([m.y for m in ms], np.int64)
+    is_bif = np.array([m.kind == BIFURCATION for m in ms], bool)
+    live = np.ones(len(ms), bool)
+
+    # (1) spurs, walked one after another on the flat padded skeleton
+    pw = w + 2
+    grid = bytearray(np.pad(skel.bits, 1).tobytes())
+    at = {(m.y + 1) * pw + m.x + 1: k for k, m in enumerate(ms)}
+    window = [dy * pw + dx for dy, dx in _WINDOW_BY_DISTANCE]
+    for k in np.flatnonzero(~is_bif).tolist():
+        start = (ms[k].y + 1) * pw + ms[k].x + 1
+        if not grid[start]:
             continue  # already erased by an earlier spur
-        hit = _spur_junction(bits, m, params.spur_length)
+        hit = _spur_junction(grid, pw, start, params.spur_length)
         if hit is None:
             continue
         junction, branch = hit
-        for y, x in branch:
-            bits[y, x] = 0
-            erased.add((x, y))
-        jy, jx = junction
-        bif_near = [
-            b for b in current
-            if b.kind == BIFURCATION and max(abs(b.x - jx), abs(b.y - jy)) <= 2
-        ]
-        bif_near.sort(key=lambda b: (max(abs(b.x - jx), abs(b.y - jy)), b.y, b.x))
-        drop = {id(m)} | ({id(bif_near[0])} if bif_near else set())
-        current = [c for c in current if id(c) not in drop and (c.x, c.y) not in erased]
+        # the nearest live bifurcation, by (Chebyshev distance, y, x); a +-2
+        # column step off the image lands in a margin column, never on a minutia
+        for d in window:
+            near = at.get(junction + d)
+            if near is not None and live[near] and is_bif[near]:
+                live[near] = False
+                break
+        for p in branch:  # branch[0] is the ending itself
+            grid[p] = 0
+            if p in at:
+                live[at[p]] = False
+    bits = np.frombuffer(grid, np.uint8).reshape(h + 2, pw)[1:-1, 1:-1].copy()
 
     # (2) border
-    current = [
-        m for m in current
-        if min(m.x, m.y, w - 1 - m.x, h - 1 - m.y) >= params.border_distance
-    ]
+    edge = np.minimum(np.minimum(xs, ys), np.minimum(w - 1 - xs, h - 1 - ys))
+    live &= edge >= params.border_distance
 
     # (3) reconnection of broken ridges
-    endings = [m for m in current if m.kind == ENDING]
+    ends = np.flatnonzero(live & ~is_bif)
+    endings = [ms[k] for k in ends]
+    near_i, near_j = close_pairs(endings, endings, params.reconnect_gap)
     candidates = []
-    for i in range(len(endings)):
-        for j in range(i + 1, len(endings)):
-            a, b = endings[i], endings[j]
-            dist = math.hypot(a.x - b.x, a.y - b.y)
-            if dist > params.reconnect_gap:
-                continue
-            if _angle_between(a.direction, b.direction) < math.pi - math.pi / 6:
-                continue
-            between = _segment_pixels((a.y, a.x), (b.y, b.x))
-            if any(bits[y, x] for y, x in between):
-                continue
-            candidates.append((dist, i, j, between))
+    for i, j in zip(near_i.tolist(), near_j.tolist()):
+        if i >= j:
+            continue
+        a, b = endings[i], endings[j]
+        dist = math.hypot(a.x - b.x, a.y - b.y)
+        if dist > params.reconnect_gap:
+            continue
+        if _angle_between(a.direction, b.direction) < math.pi - math.pi / 6:
+            continue
+        between = _segment_pixels((a.y, a.x), (b.y, b.x))
+        if any(bits[y, x] for y, x in between):
+            continue
+        candidates.append((dist, i, j, between))
     candidates.sort(key=lambda t: (t[0], t[1], t[2]))
     used: set[int] = set()
-    removed_ids: set[int] = set()
     for dist, i, j, between in candidates:
         if i in used or j in used:
             continue
@@ -337,21 +371,18 @@ def postprocess(
         used.update((i, j))
         for y, x in between:
             bits[y, x] = 1
-        removed_ids.update((id(endings[i]), id(endings[j])))
-    current = [m for m in current if id(m) not in removed_ids]
+    live[ends[sorted(used)]] = False
 
     # (4) mutual adjacency
-    doomed: set[int] = set()
-    for i in range(len(current)):
-        for j in range(i + 1, len(current)):
-            a, b = current[i], current[j]
-            if max(abs(a.x - b.x), abs(a.y - b.y)) <= params.adjacency_window:
-                doomed.update((id(a), id(b)))
-    current = [m for m in current if id(m) not in doomed]
+    alive = np.flatnonzero(live)
+    survivors = [ms[k] for k in alive]
+    near_i, near_j = close_pairs(survivors, survivors, params.adjacency_window)
+    live[alive[near_i[near_i != near_j]]] = False
 
-    current.sort(key=lambda m: (m.y, m.x))
+    kept = np.flatnonzero(live)
+    kept = kept[np.lexsort((xs[kept], ys[kept]))]
     return (
-        MinutiaeSet(mset.image_id, tuple(current), POSTPROCESSED),
+        MinutiaeSet(mset.image_id, tuple(ms[k] for k in kept.tolist()), POSTPROCESSED),
         Skeleton(bits),
     )
 

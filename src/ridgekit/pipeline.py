@@ -168,7 +168,8 @@ def run_eval(
         jobs.append((str(path), str(truth_path)))
 
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # ProcessPoolExecutor may start all max_workers processes up front
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             raw = list(pool.map(
                 _eval_one,
                 [i for i, _ in jobs],

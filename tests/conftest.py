@@ -50,3 +50,18 @@ def clean_stripes():
     """Noise-free parallel ridges at 30 deg, period 8."""
     img, truth = generate(SynthSpec(256, 256, ParallelPattern(math.radians(30)), 8.0))
     return img, truth
+
+
+@pytest.fixture(scope="session")
+def corpus_bitmaps():
+    """(image_id, binary bits, skeleton bits) of each acceptance-corpus print,
+    as the pipeline produces them."""
+    from ridgekit.config import PipelineConfig
+    from ridgekit.pipeline import extract_from_image
+
+    out = []
+    for k in range(20):
+        img, truth = generate(corpus_spec(k))
+        stages = extract_from_image(img, truth.image_id, PipelineConfig()).intermediates
+        out.append((truth.image_id, stages["binary"].bits, stages["skeleton"].bits))
+    return out

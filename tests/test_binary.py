@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from conftest import make_blob_image
@@ -147,3 +150,75 @@ def test_binary_image_validates_bits():
 def test_skeleton_is_binary_image():
     s = Skeleton(np.zeros((3, 3), np.uint8))
     assert isinstance(s, BinaryImage)
+
+
+def _reference_thin(bits: np.ndarray) -> np.ndarray:
+    """Whole-image Hilditch thinning, the reference for `thin`: it recomputes
+    the connectivity number and degree of every pixel at every subfield step."""
+    h, w = bits.shape
+    padded = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = bits
+    core = padded[1:-1, 1:-1]
+
+    def simple_and_degree():
+        n, ne, e = padded[:-2, 1:-1], padded[:-2, 2:], padded[1:-1, 2:]
+        se, s, sw = padded[2:, 2:], padded[2:, 1:-1], padded[2:, :-2]
+        w_, nw = padded[1:-1, :-2], padded[:-2, :-2]
+        conn = (
+            (1 - e) * np.maximum(ne, n) + (1 - n) * np.maximum(nw, w_)
+            + (1 - w_) * np.maximum(sw, s) + (1 - s) * np.maximum(se, e)
+        )
+        return conn, n + ne + e + se + s + sw + w_ + nw
+
+    directions = ((0, 1), (2, 1), (1, 2), (1, 0))  # N, S, E, W offsets in padded
+    subfields = [np.zeros((h, w), dtype=bool) for _ in range(4)]
+    for k, (ro, co) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        subfields[k][ro::2, co::2] = True
+    changed = True
+    while changed:
+        changed = False
+        for ro, co in directions:
+            dir_bg = padded[ro : ro + h, co : co + w] == 0
+            for sub in subfields:
+                conn, degree = simple_and_degree()
+                kill = (core == 1) & dir_bg & sub & (conn == 1) & (degree >= 2)
+                if kill.any():
+                    core[kill] = 0
+                    changed = True
+    return core.copy()
+
+
+def test_thin_matches_reference_on_corpus(corpus_bitmaps):
+    for image_id, binary, skeleton in corpus_bitmaps:
+        assert (skeleton == _reference_thin(binary)).all(), image_id
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (33, 40), (65, 72), (40, 33)])
+@pytest.mark.parametrize("density", [0.5, 0.8, 1.0])
+def test_thin_matches_reference_on_odd_shapes(shape, density):
+    rng = np.random.default_rng([shape[0], shape[1], int(density * 10)])
+    bits = (rng.random(shape) < density).astype(np.uint8)
+    assert (thin(BinaryImage(bits)).bits == _reference_thin(bits)).all()
+
+
+@pytest.mark.parametrize("size", [33, 41, 96])
+def test_thin_matches_reference_on_blobs(size):
+    bits = make_blob_image(np.random.default_rng(size), size)
+    assert (thin(BinaryImage(bits)).bits == _reference_thin(bits)).all()
+
+
+FOUR = ndimage.generate_binary_structure(2, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.uint8, st.tuples(st.integers(1, 40), st.integers(1, 40)),
+              elements=st.integers(0, 1)))
+def test_thin_properties(bits):
+    skel = thin(BinaryImage(bits)).bits
+    assert (thin(BinaryImage(skel)).bits == skel).all()  # fixpoint
+    assert not (skel & ~bits).any()  # subset of the input
+    assert components(skel) == components(bits)
+    # pixels beyond the image edge count as background, so background
+    # components are counted on the zero-padded image
+    background = ndimage.label(np.pad(bits, 1) == 0, structure=FOUR)[1]
+    assert ndimage.label(np.pad(skel, 1) == 0, structure=FOUR)[1] == background

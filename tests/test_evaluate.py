@@ -122,6 +122,59 @@ def test_match_result_bookkeeping_identities():
         assert all(dist <= 8.0 for _, _, dist in r.pairs)
 
 
+def _reference_match(detected, truth, tolerance):
+    """match_minutiae over all detection/truth pairs, the reference for its
+    windowed candidate search."""
+    candidates = []
+    for i, d in enumerate(detected.minutiae):
+        for j, t in enumerate(truth.minutiae):
+            dist = math.hypot(d.x - t.x, d.y - t.y)
+            if dist <= tolerance:
+                candidates.append((dist, i, j))
+    candidates.sort()
+    used_d, used_t, pairs = set(), set(), []
+    for dist, i, j in candidates:
+        if i in used_d or j in used_t:
+            continue
+        used_d.add(i)
+        used_t.add(j)
+        pairs.append((i, j, dist))
+    return MatchResult(
+        detected.image_id, len(pairs), len(truth.minutiae) - len(pairs),
+        len(detected.minutiae) - len(pairs), len(truth.minutiae), tuple(pairs),
+    )
+
+
+def _unique_points(rng, n, size):
+    flat = rng.choice(size * size, n, replace=False)
+    return [(int(k % size), int(k // size)) for k in flat]
+
+
+@pytest.mark.parametrize("tolerance", [8.0, 5.0, math.sqrt(50), 1.0, 20.5])
+def test_match_equals_reference_on_dense_random_sets(tolerance):
+    # small grid, many points: plenty of equal-distance ties like (3, 4)/(5, 0)
+    rng = np.random.default_rng(int(tolerance * 100))
+    for _ in range(20):
+        d = mset("r", _unique_points(rng, int(rng.integers(0, 60)), 30))
+        t = mset("r", _unique_points(rng, int(rng.integers(1, 60)), 30))
+        r = match_minutiae(d, t, tolerance)
+        assert r == _reference_match(d, t, tolerance)
+        assert all(type(i) is int and type(j) is int and type(x) is float for i, j, x in r.pairs)
+
+
+def test_match_equals_reference_on_hand_built_ties():
+    # detections at equal distance from several truths, and truths at equal
+    # distance from several detections
+    truth = mset("t", [(10, 10), (20, 10), (15, 15), (15, 5), (40, 40), (44, 43), (35, 40),
+                       (70, 70)])
+    detected = mset("t", [(15, 10), (40, 43), (44, 40), (38, 40), (29, 10), (73, 70), (67, 70)])
+    for tolerance in (3.0, 5.0, 8.0):
+        r = match_minutiae(detected, truth, tolerance)
+        assert r == _reference_match(detected, truth, tolerance)
+    assert (0, 0, 5.0) in r.pairs  # (15, 10): four truths at 5, lowest index wins
+    assert (5, 7, 3.0) in r.pairs  # (70, 70): two detections at 3, lowest index wins
+
+
 def test_match_result_invariant_enforced():
     with pytest.raises(ValueError):
         MatchResult("a", matched=2, missed=1, false_count=0, ground_truth_count=4, pairs=((0, 0, 1.0), (1, 1, 1.0)))

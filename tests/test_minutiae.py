@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from ridgekit.binary import Skeleton
+from conftest import make_blob_image
+from ridgekit.binary import BinaryImage, Skeleton, thin
 from ridgekit.minutiae import (
+    DIRECTION_WALK_STEPS,
     BIFURCATION,
     ENDING,
     Minutia,
@@ -17,6 +19,13 @@ from ridgekit.minutiae import (
     postprocess,
     read_minutiae,
     write_minutiae,
+)
+from ridgekit.minutiae import (
+    _NEIGHBOR_OFFSETS,
+    _angle_between,
+    _branch_vectors,
+    _minutia_direction,
+    _segment_pixels,
 )
 
 EIGHT = np.ones((3, 3))
@@ -341,3 +350,246 @@ def test_read_minutiae_rejects_malformed(tmp_path):
     bad.write_text("5 6 E 0.0\n")
     with pytest.raises(ValueError):
         read_minutiae(bad)
+
+
+# --- per-pixel references for the array code in extract_minutiae/postprocess
+
+
+def _reference_walk(bits, start, first, blocked, steps):
+    """Follow a branch from `start` through `first`, up to `steps` moves;
+    stop at a dead end or where more than one continuation is free."""
+    h, w = bits.shape
+    cur = first
+    visited = {start, first} | blocked
+    for _ in range(steps - 1):
+        nxt = None
+        count = 0
+        for dy, dx in _NEIGHBOR_OFFSETS:
+            ny, nx_ = cur[0] + dy, cur[1] + dx
+            if 0 <= ny < h and 0 <= nx_ < w and bits[ny, nx_] and (ny, nx_) not in visited:
+                count += 1
+                if nxt is None:
+                    nxt = (ny, nx_)
+        if nxt is None or count > 1:
+            break
+        visited.add(nxt)
+        cur = nxt
+    return cur
+
+
+def _reference_branch_vectors(bits, y, x):
+    h, w = bits.shape
+    starts = [
+        (y + dy, x + dx)
+        for dy, dx in _NEIGHBOR_OFFSETS
+        if 0 <= y + dy < h and 0 <= x + dx < w and bits[y + dy, x + dx]
+    ]
+    vectors = []
+    for sy, sx in starts:
+        others = {p for p in starts if p != (sy, sx)}
+        ey, ex = _reference_walk(bits, (y, x), (sy, sx), others, DIRECTION_WALK_STEPS)
+        norm = math.hypot(ex - x, ey - y)
+        if norm > 0:
+            vectors.append(((ex - x) / norm, (ey - y) / norm))
+    return vectors
+
+
+def _reference_extract(skel, image_id):
+    """extract_minutiae with one scalar walk per branch."""
+    bits = skel.bits
+    counts = ndimage.convolve(bits.astype(int), EIGHT, mode="constant")
+    found = [(y, x, ENDING) for y, x in np.argwhere((bits == 1) & (counts == 2)).tolist()]
+    found += [(y, x, BIFURCATION) for x, y in _cluster_representatives(bits)]
+    found.sort()
+    return MinutiaeSet(image_id, tuple(
+        Minutia(x, y, kind, _minutia_direction(_reference_branch_vectors(bits, y, x), kind))
+        for y, x, kind in found
+    ), "raw")
+
+
+def _reference_spur_junction(bits, ending, max_steps):
+    h, w = bits.shape
+    path = [(ending.y, ending.x)]
+    cur = path[0]
+    visited = {cur}
+    for _ in range(max_steps):
+        nxt = None
+        for dy, dx in _NEIGHBOR_OFFSETS:
+            ny, nx_ = cur[0] + dy, cur[1] + dx
+            if 0 <= ny < h and 0 <= nx_ < w and bits[ny, nx_] and (ny, nx_) not in visited:
+                nxt = (ny, nx_)
+                break
+        if nxt is None:
+            return None
+        visited.add(nxt)
+        y0, y1 = max(0, nxt[0] - 1), min(h, nxt[0] + 2)
+        x0, x1 = max(0, nxt[1] - 1), min(w, nxt[1] + 2)
+        if int(bits[y0:y1, x0:x1].sum()) >= 4:
+            return nxt, path
+        path.append(nxt)
+        cur = nxt
+    return None
+
+
+def _reference_postprocess(mset, skel, params):
+    """postprocess with list rescans and all-pairs loops."""
+    bits = skel.bits.copy()
+    h, w = bits.shape
+    current = list(mset.minutiae)
+
+    erased = set()
+    for m in [m for m in current if m.kind == ENDING]:
+        if bits[m.y, m.x] == 0:
+            continue
+        hit = _reference_spur_junction(bits, m, params.spur_length)
+        if hit is None:
+            continue
+        junction, branch = hit
+        for y, x in branch:
+            bits[y, x] = 0
+            erased.add((x, y))
+        jy, jx = junction
+        bif_near = [
+            b for b in current
+            if b.kind == BIFURCATION and max(abs(b.x - jx), abs(b.y - jy)) <= 2
+        ]
+        bif_near.sort(key=lambda b: (max(abs(b.x - jx), abs(b.y - jy)), b.y, b.x))
+        drop = {id(m)} | ({id(bif_near[0])} if bif_near else set())
+        current = [c for c in current if id(c) not in drop and (c.x, c.y) not in erased]
+
+    current = [
+        m for m in current
+        if min(m.x, m.y, w - 1 - m.x, h - 1 - m.y) >= params.border_distance
+    ]
+
+    endings = [m for m in current if m.kind == ENDING]
+    candidates = []
+    for i in range(len(endings)):
+        for j in range(i + 1, len(endings)):
+            a, b = endings[i], endings[j]
+            dist = math.hypot(a.x - b.x, a.y - b.y)
+            if dist > params.reconnect_gap:
+                continue
+            if _angle_between(a.direction, b.direction) < math.pi - math.pi / 6:
+                continue
+            between = _segment_pixels((a.y, a.x), (b.y, b.x))
+            if any(bits[y, x] for y, x in between):
+                continue
+            candidates.append((dist, i, j, between))
+    candidates.sort(key=lambda t: (t[0], t[1], t[2]))
+    used = set()
+    removed_ids = set()
+    for dist, i, j, between in candidates:
+        if i in used or j in used:
+            continue
+        if any(bits[y, x] for y, x in between):
+            continue
+        used.update((i, j))
+        for y, x in between:
+            bits[y, x] = 1
+        removed_ids.update((id(endings[i]), id(endings[j])))
+    current = [m for m in current if id(m) not in removed_ids]
+
+    doomed = set()
+    for i in range(len(current)):
+        for j in range(i + 1, len(current)):
+            a, b = current[i], current[j]
+            if max(abs(a.x - b.x), abs(a.y - b.y)) <= params.adjacency_window:
+                doomed.update((id(a), id(b)))
+    current = [m for m in current if id(m) not in doomed]
+    current.sort(key=lambda m: (m.y, m.x))
+    return MinutiaeSet(mset.image_id, tuple(current), "postprocessed"), bits
+
+
+def _assert_matches_references(skel, image_id, params=PostprocessParams()):
+    raw = extract_minutiae(skel, image_id)
+    assert raw.minutiae == _reference_extract(skel, image_id).minutiae
+    final, final_skel = postprocess(raw, skel, params)
+    want, want_bits = _reference_postprocess(raw, skel, params)
+    assert final.minutiae == want.minutiae
+    assert (final_skel.bits == want_bits).all()
+    return raw, final
+
+
+def _random_skeletons():
+    for shape, density in (((1, 1), 1.0), ((2, 3), 0.7), ((33, 40), 0.5), ((65, 72), 0.45),
+                           ((40, 33), 1.0)):
+        rng = np.random.default_rng([shape[0], shape[1]])
+        bits = (rng.random(shape) < density).astype(np.uint8)
+        yield f"noise{shape[0]}x{shape[1]}", thin(BinaryImage(bits))
+    for size in (33, 41, 96):
+        bits = make_blob_image(np.random.default_rng(size), size)
+        yield f"blob{size}", thin(BinaryImage(bits))
+
+
+def test_branch_vectors_match_reference_on_every_ridge_pixel():
+    rng = np.random.default_rng(3)
+    for bits in ((rng.random((30, 37)) < 0.35).astype(np.uint8),
+                 thin(BinaryImage(make_blob_image(rng, 64))).bits):
+        ys, xs = np.nonzero(bits)
+        got = _branch_vectors(bits, ys, xs)
+        assert got == [_reference_branch_vectors(bits, y, x) for y, x in zip(ys, xs)]
+
+
+def test_extract_and_postprocess_match_reference_on_corpus(corpus_bitmaps):
+    for image_id, _, skeleton in corpus_bitmaps:
+        _assert_matches_references(Skeleton(skeleton), image_id)
+
+
+def test_extract_and_postprocess_match_reference_on_random_skeletons():
+    for image_id, skel in _random_skeletons():
+        for params in (PostprocessParams(), PostprocessParams(2, 0, 12, 9)):
+            _assert_matches_references(skel, image_id, params)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_postprocess_matches_reference_on_raw_noise(seed):
+    # unthinned noise: thick clusters, many near ties in every rule
+    rng = np.random.default_rng(seed)
+    skel = Skeleton((rng.random((48, 64)) < 0.3).astype(np.uint8))
+    for params in (PostprocessParams(), PostprocessParams(1, 3, 9, 3)):
+        _assert_matches_references(skel, "noise", params)
+
+
+def test_reconnection_equal_distance_ties_match_reference():
+    bits = np.zeros((70, 60), np.uint8)
+    # the ending at (29, 20) has two antiparallel partners at distance 5:
+    # (34, 20) along the row and (32, 24) on a (3, 4) diagonal
+    bits[20, 10:30] = 1
+    bits[20, 34:50] = 1
+    bits[24, 32:50] = 1
+    # the ending at (40, 50) is the later partner of two endings at
+    # distance 5: (37, 46) and (35, 50)
+    bits[46, 20:38] = 1
+    bits[50, 20:36] = 1
+    bits[50, 40:55] = 1
+    raw, final = _assert_matches_references(Skeleton(bits), "ties", PostprocessParams(2, 2, 6, 6))
+    assert {(m.x, m.y) for m in raw.minutiae} - {(m.x, m.y) for m in final.minutiae} == {
+        (29, 20), (34, 20), (37, 46), (40, 50)
+    }
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_spur_bifurcation_ties_match_reference(seed):
+    # a 3-pixel spur meets the ridge at junction (30, 19); bifurcations are
+    # placed by hand at random offsets around it, many at equal distance
+    bits = np.zeros((40, 60), np.uint8)
+    bits[20, 5:55] = 1
+    for k in range(1, 4):
+        bits[20 - k, 31 - k] = 1
+    rng = np.random.default_rng(seed)
+    branch = ((-2, -2), (-1, -1))  # the spur tip and its next pixel
+    offsets = [(dy, dx) for dy in range(-2, 3) for dx in range(-2, 3) if (dy, dx) not in branch]
+    picked = rng.choice(len(offsets), size=int(rng.integers(2, 7)), replace=False)
+    minutiae = [Minutia(28, 17, ENDING, 0.0)] + [
+        Minutia(30 + offsets[k][1], 19 + offsets[k][0], BIFURCATION, 0.0) for k in picked
+    ]
+    rng.shuffle(minutiae)
+    skel = Skeleton(bits)
+    mset = MinutiaeSet("ties", tuple(minutiae), "raw")
+    params = PostprocessParams(0, 0, 0, 6)
+    final, final_skel = postprocess(mset, skel, params)
+    want, want_bits = _reference_postprocess(mset, skel, params)
+    assert final.minutiae == want.minutiae
+    assert (final_skel.bits == want_bits).all()
+    assert len(final) == len(mset) - 2  # the ending and one bifurcation

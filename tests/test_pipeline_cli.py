@@ -8,7 +8,8 @@ from ridgekit.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_REJECTED, main
 from ridgekit.config import PipelineConfig, load_config
 from ridgekit.evaluate import match_minutiae
 from ridgekit.image import GrayImage, save_pgm
-from ridgekit.minutiae import read_minutiae
+from ridgekit.minutiae import PostprocessParams, read_minutiae
+from ridgekit import pipeline
 from ridgekit.pipeline import extract_from_image, run_eval, run_extract, run_synth
 from ridgekit.synth import ParallelPattern, SynthSpec, generate
 
@@ -57,6 +58,12 @@ def test_config_echo_stable():
     b = PipelineConfig().echo_lines()
     assert a == b
     assert any(line.startswith("block_size") for line in a)
+
+
+def test_config_postprocess_defaults_come_from_params():
+    assert PipelineConfig().postprocess_params() == PostprocessParams()
+    assert {"adjacency_window = 6", "border_distance = 10", "reconnect_gap = 6",
+            "spur_length = 6"} <= set(PipelineConfig().echo_lines())
 
 
 def test_extract_finds_injected_minutiae(tmp_path):
@@ -183,6 +190,31 @@ def test_run_eval_deterministic_across_worker_counts(tmp_path):
     for f1 in sorted((tmp_path / "o1").glob("synth_*.txt")):
         f2 = tmp_path / "o2" / f1.name
         assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_run_eval_pool_no_larger_than_job_count(tmp_path, monkeypatch):
+    class SerialPool:
+        """Stand-in executor: records its size and maps in-process."""
+
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SerialPool)
+    data, truthd = build_corpus(tmp_path, n=3)
+    run = run_eval(data, truthd, PipelineConfig(), tmp_path / "out", workers=500)
+    assert SerialPool.sizes == [3]
+    assert run.report.n == 3
 
 
 def test_run_synth_writes_corpus(tmp_path):
