@@ -34,14 +34,6 @@ class BinaryImage:
             raise ValueError("bits must be 0 or 1")
         object.__setattr__(self, "bits", bits.astype(np.uint8))
 
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
 
 @dataclass(frozen=True)
 class Skeleton(BinaryImage):

@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import enhance
+from .binary import BinarizeParams
 from .evaluate import DEFAULT_TOLERANCE
 from .image import DEFAULT_TARGET_MEAN, DEFAULT_TARGET_VARIANCE
 from .minutiae import PostprocessParams
@@ -35,6 +36,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.block_size < 4:
             raise ValueError("block_size must be >= 4")
+        if self.freq_window < 1:
+            raise ValueError("freq_window must be >= 1")
         if not 0.0 <= self.reject_threshold <= 1.0:
             raise ValueError("reject_threshold must lie in [0, 1]")
         if self.target_variance <= 0:
@@ -44,9 +47,8 @@ class PipelineConfig:
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.threshold != "auto":
-            value = int(self.threshold)  # raises on junk
-            if not 0 <= value <= 255:
-                raise ValueError("fixed threshold must lie in [0, 255]")
+            BinarizeParams(int(self.threshold))  # raises on junk and outside 0..255
+        self.postprocess_params()  # raises on a negative window
 
     def postprocess_params(self) -> PostprocessParams:
         return PostprocessParams(
@@ -64,6 +66,24 @@ class PipelineConfig:
         ]
 
 
+def read_key_values(path: str | Path) -> list[tuple[str, str]]:
+    """(key, value) pairs of a key = value file, in file order.
+
+    ``#`` starts a comment; blank lines are skipped. Keys and values are
+    stripped; a value may itself contain ``=``.
+    """
+    pairs = []
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        pairs.append((key, value))
+    return pairs
+
+
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
@@ -72,14 +92,8 @@ def load_config(path: str | Path | None = None, **overrides) -> PipelineConfig:
     keyword overrides (CLI flags), in that precedence order."""
     values: dict[str, object] = {}
     if path is not None:
-        known = {f.name: f.type for f in fields(PipelineConfig)}
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: expected 'key = value', got {raw!r}")
-            key, text = (part.strip() for part in line.split("=", 1))
+        known = {f.name for f in fields(PipelineConfig)}
+        for key, text in read_key_values(path):
             if key not in known:
                 raise ValueError(f"{path}: unknown config key {key!r}")
             values[key] = _coerce(key, text)

@@ -43,14 +43,6 @@ class OrientationField:
     theta: np.ndarray  # (rows, cols) float64
     coherence: np.ndarray  # (rows, cols) float64
 
-    @property
-    def rows(self) -> int:
-        return self.theta.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.theta.shape[1]
-
 
 @dataclass(frozen=True)
 class FrequencyMap:
@@ -60,14 +52,6 @@ class FrequencyMap:
     block_size: int
     freq: np.ndarray  # (rows, cols) float64, NaN = absent
 
-    @property
-    def rows(self) -> int:
-        return self.freq.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.freq.shape[1]
-
 
 @dataclass(frozen=True)
 class RegionMask:
@@ -75,14 +59,6 @@ class RegionMask:
 
     block_size: int
     labels: np.ndarray  # (rows, cols) bool, True = recoverable
-
-    @property
-    def rows(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.labels.shape[1]
 
     @property
     def recoverable_fraction(self) -> float:
@@ -174,7 +150,7 @@ def estimate_frequency(
     h, w = data.shape
     bs = orient.block_size
     rows, cols = _block_grid(h, w, bs)
-    if (rows, cols) != (orient.rows, orient.cols):
+    if (rows, cols) != orient.theta.shape:
         raise ValueError("orientation field does not cover the image")
 
     # sample offsets across (k) and along (d) the ridge; one
@@ -264,9 +240,7 @@ def compute_region_mask(
     if not 0.0 <= reject_threshold <= 1.0:
         raise ValueError("reject_threshold must lie in [0, 1]")
     data = img.pixels
-    h, w = data.shape
     bs = orient.block_size
-    rows, cols = _block_grid(h, w, bs)
 
     counts = _block_sum(np.ones_like(data), bs)
     sums = _block_sum(data, bs)

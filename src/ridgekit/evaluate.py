@@ -129,21 +129,27 @@ def aggregate(per_image: Sequence[tuple[str, Metrics]]) -> AggregateReport:
 
 
 def format_report_text(
-    report: AggregateReport,
+    report: AggregateReport | None,
     config_lines: Sequence[str],
     rejected: Sequence[tuple[str, float]] = (),
     errors: Sequence[tuple[str, str]] = (),
 ) -> str:
-    """Human-readable report: per-image metrics plus a Mean/SD summary table."""
+    """Human-readable report: per-image metrics plus a Mean/SD summary table.
+
+    With no report (no image evaluated) only the config and the rejected
+    and error lists are written.
+    """
     out = ["minutiae evaluation report", "=" * 26, "", "config:"]
     out += [f"  {line}" for line in config_lines]
-    out += ["", f"images evaluated: {report.n}"]
+    out += ["", f"images evaluated: {0 if report is None else report.n}"]
     if rejected:
         out.append("rejected (excluded from means):")
         out += [f"  {image_id}  recoverable_fraction={frac:.3f}" for image_id, frac in rejected]
     if errors:
         out.append("errors (skipped):")
         out += [f"  {image_id}  {msg}" for image_id, msg in errors]
+    if report is None:
+        return "\n".join(out) + "\n"
     out += ["", f"{'image':<24} {'SEN':>8} {'SPE':>8}"]
     for image_id, m in report.per_image:
         out.append(f"{image_id:<24} {m.sen:8.4f} {m.spe:8.4f}")
@@ -159,26 +165,28 @@ def format_report_text(
 
 
 def format_report_csv(
-    report: AggregateReport,
+    report: AggregateReport | None,
     config_lines: Sequence[str],
     results: Sequence[MatchResult] = (),
     rejected: Sequence[tuple[str, float]] = (),
     errors: Sequence[tuple[str, str]] = (),
 ) -> str:
-    """Machine-readable report: one row per image plus mean/sd summary rows."""
+    """Machine-readable report: one row per image plus mean/sd summary rows
+    (none of either with no report), then the rejected and error rows."""
     by_id = {r.image_id: r for r in results}
     out = [f"# {line}" for line in config_lines]
     out.append("record,image_id,sen,spe,matched,missed,false_count,ground_truth")
-    for image_id, m in report.per_image:
-        r = by_id.get(image_id)
-        detail = (
-            f"{r.matched},{r.missed},{r.false_count},{r.ground_truth_count}"
-            if r is not None
-            else ",,,"
-        )
-        out.append(f"image,{image_id},{m.sen:.6f},{m.spe:.6f},{detail}")
-    out.append(f"mean,,{report.mean_sen:.6f},{report.mean_spe:.6f},,,,")
-    out.append(f"sd,,{report.sd_sen:.6f},{report.sd_spe:.6f},,,,")
+    if report is not None:
+        for image_id, m in report.per_image:
+            r = by_id.get(image_id)
+            detail = (
+                f"{r.matched},{r.missed},{r.false_count},{r.ground_truth_count}"
+                if r is not None
+                else ",,,"
+            )
+            out.append(f"image,{image_id},{m.sen:.6f},{m.spe:.6f},{detail}")
+        out.append(f"mean,,{report.mean_sen:.6f},{report.mean_spe:.6f},,,,")
+        out.append(f"sd,,{report.sd_sen:.6f},{report.sd_spe:.6f},,,,")
     for image_id, frac in rejected:
         out.append(f"rejected,{image_id},,,,,,{frac:.6f}")
     for image_id, msg in errors:

@@ -56,14 +56,6 @@ class NormalizedImage:
     def __post_init__(self):
         object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.float64))
 
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
 
 def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
     """Read `count` whitespace-separated integer tokens, skipping # comments.

@@ -401,9 +401,7 @@ def write_minutiae(path: str | Path, mset: MinutiaeSet, width: int, height: int)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_minutiae(
-    path: str | Path, provenance: str = POSTPROCESSED
-) -> tuple[MinutiaeSet, int, int]:
+def read_minutiae(path: str | Path) -> tuple[MinutiaeSet, int, int]:
     """Read a minutiae file; returns (set, width, height)."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -422,4 +420,4 @@ def read_minutiae(
             Minutia(int(parts[0]), int(parts[1]), _CODE_KIND[parts[2]],
                     math.radians(float(parts[3])))
         )
-    return MinutiaeSet(image_id, tuple(minutiae), provenance), width, height
+    return MinutiaeSet(image_id, tuple(minutiae), POSTPROCESSED), width, height

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import enhance as enh
-from .binary import BinarizeParams, Skeleton, auto_threshold, binarize, thin
+from .binary import BinarizeParams, auto_threshold, binarize, thin
 from .config import PipelineConfig
 from .evaluate import (
     AggregateReport,
@@ -28,7 +28,6 @@ from .synth import generate, parse_synth_spec
 class ExtractOutcome:
     image_id: str
     minutiae: MinutiaeSet | None
-    skeleton: Skeleton | None
     rejection: enh.Rejection | None
     intermediates: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -60,7 +59,7 @@ def extract_from_image(img: GrayImage, image_id: str, config: PipelineConfig) ->
         variance_floor=config.variance_floor,
     )
     if isinstance(mask, enh.Rejection):
-        return ExtractOutcome(image_id, None, None, mask)
+        return ExtractOutcome(image_id, None, mask)
 
     enhanced = enh.gabor_enhance(norm, orient, freq, mask, config.sigma_x, config.sigma_y)
     work = invert(enhanced)  # ridges become bright so that ridge => 1
@@ -71,9 +70,9 @@ def extract_from_image(img: GrayImage, image_id: str, config: PipelineConfig) ->
     bin_img = binarize(work, params)
     skel = thin(bin_img)
     raw = extract_minutiae(skel, image_id)
-    final, final_skel = postprocess(raw, skel, config.postprocess_params())
+    final, _ = postprocess(raw, skel, config.postprocess_params())
 
-    return ExtractOutcome(image_id, final, final_skel, None, {
+    return ExtractOutcome(image_id, final, None, {
         "enhanced": enhanced, "binary": bin_img, "skeleton": skel,
         "orientation": orient, "frequency": freq,
     })
@@ -181,7 +180,6 @@ def run_eval(
 
     rejected: list[tuple[str, float]] = []
     results: list[MatchResult] = []
-    per_image = []
     for item in raw:
         if item[0] == "rejected":
             rejected.append((item[1], item[2]))
@@ -190,34 +188,22 @@ def run_eval(
         else:
             _, stem, result, detected, width, height = item
             results.append(result)
-            per_image.append((stem, compute_metrics(result)))
             write_minutiae(out_dir / f"{stem}.txt", detected, width, height)
 
-    per_image.sort(key=lambda kv: kv[0])
     results.sort(key=lambda r: r.image_id)
     rejected.sort()
     errors.sort()
 
-    config_lines = config.echo_lines()
+    # _eval_one renames the truth to the image stem, so image_id is the stem
+    per_image = [(r.image_id, compute_metrics(r)) for r in results]
     report = aggregate(per_image) if per_image else None
-    if report is not None:
-        text = format_report_text(report, config_lines, rejected, errors)
-        csv = format_report_csv(report, config_lines, results, rejected, errors)
-    else:
-        lines = ["minutiae evaluation report", "=" * 26, "", "config:"]
-        lines += [f"  {line}" for line in config_lines]
-        lines += ["", "images evaluated: 0"]
-        lines += [f"rejected: {image_id} ({frac:.3f})" for image_id, frac in rejected]
-        lines += [f"error: {image_id} {msg}" for image_id, msg in errors]
-        text = "\n".join(lines) + "\n"
-        csv = "\n".join(
-            [f"# {line}" for line in config_lines]
-            + ["record,image_id,sen,spe,matched,missed,false_count,ground_truth"]
-            + [f"rejected,{image_id},,,,,,{frac:.6f}" for image_id, frac in rejected]
-            + [f"error,{image_id},{msg.replace(',', ';')},,,,," for image_id, msg in errors]
-        ) + "\n"
-    (out_dir / "report.txt").write_text(text, encoding="utf-8")
-    (out_dir / "report.csv").write_text(csv, encoding="utf-8")
+    config_lines = config.echo_lines()
+    (out_dir / "report.txt").write_text(
+        format_report_text(report, config_lines, rejected, errors), encoding="utf-8"
+    )
+    (out_dir / "report.csv").write_text(
+        format_report_csv(report, config_lines, results, rejected, errors), encoding="utf-8"
+    )
     return EvalRun(report, tuple(results), tuple(rejected), tuple(errors))
 
 

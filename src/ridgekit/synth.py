@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_key_values
 from .image import GrayImage
 from .minutiae import BIFURCATION, ENDING, POSTPROCESSED, Minutia, MinutiaeSet
 
@@ -153,13 +154,7 @@ def parse_synth_spec(path: str | Path) -> SynthSpec:
     """
     fields: dict[str, str] = {}
     injected: list[tuple[int, int, str]] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for key, value in read_key_values(path):
         if key == "inject":
             x, y, kind = (v.strip() for v in value.split(","))
             if kind not in _KIND_FROM_CODE:

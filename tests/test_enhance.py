@@ -219,8 +219,8 @@ def test_region_mask_clean_accepted(clean_stripes):
         & (orient.coherence >= enh.DEFAULT_COHERENCE_FLOOR)
     )
     bs = orient.block_size
-    for r in range(orient.rows):
-        for c in range(orient.cols):
+    for r in range(orient.theta.shape[0]):
+        for c in range(orient.theta.shape[1]):
             block = norm.pixels[r * bs : (r + 1) * bs, c * bs : (c + 1) * bs]
             want[r, c] &= block.var() >= enh.DEFAULT_VARIANCE_FLOOR
     assert (mask.labels == want).all()
@@ -337,7 +337,7 @@ def test_gabor_separable_matches_dense_path(name, gaps):
     freq = enh.estimate_frequency(norm, orient)
     labels = np.isfinite(freq.freq)
     if gaps:  # unrecoverable blocks inside block rows, runs of 1 to 3 blocks
-        labels &= np.add.outer(np.arange(orient.rows), np.arange(orient.cols)) % 4 != 1
+        labels &= np.indices(labels.shape).sum(axis=0) % 4 != 1
     mask = enh.RegionMask(orient.block_size, labels)
     got = enh.gabor_response(norm, orient, freq, mask)
     half = math.ceil(3.0 * enh.DEFAULT_SIGMA_X)
@@ -378,5 +378,5 @@ def test_debug_dumps_shapes(clean_stripes):
     norm = normalize(img)
     orient = enh.estimate_orientation(norm)
     freq = enh.estimate_frequency(norm, orient)
-    assert len(enh.orientation_to_text(orient).splitlines()) == orient.rows
-    assert len(enh.frequency_to_text(freq).splitlines()) == freq.rows
+    assert len(enh.orientation_to_text(orient).splitlines()) == orient.theta.shape[0]
+    assert len(enh.frequency_to_text(freq).splitlines()) == freq.freq.shape[0]

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import GRID_10, corpus_spec
 from ridgekit.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_REJECTED, main
-from ridgekit.config import PipelineConfig, load_config
+from ridgekit.config import PipelineConfig, load_config, read_key_values
 from ridgekit.evaluate import match_minutiae
 from ridgekit.image import GrayImage, save_pgm
 from ridgekit.minutiae import PostprocessParams, read_minutiae
@@ -35,6 +35,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(threshold="junk")
     assert PipelineConfig(threshold="128").threshold == "128"
+    with pytest.raises(ValueError, match="freq_window"):
+        PipelineConfig(freq_window=0)
+    for name in ("adjacency_window", "border_distance", "reconnect_gap", "spur_length"):
+        with pytest.raises(ValueError, match=name):
+            PipelineConfig(**{name: -1})
+        assert getattr(PipelineConfig(**{name: 0}), name) == 0
 
 
 def test_load_config_file_and_overrides(tmp_path):
@@ -51,6 +57,15 @@ def test_load_config_rejects_unknown_key(tmp_path):
     f.write_text("blocky = 8\n")
     with pytest.raises(ValueError):
         load_config(f)
+
+
+def test_read_key_values(tmp_path):
+    f = tmp_path / "kv.txt"
+    f.write_text("# header\n\nb = 2  # note\n  a=x = y\nb = 3\n")
+    assert read_key_values(f) == [("b", "2"), ("a", "x = y"), ("b", "3")]
+    f.write_text("a = 1\njunk\n")
+    with pytest.raises(ValueError, match="expected 'key = value'"):
+        read_key_values(f)
 
 
 def test_config_echo_stable():
@@ -174,6 +189,63 @@ def test_run_eval_rejected_image_listed_separately(tmp_path):
     assert "zz_noise" in report_text and "rejected" in report_text
 
 
+# report.csv of a run with no evaluated image, as it has always been written
+EMPTY_RUN_CSV = """\
+# adjacency_window = 6
+# block_size = 16
+# border_distance = 10
+# coherence_floor = 0.3
+# dump_intermediates = False
+# freq_window = 32
+# reconnect_gap = 6
+# reject_threshold = 0.25
+# sigma_x = 4.0
+# sigma_y = 4.0
+# smooth_sigma = 1.0
+# spur_length = 6
+# target_mean = 100.0
+# target_variance = 100.0
+# threshold = auto
+# tolerance = 8.0
+# variance_floor = 10.0
+record,image_id,sen,spe,matched,missed,false_count,ground_truth
+rejected,noise_a,,,,,,0.000000
+rejected,noise_b,,,,,,0.000000
+error,no_truth,missing truth file no_truth.txt,,,,,
+"""
+
+
+def test_run_eval_nothing_evaluated_report(tmp_path):
+    from ridgekit.minutiae import ENDING, Minutia, MinutiaeSet, write_minutiae
+
+    data, truthd = tmp_path / "data", tmp_path / "truth"
+    data.mkdir()
+    truthd.mkdir()
+    for k, stem in enumerate(["noise_b", "noise_a", "no_truth"]):
+        rng = np.random.default_rng(k)
+        save_pgm(GrayImage(rng.integers(0, 256, (128, 128)).astype(np.uint8)),
+                 data / f"{stem}.pgm")
+        if stem != "no_truth":
+            truth = MinutiaeSet(stem, (Minutia(64, 64, ENDING, 0.0),), "postprocessed")
+            write_minutiae(truthd / f"{stem}.txt", truth, 128, 128)
+    for workers in (1, 2):
+        run = run_eval(data, truthd, PipelineConfig(), tmp_path / f"o{workers}", workers)
+        assert run.report is None and run.results == ()
+    o1, o2 = tmp_path / "o1", tmp_path / "o2"
+    assert (o1 / "report.csv").read_text() == EMPTY_RUN_CSV
+    text = (o1 / "report.txt").read_text()
+    assert "\nimages evaluated: 0\nrejected (excluded from means):\n" in text
+    assert text.endswith(
+        "  noise_a  recoverable_fraction=0.000\n"
+        "  noise_b  recoverable_fraction=0.000\n"
+        "errors (skipped):\n"
+        "  no_truth  missing truth file no_truth.txt\n"
+    )
+    assert "Mean" not in text and "SEN" not in text
+    for name in ("report.txt", "report.csv"):
+        assert (o1 / name).read_bytes() == (o2 / name).read_bytes()
+
+
 def test_run_eval_empty_dataset_errors(tmp_path):
     (tmp_path / "data").mkdir()
     (tmp_path / "truth").mkdir()
@@ -276,6 +348,26 @@ def test_cli_extract_missing_file(tmp_path, capsys):
 def test_cli_bad_config_value(tmp_path, capsys):
     path, _, _ = write_synth_fixture(tmp_path)
     assert main(["extract", str(path), "--threshold", "999"]) == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("command", ["eval", "extract"])
+@pytest.mark.parametrize("line", ["spur_length = -1", "border_distance = -3", "freq_window = 0"])
+def test_cli_bad_config_file_fails_before_any_image(tmp_path, monkeypatch, capsys, command, line):
+    path, img, truth = write_synth_fixture(tmp_path)
+    from ridgekit.minutiae import write_minutiae
+
+    write_minutiae(tmp_path / f"{path.stem}.txt", truth, img.width, img.height)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    loaded = []
+    monkeypatch.setattr(pipeline, "load_pgm", lambda p: loaded.append(p))
+    inputs = [str(tmp_path), str(tmp_path)] if command == "eval" else [str(path)]
+    out = tmp_path / "out"
+    code = main([command, *inputs, "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_INPUT_ERROR
+    assert loaded == []
+    assert not out.exists()
+    assert line.split()[0] in capsys.readouterr().err
 
 
 def test_cli_exit_codes_distinct():
