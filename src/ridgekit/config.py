@@ -47,7 +47,13 @@ class PipelineConfig:
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.threshold != "auto":
-            BinarizeParams(int(self.threshold))  # raises on junk and outside 0..255
+            try:
+                value = int(self.threshold)
+            except ValueError:
+                raise ValueError(
+                    f"threshold: expected 'auto' or an integer 0..255, got {self.threshold!r}"
+                ) from None
+            BinarizeParams(value)  # raises outside 0..255
         self.postprocess_params()  # raises on a negative window
 
     def postprocess_params(self) -> PostprocessParams:
@@ -96,22 +102,18 @@ def load_config(path: str | Path | None = None, **overrides) -> PipelineConfig:
         for key, text in read_key_values(path):
             if key not in known:
                 raise ValueError(f"{path}: unknown config key {key!r}")
-            values[key] = _coerce(key, text)
+            values[key] = _coerce(path, key, text)
     for key, val in overrides.items():
         if val is not None:
             values[key] = val
     return PipelineConfig(**values)
 
 
-def _coerce(key: str, text: str):
-    default = getattr(PipelineConfig, key)
-    if isinstance(default, bool):
-        try:
-            return _BOOL[text.lower()]
-        except KeyError:
-            raise ValueError(f"config key {key}: expected a boolean, got {text!r}")
-    if isinstance(default, int):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
-    return text
+def _coerce(path: str | Path, key: str, text: str):
+    kind = type(getattr(PipelineConfig, key))
+    try:
+        return _BOOL[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ValueError(
+            f"{path}: config key {key}: expected {kind.__name__}, got {text!r}"
+        ) from None

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-DEFAULT_DPI = 500
 DEFAULT_TARGET_MEAN = 100.0
 DEFAULT_TARGET_VARIANCE = 100.0
 
@@ -19,14 +18,10 @@ class PgmError(ValueError):
 
 @dataclass(frozen=True)
 class GrayImage:
-    """8-bit grayscale image, row-major, top-left origin.
-
-    ``dpi`` is carried as metadata only; parameter defaults elsewhere
-    assume 500 dpi scans.
-    """
+    """8-bit grayscale image, row-major, top-left origin. Parameter
+    defaults elsewhere assume 500 dpi scans."""
 
     pixels: np.ndarray  # (height, width), uint8
-    dpi: int = DEFAULT_DPI
 
     def __post_init__(self):
         px = np.asarray(self.pixels)
@@ -88,7 +83,7 @@ def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[int],
     return tokens, i + 1
 
 
-def load_pgm(path: str | Path, dpi: int = DEFAULT_DPI) -> GrayImage:
+def load_pgm(path: str | Path) -> GrayImage:
     """Load a P2 (ASCII) or P5 (binary) PGM file with maxval <= 255."""
     path = Path(path)
     data = path.read_bytes()  # raises FileNotFoundError for missing files
@@ -124,7 +119,7 @@ def load_pgm(path: str | Path, dpi: int = DEFAULT_DPI) -> GrayImage:
         if arr.min() < 0 or arr.max() > maxval:
             raise PgmError("pixel value outside [0, maxval]")
         arr = arr.astype(np.uint8)
-    return GrayImage(arr.reshape(height, width), dpi=dpi)
+    return GrayImage(arr.reshape(height, width))
 
 
 def save_pgm(img, path: str | Path) -> None:
@@ -168,4 +163,4 @@ def normalize(
 def invert(img: GrayImage) -> GrayImage:
     """Flip intensities (255 - I). Used to make dark ridges bright before
     thresholding."""
-    return GrayImage(255 - img.pixels, dpi=img.dpi)
+    return GrayImage(255 - img.pixels)

@@ -357,16 +357,13 @@ def postprocess(
             continue
         if _angle_between(a.direction, b.direction) < math.pi - math.pi / 6:
             continue
-        between = _segment_pixels((a.y, a.x), (b.y, b.x))
-        if any(bits[y, x] for y, x in between):
-            continue
-        candidates.append((dist, i, j, between))
+        candidates.append((dist, i, j, _segment_pixels((a.y, a.x), (b.y, b.x))))
     candidates.sort(key=lambda t: (t[0], t[1], t[2]))
     used: set[int] = set()
     for dist, i, j, between in candidates:
         if i in used or j in used:
             continue
-        if any(bits[y, x] for y, x in between):  # blocked by an earlier redraw
+        if any(bits[y, x] for y, x in between):  # a ridge, or an earlier redraw, blocks it
             continue
         used.update((i, j))
         for y, x in between:

@@ -82,17 +82,19 @@ def run_extract(image_path: str | Path, config: PipelineConfig, out_dir: str | P
     """Extract minutiae from a PGM file and write the minutiae file.
 
     With dump_intermediates set, also writes the enhanced/binary/skeleton
-    PGMs and the orientation/frequency text grids (five artifacts).
+    PGMs and the orientation/frequency text grids (five artifacts). out_dir
+    is created only when there is something to write, so a missing,
+    unreadable or rejected image leaves no directory behind.
     """
     image_path = Path(image_path)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     img = load_pgm(image_path)
     stem = image_path.stem
     outcome = extract_from_image(img, stem, config)
     if outcome.rejected:
         return outcome
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_minutiae(out_dir / f"{stem}.txt", outcome.minutiae, img.width, img.height)
     if config.dump_intermediates:
         inter = outcome.intermediates
@@ -108,19 +110,27 @@ def run_extract(image_path: str | Path, config: PipelineConfig, out_dir: str | P
     return outcome
 
 
-def _eval_one(image_path: str, truth_path: str, config: PipelineConfig):
-    """Worker body for one dataset image; must stay picklable."""
+def _eval_one(image_path: str, truth_path: str, config: PipelineConfig, out_dir: str):
+    """Worker body for one dataset image; must stay picklable.
+
+    Returns (kind, stem, value): ("ok", stem, MatchResult), ("rejected",
+    stem, recoverable fraction) or ("error", stem, message). The truth is
+    checked before extraction, so an image that cannot be scored writes
+    no minutiae file.
+    """
     stem = Path(image_path).stem
     try:
-        img = load_pgm(image_path)
+        truth_path = Path(truth_path)
+        if not truth_path.exists():
+            raise ValueError(f"missing truth file {truth_path.name}")
         truth, _, _ = read_minutiae(truth_path)
-        truth = replace(truth, image_id=stem)
-        outcome = extract_from_image(img, stem, config)
+        if not truth.minutiae:
+            raise ValueError("metrics undefined for empty ground truth")
+        outcome = run_extract(image_path, config, out_dir)
         if outcome.rejected:
             return ("rejected", stem, outcome.rejection.recoverable_fraction)
-        detected = outcome.minutiae
-        result = match_minutiae(detected, truth, config.tolerance)
-        return ("ok", stem, result, detected, img.width, img.height)
+        truth = replace(truth, image_id=stem)
+        return ("ok", stem, match_minutiae(outcome.minutiae, truth, config.tolerance))
     except Exception as exc:  # per-image failures must not sink the batch
         return ("error", stem, str(exc))
 
@@ -142,59 +152,42 @@ def run_eval(
 ) -> EvalRun:
     """Evaluate every PGM in dataset_dir against same-stem truth files.
 
-    Writes per-image minutiae files plus report.txt / report.csv. Rejected
-    images are listed separately and excluded from the means; images with
-    missing truth or load failures are reported as errors and skipped.
-    Results are ordered by image id, so reports are identical for any
-    worker count.
+    Each image goes through run_extract, so out_dir gets the same minutiae
+    files (and, with dump_intermediates, the same dumps) as `extract`, plus
+    report.txt / report.csv. Rejected images are listed separately and
+    excluded from the means; images with missing or empty truth, or that
+    fail to load or extract, are reported as errors and skipped. Results
+    are ordered by image id, so reports are identical for any worker
+    count. An empty dataset raises before out_dir is created.
     """
-    dataset_dir = Path(dataset_dir)
-    truth_dir = Path(truth_dir)
+    images = sorted(Path(dataset_dir).glob("*.pgm"))
+    if not images:
+        raise ValueError(f"no PGM images found in {dataset_dir}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    images = sorted(dataset_dir.glob("*.pgm"))
-    if not images:
-        raise ValueError(f"no PGM images found in {dataset_dir}")
-
-    jobs = []
-    errors: list[tuple[str, str]] = []
-    for path in images:
-        truth_path = truth_dir / f"{path.stem}.txt"
-        if not truth_path.exists():
-            errors.append((path.stem, f"missing truth file {truth_path.name}"))
-            continue
-        jobs.append((str(path), str(truth_path)))
-
-    if workers > 1 and len(jobs) > 1:
+    n = len(images)
+    jobs = (
+        [str(p) for p in images],
+        [str(Path(truth_dir) / f"{p.stem}.txt") for p in images],
+        [config] * n,
+        [str(out_dir)] * n,
+    )
+    if workers > 1 and n > 1:
         # ProcessPoolExecutor may start all max_workers processes up front
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            raw = list(pool.map(
-                _eval_one,
-                [i for i, _ in jobs],
-                [t for _, t in jobs],
-                [config] * len(jobs),
-            ))
+        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+            raw = list(pool.map(_eval_one, *jobs))
     else:
-        raw = [_eval_one(i, t, config) for i, t in jobs]
+        raw = list(map(_eval_one, *jobs))
 
-    rejected: list[tuple[str, float]] = []
-    results: list[MatchResult] = []
-    for item in raw:
-        if item[0] == "rejected":
-            rejected.append((item[1], item[2]))
-        elif item[0] == "error":
-            errors.append((item[1], item[2]))
-        else:
-            _, stem, result, detected, width, height = item
-            results.append(result)
-            write_minutiae(out_dir / f"{stem}.txt", detected, width, height)
+    rows: dict[str, list] = {"ok": [], "rejected": [], "error": []}
+    for kind, stem, value in raw:
+        rows[kind].append((stem, value))
+    # stems are unique; _eval_one renames the truth to the stem, so each
+    # result's image_id is its stem
+    results = [r for _, r in sorted(rows["ok"])]
+    rejected, errors = sorted(rows["rejected"]), sorted(rows["error"])
 
-    results.sort(key=lambda r: r.image_id)
-    rejected.sort()
-    errors.sort()
-
-    # _eval_one renames the truth to the image stem, so image_id is the stem
     per_image = [(r.image_id, compute_metrics(r)) for r in results]
     report = aggregate(per_image) if per_image else None
     config_lines = config.echo_lines()

@@ -351,7 +351,8 @@ def test_cli_bad_config_value(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["eval", "extract"])
-@pytest.mark.parametrize("line", ["spur_length = -1", "border_distance = -3", "freq_window = 0"])
+@pytest.mark.parametrize("line", ["spur_length = -1", "border_distance = -3", "freq_window = 0",
+                                  "block_size = 8.0", "tolerance = x", "threshold = abc"])
 def test_cli_bad_config_file_fails_before_any_image(tmp_path, monkeypatch, capsys, command, line):
     path, img, truth = write_synth_fixture(tmp_path)
     from ridgekit.minutiae import write_minutiae
@@ -396,3 +397,101 @@ def test_cli_eval_and_synth(tmp_path, capsys):
     assert "mean SEN" in out
     report = (tmp_path / "out" / "report.txt").read_text()
     assert "Mean" in report and "block_size" in report
+
+
+# --- one per-image path: eval extracts and writes through run_extract ---
+
+DUMP_SUFFIXES = ("_enhanced.pgm", "_binary.pgm", "_skeleton.pgm",
+                 "_orientation.txt", "_frequency.txt")
+
+
+def build_mixed_corpus(tmp_path):
+    """Two prints with truth, a rejected noise capture with truth, and a
+    copy of a print with no truth file."""
+    from ridgekit.minutiae import ENDING, Minutia, MinutiaeSet, write_minutiae
+
+    data, truthd = build_corpus(tmp_path, n=2)
+    rng = np.random.default_rng(4)
+    save_pgm(GrayImage(rng.integers(0, 256, (128, 128)).astype(np.uint8)),
+             data / "zz_noise.pgm")
+    truth = MinutiaeSet("zz_noise", (Minutia(50, 50, ENDING, 0.0),), "postprocessed")
+    write_minutiae(truthd / "zz_noise.txt", truth, 128, 128)
+    first = sorted(data.glob("synth_*.pgm"))[0]
+    (data / "no_truth.pgm").write_bytes(first.read_bytes())
+    return data, truthd
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cli_eval_dump_intermediates(tmp_path, capsys, workers):
+    data, truthd = build_mixed_corpus(tmp_path)
+    out = tmp_path / "out"
+    code = main(["eval", str(data), str(truthd), "--out", str(out),
+                 "--workers", str(workers), "--dump-intermediates"])
+    assert code == EXIT_OK
+    evaluated = sorted(p.stem for p in data.glob("synth_*.pgm"))
+    want = {"report.txt", "report.csv"}
+    for stem in evaluated:
+        want |= {f"{stem}.txt"} | {stem + s for s in DUMP_SUFFIXES}
+    assert {p.name for p in out.iterdir()} == want
+    # eval writes exactly what extract writes for the same image
+    single = tmp_path / "single"
+    run_extract(data / f"{evaluated[0]}.pgm", PipelineConfig(dump_intermediates=True), single)
+    for f in single.iterdir():
+        assert f.read_bytes() == (out / f.name).read_bytes()
+
+
+def test_run_eval_empty_truth_is_an_error_row(tmp_path, capsys):
+    data, truthd = build_corpus(tmp_path, n=2)
+    empty = sorted(truthd.glob("*.txt"))[1]
+    empty.write_text(empty.read_text().splitlines()[0] + "\n")  # header only
+    for workers in (1, 2):
+        out = tmp_path / f"o{workers}"
+        assert main(["eval", str(data), str(truthd), "--out", str(out),
+                     "--workers", str(workers)]) == EXIT_OK
+        run = run_eval(data, truthd, PipelineConfig(), tmp_path / f"lib{workers}", workers)
+        assert run.report.n == 1
+        assert run.errors == ((empty.stem, "metrics undefined for empty ground truth"),)
+        assert not (out / empty.name).exists()
+    o1, o2 = tmp_path / "o1", tmp_path / "o2"
+    assert sorted(p.name for p in o1.iterdir()) == sorted(p.name for p in o2.iterdir())
+    for f in o1.iterdir():
+        assert f.read_bytes() == (o2 / f.name).read_bytes()
+
+
+def test_cli_extract_missing_file_leaves_no_output_dir(tmp_path, capsys):
+    out = tmp_path / "D"
+    assert main(["extract", str(tmp_path / "missing.pgm"), "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert not out.exists()
+
+
+def test_cli_eval_empty_dataset_leaves_no_output_dir(tmp_path, capsys):
+    (tmp_path / "data").mkdir()
+    out = tmp_path / "D"
+    code = main(["eval", str(tmp_path / "data"), str(tmp_path / "data"), "--out", str(out)])
+    assert code == EXIT_INPUT_ERROR
+    assert not out.exists()
+
+
+def test_cli_extract_rejected_leaves_no_output_dir(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    path = tmp_path / "noise.pgm"
+    save_pgm(GrayImage(rng.integers(0, 256, (128, 128)).astype(np.uint8)), path)
+    out = tmp_path / "D"
+    assert main(["extract", str(path), "--out", str(out)]) == EXIT_REJECTED
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, kind", [("block_size = 8.0", "int"), ("tolerance = x", "float"),
+                                        ("dump_intermediates = maybe", "bool")])
+def test_load_config_malformed_value_names_file_and_key(tmp_path, line, kind):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    key, value = (part.strip() for part in line.split("="))
+    with pytest.raises(ValueError) as exc:
+        load_config(cfg)
+    assert str(exc.value) == f"{cfg}: config key {key}: expected {kind}, got {value!r}"
+
+
+def test_config_non_numeric_threshold_names_key():
+    with pytest.raises(ValueError, match=r"^threshold: expected 'auto' or an integer 0\.\.255, got 'abc'$"):
+        PipelineConfig(threshold="abc")
