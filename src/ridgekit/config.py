@@ -110,10 +110,18 @@ def load_config(path: str | Path | None = None, **overrides) -> PipelineConfig:
 
 
 def _coerce(path: str | Path, key: str, text: str):
+    """The file value of key, converted to its field's type and checked on
+    its own against PipelineConfig's rules; errors name the file and key."""
     kind = type(getattr(PipelineConfig, key))
     try:
-        return _BOOL[text.lower()] if kind is bool else kind(text)
+        value = _BOOL[text.lower()] if kind is bool else kind(text)
     except (KeyError, ValueError):
         raise ValueError(
             f"{path}: config key {key}: expected {kind.__name__}, got {text!r}"
         ) from None
+    try:
+        PipelineConfig(**{key: value})
+    except ValueError as exc:
+        message = str(exc).removeprefix(f"{key}: ")
+        raise ValueError(f"{path}: config key {key}: {message}") from None
+    return value

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from scipy import ndimage
 
 from .image import GrayImage, NormalizedImage
 
@@ -89,6 +88,60 @@ def _block_sum(arr: np.ndarray, block_size: int) -> np.ndarray:
     return np.add.reduceat(np.add.reduceat(arr, rows, axis=0), cols, axis=1)
 
 
+def _sobel(data: np.ndarray, axis: int) -> np.ndarray:
+    """ndimage.sobel(data, axis, mode="nearest") bit for bit, in its order of
+    operations: in[0]*0 + (in[-1] - in[+1])*-1 along axis, then
+    d*2 + (d[-1] + d[+1]) across it."""
+    p = np.pad(data, 1, mode="edge")
+    p = p.T if axis == 0 else p
+    d = p[:, :-2] - p[:, 2:]  # in place from here: at most three arrays live
+    d *= -1.0
+    d += p[:, 1:-1] * 0.0
+    del p
+    out = d[:-2] + d[2:]
+    out += d[1:-1] * 2.0
+    return out.T if axis == 0 else out
+
+
+def _gaussian(data: np.ndarray, sigma: float) -> np.ndarray:
+    """ndimage.gaussian_filter(data, sigma, mode="nearest") bit for bit: per
+    axis (0, then 1), in*w0 plus the tap pairs from the outermost inward."""
+    r = int(4.0 * sigma + 0.5)
+    if r == 0:  # one tap of weight 1 (scipy skips sigma <= 1e-15 outright)
+        return data
+    phi = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    taps = (phi / phi.sum())[r:]
+    for _ in (0, 1):  # axis 0, then axis 0 of the transpose
+        n = data.shape[0]
+        p = np.pad(data, ((r, r), (0, 0)), mode="edge")
+        out = p[r : r + n] * taps[0]
+        for j in range(r, 0, -1):
+            out += (p[r - j : r - j + n] + p[r + j : r + j + n]) * taps[j]
+        data = out.T
+    return data
+
+
+def _bilinear(data: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """ndimage.map_coordinates(data, [ys, xs], order=1, mode="constant",
+    cval=nan) bit for bit: NaN unless 0 <= y <= h-1 and 0 <= x <= w-1."""
+    h, w = data.shape
+    inside = (ys >= 0) & (ys <= h - 1) & (xs >= 0) & (xs <= w - 1)
+    y0, x0 = np.floor(ys), np.floor(xs)
+    # flat index of the top-left tap; a +1 tap past the last row or column
+    # stays on it (its weight is 0 there)
+    iy = np.clip(y0, 0, h - 1).astype(np.intp)
+    ix = np.clip(x0, 0, w - 1).astype(np.intp)
+    i00 = iy * w + ix
+    i01 = i00 + (ix < w - 1)
+    down = (iy < h - 1) * w
+    wy0, wx0 = 1.0 - (ys - y0), 1.0 - (xs - x0)
+    wy1, wx1 = 1.0 - wy0, 1.0 - wx0  # scipy's last weight: 1 - the others
+    t = (data.take(i00) * wy0 * wx0 + data.take(i01) * wy0 * wx1
+         + data.take(i00 + down) * wy1 * wx0 + data.take(i01 + down) * wy1 * wx1)
+    t[~inside] = np.nan
+    return t
+
+
 def estimate_orientation(
     img: NormalizedImage,
     block_size: int = DEFAULT_BLOCK_SIZE,
@@ -110,8 +163,8 @@ def estimate_orientation(
             f"image {data.shape[1]}x{data.shape[0]} smaller than one "
             f"{block_size}px block"
         )
-    gx = ndimage.sobel(data, axis=1, mode="nearest")
-    gy = ndimage.sobel(data, axis=0, mode="nearest")
+    gx = _sobel(data, axis=1)
+    gy = _sobel(data, axis=0)
 
     sum_cross = _block_sum(2.0 * gx * gy, block_size)
     sum_diff = _block_sum(gx * gx - gy * gy, block_size)
@@ -122,8 +175,8 @@ def estimate_orientation(
 
     if smooth_sigma > 0:
         doubled = 2.0 * theta
-        cos2 = ndimage.gaussian_filter(np.cos(doubled), smooth_sigma, mode="nearest")
-        sin2 = ndimage.gaussian_filter(np.sin(doubled), smooth_sigma, mode="nearest")
+        cos2 = _gaussian(np.cos(doubled), smooth_sigma)
+        sin2 = _gaussian(np.sin(doubled), smooth_sigma)
         theta = 0.5 * np.arctan2(sin2, cos2)
     theta = np.mod(theta, np.pi)
     return OrientationField(block_size, theta, coherence)
@@ -154,7 +207,7 @@ def estimate_frequency(
         raise ValueError("orientation field does not cover the image")
 
     # sample offsets across (k) and along (d) the ridge; one
-    # map_coordinates call samples the patches of a whole block row
+    # _bilinear call samples the patches of a whole block row
     k = (np.arange(window) - (window - 1) / 2.0)[None, :, None]
     d = (np.arange(bs) - (bs - 1) / 2.0)[None, None, :]
     x0 = np.arange(cols) * bs
@@ -168,9 +221,7 @@ def estimate_frequency(
         cy = (r * bs + min((r + 1) * bs, h) - 1) / 2.0
         xs = cx + k * ux[r] + d * vx[r]
         ys = cy + k * uy[r] + d * vy[r]
-        vals = ndimage.map_coordinates(
-            data, np.stack([ys, xs]), order=1, mode="constant", cval=np.nan
-        )
+        vals = _bilinear(data, ys, xs)
         has_sig[r] = (np.isfinite(vals).sum(axis=2) >= bs // 2).all(axis=1)
         sig[r, has_sig[r]] = np.nanmean(vals[has_sig[r]], axis=2)
 

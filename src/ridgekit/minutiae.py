@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .binary import _NEIGHBOR_OFFSETS, Skeleton
 
@@ -100,16 +99,28 @@ def _count_grid(bits: np.ndarray) -> np.ndarray:
     return total
 
 
-def classify_pixel(skel: Skeleton, x: int, y: int) -> str | None:
-    """Classification of a ridge pixel by its 9-pixel-neighborhood count."""
-    if skel.bits[y, x] == 0:
-        return None
-    count = neighborhood_count(skel, x, y)
-    if count == 2:
-        return ENDING
-    if count >= 4:
-        return BIFURCATION
-    return None  # count 3: plain ridge pixel; count 1: isolated dot
+def _clusters(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ys, xs, cluster) of the pixels of mask in scan order; cluster is the
+    scan position of the first pixel of its 8-connected component."""
+    w = mask.shape[1]
+    flat = np.flatnonzero(mask)  # a 2-D np.nonzero scans ~10x slower
+    ys, xs = np.divmod(flat, w)
+    pairs = []
+    for dy, dx in ((0, 1), (1, -1), (1, 0), (1, 1)):  # each adjacent pair once
+        want = flat + (dy * w + dx)
+        j = np.minimum(np.searchsorted(flat, want), flat.size - 1)
+        hit = (flat[j] == want) & (xs + dx >= 0) & (xs + dx < w)
+        pairs.append((np.flatnonzero(hit), j[hit]))
+    a, b = (np.concatenate(side) for side in zip(*pairs))
+    cluster = np.arange(flat.size)
+    while True:  # spread the smallest position along pairs, pointer-jump
+        spread = cluster.copy()
+        np.minimum.at(spread, a, cluster[b])
+        np.minimum.at(spread, b, cluster[a])
+        spread = spread[spread]
+        if np.array_equal(spread, cluster):
+            return ys, xs, cluster
+        cluster = spread
 
 
 def _branch_vectors(
@@ -185,17 +196,12 @@ def extract_minutiae(skel: Skeleton, image_id: str = "") -> MinutiaeSet:
     counts = _count_grid(bits)
     ridge = bits == 1
 
-    end_y, end_x = np.nonzero(ridge & (counts == 2))
-    bif_y = bif_x = np.zeros(0, np.intp)
-    bif_mask = ridge & (counts >= 4)
-    if bif_mask.any():
-        labels, _ = ndimage.label(bif_mask, structure=np.ones((3, 3)))
-        ys, xs = np.nonzero(labels)
-        lab = labels[ys, xs]
-        # sort members by (label, -count, y, x); each label's first member wins
-        order = np.lexsort((xs, ys, -counts[ys, xs], lab))
-        first = order[np.diff(lab[order], prepend=0) != 0]
-        bif_y, bif_x = ys[first], xs[first]
+    end_y, end_x = np.divmod(np.flatnonzero(ridge & (counts == 2)), bits.shape[1])
+    ys, xs, lab = _clusters(ridge & (counts >= 4))
+    # sort members by (cluster, -count, y, x); each cluster's first member wins
+    order = np.lexsort((xs, ys, -counts[ys, xs], lab))
+    first = order[np.diff(lab[order], prepend=-1) != 0]
+    bif_y, bif_x = ys[first], xs[first]
 
     ys = np.concatenate([end_y, bif_y])
     xs = np.concatenate([end_x, bif_x])

@@ -4,6 +4,7 @@ synthetic corpus generation."""
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -155,10 +156,11 @@ def run_eval(
     Each image goes through run_extract, so out_dir gets the same minutiae
     files (and, with dump_intermediates, the same dumps) as `extract`, plus
     report.txt / report.csv. Rejected images are listed separately and
-    excluded from the means; images with missing or empty truth, or that
-    fail to load or extract, are reported as errors and skipped. Results
-    are ordered by image id, so reports are identical for any worker
-    count. An empty dataset raises before out_dir is created.
+    excluded from the means; images with missing or empty truth, that
+    fail to load or extract, or whose worker process died are reported as
+    errors and skipped. Results are ordered by image id, so reports are
+    identical for any worker count. An empty dataset raises before out_dir
+    is created.
     """
     images = sorted(Path(dataset_dir).glob("*.pgm"))
     if not images:
@@ -174,9 +176,14 @@ def run_eval(
         [str(out_dir)] * n,
     )
     if workers > 1 and n > 1:
-        # ProcessPoolExecutor may start all max_workers processes up front
-        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-            raw = list(pool.map(_eval_one, *jobs))
+        raw = []
+        try:
+            # ProcessPoolExecutor may start all max_workers processes up front
+            with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+                for row in pool.map(_eval_one, *jobs):
+                    raw.append(row)
+        except BrokenProcessPool:  # rows come in job order; no later one will
+            raw += [("error", Path(p).stem, "worker process died") for p in jobs[0][len(raw):]]
     else:
         raw = list(map(_eval_one, *jobs))
 

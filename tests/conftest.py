@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ridgekit.minutiae import BIFURCATION, ENDING, neighborhood_count
 from ridgekit.synth import ConcentricPattern, ParallelPattern, SynthSpec, generate
 
 
@@ -19,6 +20,19 @@ def make_blob_image(rng: np.random.Generator, size: int = 96) -> np.ndarray:
         h, w = rng.integers(4, 14, 2)
         img[y0 : y0 + h, x0 : x0 + w] = 1
     return img
+
+
+def classify_pixel(skel, x: int, y: int) -> str | None:
+    """Reference classification of one ridge pixel by its 9-pixel-neighborhood
+    count (extract_minutiae applies the same rule to the whole grid)."""
+    if skel.bits[y, x] == 0:
+        return None
+    count = neighborhood_count(skel, x, y)
+    if count == 2:
+        return ENDING
+    if count >= 4:
+        return BIFURCATION
+    return None  # count 3: plain ridge pixel; count 1: isolated dot
 
 
 GRID_10 = (

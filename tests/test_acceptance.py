@@ -7,7 +7,7 @@ import time
 import numpy as np
 from scipy import ndimage
 
-from conftest import corpus_spec, make_blob_image
+from conftest import classify_pixel, corpus_spec, make_blob_image
 from ridgekit.binary import BinarizeParams, BinaryImage, Skeleton, binarize, thin
 from ridgekit.config import PipelineConfig
 from ridgekit.enhance import (
@@ -24,7 +24,6 @@ from ridgekit.minutiae import (
     BIFURCATION,
     ENDING,
     PostprocessParams,
-    classify_pixel,
     extract_minutiae,
     postprocess,
 )

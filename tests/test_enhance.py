@@ -380,3 +380,84 @@ def test_debug_dumps_shapes(clean_stripes):
     freq = enh.estimate_frequency(norm, orient)
     assert len(enh.orientation_to_text(orient).splitlines()) == orient.theta.shape[0]
     assert len(enh.frequency_to_text(freq).splitlines()) == freq.freq.shape[0]
+
+
+# The NumPy filters of enhance against scipy.ndimage, their reference:
+# equal values, NaN positions and signs of zero.
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _block_grid_of_32x32():
+    """cos(2 theta) on the 2 x 2 block grid of a 32 x 32 print, a grid
+    smaller than the Gaussian's radius of 4."""
+    img = generate(SynthSpec(32, 32, ParallelPattern(math.radians(40.0)), 7.0,
+                             noise_amplitude=30.0, seed=9))[0]
+    theta = enh.estimate_orientation(normalize(img), smooth_sigma=0).theta
+    assert theta.shape == (2, 2)
+    return np.cos(2.0 * theta)
+
+
+def _rounded_noise(shape, seed):
+    """Values of both signs with many equal neighbours, so differences are
+    often zero next to negative centers (the signed-zero cases)."""
+    return np.round(np.random.default_rng(seed).normal(0.0, 3.0, shape))
+
+
+FILTER_GRIDS = {
+    "256x256": lambda: normalize(oriented_image(30.0, noise=20.0, seed=5)).pixels,
+    "250x237": lambda: normalize(PIN_IMAGES["250x237"]()).pixels,
+    "40x61": lambda: normalize(PIN_IMAGES["40x61"]()).pixels,
+    "rounded_40x61": lambda: _rounded_noise((40, 61), 1),
+    # full-precision values, where the order of additions shows
+    "normal_40x61": lambda: np.random.default_rng(6).normal(0.0, 1.0, (40, 61)),
+    "grid_2x2": _block_grid_of_32x32,
+    "1x1": lambda: _rounded_noise((1, 1), 2),
+    "1x9": lambda: _rounded_noise((1, 9), 3),
+    "9x1": lambda: _rounded_noise((9, 1), 4),
+    "2x2": lambda: _rounded_noise((2, 2), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_GRIDS))
+@pytest.mark.parametrize("axis", [0, 1])
+def test_sobel_matches_scipy(name, axis):
+    data = FILTER_GRIDS[name]()
+    assert_same_bits(enh._sobel(data, axis), ndimage.sobel(data, axis=axis, mode="nearest"))
+
+
+@pytest.mark.parametrize("sigma", [enh.DEFAULT_SMOOTH_SIGMA, 0.6, 2.3, 0.1, 1e-200])
+@pytest.mark.parametrize("name", sorted(FILTER_GRIDS))
+def test_gaussian_matches_scipy(name, sigma):
+    data = FILTER_GRIDS[name]()
+    want = ndimage.gaussian_filter(data, sigma, mode="nearest")
+    assert_same_bits(enh._gaussian(data, sigma), want)
+
+
+@pytest.mark.parametrize("shape", [(40, 61), (1, 7), (7, 1), (2, 2)])
+def test_bilinear_matches_scipy(shape):
+    rng = np.random.default_rng(11)
+    data = rng.normal(100.0, 60.0, shape)
+    h, w = shape
+    ys = rng.uniform(-2.0, h + 1.0, 20000)
+    xs = rng.uniform(-2.0, w + 1.0, 20000)
+    # full-precision fractions, where 1 - (1 - f) differs from f
+    ys[10000:15000] = rng.random(5000) / 3.0
+    xs[12000:17000] = rng.random(5000) / 3.0
+    # integer points, each image edge exactly and 1e-9 beyond it
+    ys[:2000] = rng.integers(-1, h + 1, 2000)
+    xs[:2000] = rng.integers(-1, w + 1, 2000)
+    for k, y in enumerate((0.0, h - 1.0, -1e-9, h - 1 + 1e-9)):
+        ys[2000 + 500 * k : 2500 + 500 * k] = y
+    for k, x in enumerate((0.0, w - 1.0, -1e-9, w - 1 + 1e-9)):
+        xs[4000 + 500 * k : 4500 + 500 * k] = x
+    ys[6000:6500], xs[6000:6500] = h - 1.0, w - 1.0
+    want = ndimage.map_coordinates(data, np.stack([ys, xs]), order=1,
+                                   mode="constant", cval=np.nan)
+    assert np.isnan(want).any() and np.isfinite(want).any()
+    got = enh._bilinear(data, ys.reshape(40, 500), xs.reshape(40, 500))
+    assert np.array_equal(got.ravel(), want, equal_nan=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from conftest import make_blob_image
+from conftest import classify_pixel, make_blob_image
 from ridgekit.binary import BinaryImage, Skeleton, thin
 from ridgekit.minutiae import (
     DIRECTION_WALK_STEPS,
@@ -13,7 +13,6 @@ from ridgekit.minutiae import (
     Minutia,
     MinutiaeSet,
     PostprocessParams,
-    classify_pixel,
     extract_minutiae,
     neighborhood_count,
     postprocess,
@@ -24,6 +23,7 @@ from ridgekit.minutiae import (
     _NEIGHBOR_OFFSETS,
     _angle_between,
     _branch_vectors,
+    _clusters,
     _minutia_direction,
     _segment_pixels,
 )
@@ -136,6 +136,53 @@ def _cluster_representatives(bits):
         y, x = min(members, key=lambda p: (-counts[p[0], p[1]], p[0], p[1]))
         reps.add((x, y))
     return reps
+
+
+def _first_seen(ids):
+    """ids renumbered by first appearance: equal for equal partitions."""
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def _snake(size=41):
+    """One 8-connected boustrophedon path through a size x size square."""
+    mask = np.zeros((size, size), bool)
+    mask[::2, 1:-1] = True
+    for r in range(1, size, 2):
+        mask[r, size - 2 if r % 4 == 1 else 1] = True
+    return mask
+
+
+def _corner_chains():
+    """Diagonal chains that touch only at corners, both ways, one of them
+    running off the right edge onto the next row's start in flat order."""
+    mask = np.zeros((12, 12), bool)
+    idx = np.arange(6)
+    mask[idx, idx] = True
+    mask[idx + 6, 11 - idx] = True
+    mask[0, 11] = mask[1, 0] = True  # flat neighbours, not image neighbours
+    mask[10, 0] = mask[11, 1] = True
+    return mask
+
+
+LABEL_MASKS = {
+    "snake": _snake,
+    "corner_chains": _corner_chains,
+    "empty": lambda: np.zeros((5, 7), bool),
+    "full": lambda: np.ones((6, 5), bool),
+    **{f"random_{h}x{w}_{p}": lambda h=h, w=w, p=p: np.random.default_rng(h * w).random((h, w)) < p
+       for h, w in ((64, 64), (1, 40), (40, 1), (33, 7)) for p in (0.1, 0.3, 0.5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_MASKS))
+def test_clusters_partition_matches_scipy_label(name):
+    mask = LABEL_MASKS[name]()
+    ys, xs, cluster = _clusters(mask)
+    assert [ys.tolist(), xs.tolist()] == [a.tolist() for a in np.nonzero(mask)]
+    labels, n = ndimage.label(mask, structure=EIGHT)
+    assert np.array_equal(_first_seen(cluster), _first_seen(labels[ys, xs]))
+    assert len(set(cluster.tolist())) == n
 
 
 def test_bifurcation_clusters_tie_breaks():
@@ -298,7 +345,7 @@ def test_adjacency_removes_both():
 
 def test_postprocess_idempotent_and_monotone():
     rng = np.random.default_rng(21)
-    from conftest import make_blob_image
+    from conftest import classify_pixel, make_blob_image
 
     bits = make_blob_image(rng, 96)
     from ridgekit.binary import BinaryImage, thin

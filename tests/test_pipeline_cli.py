@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from ridgekit.config import PipelineConfig, load_config, read_key_values
 from ridgekit.evaluate import match_minutiae
 from ridgekit.image import GrayImage, save_pgm
 from ridgekit.minutiae import PostprocessParams, read_minutiae
+import ridgekit
 from ridgekit import pipeline
 from ridgekit.pipeline import extract_from_image, run_eval, run_extract, run_synth
 from ridgekit.synth import ParallelPattern, SynthSpec, generate
@@ -495,3 +501,81 @@ def test_load_config_malformed_value_names_file_and_key(tmp_path, line, kind):
 def test_config_non_numeric_threshold_names_key():
     with pytest.raises(ValueError, match=r"^threshold: expected 'auto' or an integer 0\.\.255, got 'abc'$"):
         PipelineConfig(threshold="abc")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("spur_length = -1", "spur_length must be >= 0"),
+    ("border_distance = -3", "border_distance must be >= 0"),
+    ("threshold = 300", "threshold 300 outside [0, 255]"),
+])
+def test_cli_config_file_range_error_names_file_and_key(tmp_path, capsys, line, message):
+    path, _, _ = write_synth_fixture(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    key = line.split()[0]
+    # a flag that overrides the key does not excuse the file's bad value
+    for flags in ([], ["--threshold", "128"]):
+        code = main(["extract", str(path), "--config", str(cfg), *flags,
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {cfg}: config key {key}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_cli_flag_range_error_keeps_its_message(tmp_path, capsys):
+    path, _, _ = write_synth_fixture(tmp_path)
+    code = main(["extract", str(path), "--threshold", "300", "--out", str(tmp_path / "out")])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: threshold 300 outside [0, 255]\n"
+
+
+def test_run_eval_worker_death_becomes_error_rows(tmp_path, monkeypatch):
+    class DyingPool:
+        """Stand-in executor whose result iterator breaks after two rows,
+        as ProcessPoolExecutor.map does when a worker process dies."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            for k, args in enumerate(zip(*iterables)):
+                if k == 2:
+                    raise BrokenProcessPool("a process in the pool was terminated abruptly")
+                yield fn(*args)
+
+    data, truthd = build_corpus(tmp_path, n=4)
+    serial = run_eval(data, truthd, PipelineConfig(), tmp_path / "serial")
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", DyingPool)
+    run = run_eval(data, truthd, PipelineConfig(), tmp_path / "out", workers=2)
+    stems = sorted(p.stem for p in data.glob("*.pgm"))
+    assert run.results == serial.results[:2]
+    assert run.errors == tuple((stem, "worker process died") for stem in stems[2:])
+    assert run.report.n == 2
+    text = (tmp_path / "out" / "report.txt").read_text()
+    assert all(stem in text for stem in stems[2:]) and "worker process died" in text
+    assert "worker process died" in (tmp_path / "out" / "report.csv").read_text()
+
+
+def test_runtime_never_imports_scipy():
+    """A fresh interpreter that imports ridgekit and extracts one print
+    (bifurcations included) has no scipy module loaded, lazily or not."""
+    probe = (
+        "import sys, ridgekit\n"
+        "from ridgekit.synth import ParallelPattern, SynthSpec, generate\n"
+        "img, _ = generate(SynthSpec(96, 96, ParallelPattern(0.5), 8.0,\n"
+        "                            injected=((48, 48, 'bifurcation'),), noise_amplitude=10.0))\n"
+        "out = ridgekit.extract_from_image(img, 'probe', ridgekit.PipelineConfig())\n"
+        "assert any(m.kind == 'bifurcation' for m in out.minutiae.minutiae)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(ridgekit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
