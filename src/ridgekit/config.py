@@ -3,6 +3,7 @@ key = value file with CLI overrides, echoed into reports."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -34,6 +35,9 @@ class PipelineConfig:
     dump_intermediates: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name}: must be finite")
         if self.block_size < 4:
             raise ValueError("block_size must be >= 4")
         if self.freq_window < 1:

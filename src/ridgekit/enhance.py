@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .image import GrayImage, NormalizedImage
 
@@ -385,13 +385,19 @@ def _separable_response(
     data: np.ndarray, orient: OrientationField, freq: FrequencyMap,
     mask: RegionMask, sigma: float, half: int,
 ) -> np.ndarray:
-    """gabor_response by separable passes, one batch per run of recoverable
-    blocks in a block row."""
+    """gabor_response by separable passes: per block row, windows @ X, then
+    Y @ that, batched over the row's recoverable blocks.
+
+    A 1-D pass of filter k over a block's padded window is a product with
+    B[u, j] = k[u - j] (0 <= u - j <= 2 half, else 0). X holds a block's
+    three x-channel B side by side, Y its three y-channel B transposed,
+    their columns interleaved to match the rows of windows @ X per channel.
+    """
     h, w = data.shape
     bs = orient.block_size
     rows, cols = mask.labels.shape
-    size = 2 * half + 1
-    # padded to whole blocks, so every block of a run has a full window
+    size, span = 2 * half + 1, bs + 2 * half
+    # padded to whole blocks, so every block has a full window
     padded = np.pad(
         data, ((half, half + rows * bs - h), (half, half + cols * bs - w)),
         mode="reflect",
@@ -403,28 +409,23 @@ def _separable_response(
         kernel_id[r, c] = keys.setdefault(key, len(keys))
     if not keys:
         return np.zeros((h, w))
-    x_bank, y_bank = _separable_bank(list(keys), sigma, half)
+    # a zero tap after each channel's taps: every lag outside the band reads it
+    x_taps, y_taps = (np.pad(bank, ((0, 0), (0, 0), (0, 1))).reshape(len(keys), -1)
+                      for bank in _separable_bank(list(keys), sigma, half))
+    u, ch, j = np.ogrid[:span, :3, :bs]
+    lag = np.where((u >= j) & (u - j < size), u - j, size) + ch * (size + 1)
+    x_lag = lag.reshape(span, 3 * bs)  # X[u, ch bs + j] = x_ch[u - j]
+    y_lag = lag.transpose(2, 0, 1).reshape(bs, 3 * span)  # Y[i, 3u + ch] = y_ch[u - i]
 
-    response = np.zeros((h, w))
-    s0, s1 = padded.strides
+    windows = sliding_window_view(padded, (span, span))[::bs, ::bs]  # [r, c] at (r bs, c bs)
+    response = np.zeros((rows * bs, cols * bs))
+    blocks = response.reshape(rows, bs, cols, bs).swapaxes(1, 2)
     for r in range(rows):
-        y0, y1 = r * bs, min((r + 1) * bs, h)
-        edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.labels[r], [0]))))
-        for c0, c1 in edges.reshape(-1, 2):
-            n = c1 - c0
-            ids = kernel_id[r, c0:c1]
-            # (block, row, col, tap) windows over the padded strip
-            windows = as_strided(
-                padded[y0:, c0 * bs :], (n, bs + 2 * half, bs, size),
-                (bs * s1, s0, s1, s1), writeable=False,
-            )
-            xs = np.einsum("bct,bijt->bcij", x_bank[ids], windows)
-            t0, t1, t2, t3 = xs.strides
-            columns = as_strided(xs, (n, 3, bs, bs, size), (t0, t1, t2, t3, t2), writeable=False)
-            out = np.einsum("bcijt,bct->ibj", columns, y_bank[ids]).reshape(bs, n * bs)
-            x0, x1 = c0 * bs, min(c1 * bs, w)
-            response[y0:y1, x0:x1] = out[: y1 - y0, : x1 - x0]
-    return response
+        cs = np.flatnonzero(mask.labels[r])
+        ids = kernel_id[r, cs]
+        xs = windows[r, cs] @ x_taps[ids].take(x_lag, axis=1)
+        blocks[r, cs] = y_taps[ids].take(y_lag, axis=1) @ xs.reshape(-1, 3 * span, bs)
+    return response[:h, :w]
 
 
 def gabor_response(
@@ -442,9 +443,9 @@ def gabor_response(
     and blocks with the same quantized pair share a kernel. With the default
     isotropic envelope (sigma_x == sigma_y) each kernel is separable into a
     complex 1-D pair (Areekul et al., "Separable Gabor filter realization
-    for fast fingerprint enhancement", ICIP 2005) and every run of
-    recoverable blocks in a block row is filtered as one batch; an
-    anisotropic envelope uses one dense kernel per block.
+    for fast fingerprint enhancement", ICIP 2005), applied as banded
+    matrices in two matrix products per block row; an anisotropic
+    envelope uses one dense kernel per block.
     """
     data = img.pixels
     if not (

@@ -79,3 +79,22 @@ def corpus_bitmaps():
         stages = extract_from_image(img, truth.image_id, PipelineConfig()).intermediates
         out.append((truth.image_id, stages["binary"].bits, stages["skeleton"].bits))
     return out
+
+
+@pytest.fixture(scope="session")
+def corpus_enhance_inputs():
+    """(image_id, normalized image, orientation, frequency, mask) of each
+    acceptance-corpus print, from the default estimators."""
+    from ridgekit import enhance as enh
+    from ridgekit.image import normalize
+
+    out = []
+    for k in range(20):
+        img, truth = generate(corpus_spec(k))
+        norm = normalize(img)
+        orient = enh.estimate_orientation(norm)
+        freq = enh.estimate_frequency(norm, orient)
+        mask = enh.compute_region_mask(norm, orient, freq)
+        assert isinstance(mask, enh.RegionMask), truth.image_id
+        out.append((truth.image_id, norm, orient, freq, mask))
+    return out

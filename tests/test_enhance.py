@@ -338,15 +338,73 @@ def test_gabor_separable_matches_dense_path(name, gaps):
     labels = np.isfinite(freq.freq)
     if gaps:  # unrecoverable blocks inside block rows, runs of 1 to 3 blocks
         labels &= np.indices(labels.shape).sum(axis=0) % 4 != 1
-    mask = enh.RegionMask(orient.block_size, labels)
+    assert_matches_dense(norm, orient, freq, enh.RegionMask(orient.block_size, labels))
+
+
+def _dense_reference(data, orient, freq, mask, sigma, half):
+    return enh._dense_response(data, orient, freq, mask, sigma, sigma, half)
+
+
+def assert_matches_dense(norm, orient, freq, mask):
     got = enh.gabor_response(norm, orient, freq, mask)
     half = math.ceil(3.0 * enh.DEFAULT_SIGMA_X)
-    want = enh._dense_response(norm.pixels, orient, freq, mask, 4.0, 4.0, half)
+    want = _dense_reference(norm.pixels, orient, freq, mask, enh.DEFAULT_SIGMA_X, half)
     scale = np.abs(want).max()
     assert scale > 0
+    assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-9 * scale
     h, w = want.shape
     assert (got[~mask.pixel_mask(h, w)] == 0).all()
+
+
+def _single_block(labels):
+    labels[:] = False
+    labels[5, 7] = True
+
+
+def _empty_middle_row(labels):
+    labels[:] = True
+    labels[6] = False
+
+
+def _last_row_and_column(labels):
+    labels[:] = False
+    labels[-1] = labels[:, -1] = True
+
+
+# block geometries of the matrix-product realization: a row with a single
+# block, rows with none between full rows, the partial last block row and
+# column alone
+@pytest.mark.parametrize("name, labels_of", [
+    ("256x256", _single_block),
+    ("256x256", _empty_middle_row),
+    ("250x237", _last_row_and_column),
+    ("40x61", _last_row_and_column),
+])
+def test_gabor_separable_block_geometry_matches_dense_path(name, labels_of):
+    norm = normalize(PIN_IMAGES[name]())
+    orient = enh.estimate_orientation(norm)
+    freq = enh.estimate_frequency(norm, orient)
+    labels = np.empty(orient.theta.shape, bool)
+    labels_of(labels)
+    assert_matches_dense(norm, orient, freq, enh.RegionMask(orient.block_size, labels))
+
+
+def test_gabor_separable_one_kernel_key_matches_dense_path():
+    norm = normalize(PIN_IMAGES["250x237"]())
+    shape = enh.estimate_orientation(norm).theta.shape
+    orient = enh.OrientationField(16, np.full(shape, math.radians(70.0)), np.ones(shape))
+    freq = enh.FrequencyMap(16, np.full(shape, 1.0 / 7.0))
+    assert_matches_dense(norm, orient, freq, enh.RegionMask(16, np.ones(shape, bool)))
+
+
+def test_gabor_enhance_matches_dense_path_on_corpus(corpus_enhance_inputs, monkeypatch):
+    # the enhanced 8-bit images, pixel for pixel, with the dense kernels
+    # put in place of the separable ones under the same rescaling
+    got = [enh.gabor_enhance(*inputs[1:]).pixels for inputs in corpus_enhance_inputs]
+    monkeypatch.setattr(enh, "_separable_response", _dense_reference)
+    for pixels, (image_id, *inputs) in zip(got, corpus_enhance_inputs):
+        assert np.array_equal(pixels, enh.gabor_enhance(*inputs).pixels), image_id
 
 
 def test_gabor_anisotropic_envelope(clean_stripes):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,32 @@ def test_cli_config_file_range_error_names_file_and_key(tmp_path, capsys, line, 
         assert code == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"error: {cfg}: config key {key}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+
+def test_config_refuses_non_finite_floats():
+    float_keys = [f.name for f in fields(PipelineConfig) if isinstance(f.default, float)]
+    assert sorted(float_keys) == [
+        "coherence_floor", "reject_threshold", "sigma_x", "sigma_y", "smooth_sigma",
+        "target_mean", "target_variance", "tolerance", "variance_floor",
+    ]
+    for key in float_keys:
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=rf"^{key}: must be finite$"):
+                PipelineConfig(**{key: value})
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("key", ["smooth_sigma", "sigma_x", "variance_floor", "target_mean",
+                                 "tolerance"])
+def test_cli_non_finite_config_value_is_an_input_error(tmp_path, capsys, key, value):
+    path, _, _ = write_synth_fixture(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "out"
+    code = main(["extract", str(path), "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {cfg}: config key {key}: must be finite\n"
+    assert not out.exists()
 
 
 def test_cli_flag_range_error_keeps_its_message(tmp_path, capsys):
