@@ -30,7 +30,11 @@ class BinaryImage:
         bits = np.asarray(self.bits)
         if bits.ndim != 2:
             raise ValueError(f"expected 2-D bit array, got shape {bits.shape}")
-        if not np.isin(bits, (0, 1)).all():
+        if bits.dtype.kind in "bu":  # the pipeline's uint8 bitmaps: a cheap test
+            valid = bits.size == 0 or bits.max() <= 1
+        else:
+            valid = np.isin(bits, (0, 1)).all()
+        if not valid:
             raise ValueError("bits must be 0 or 1")
         object.__setattr__(self, "bits", bits.astype(np.uint8))
 

@@ -88,19 +88,28 @@ def _block_sum(arr: np.ndarray, block_size: int) -> np.ndarray:
     return np.add.reduceat(np.add.reduceat(arr, rows, axis=0), cols, axis=1)
 
 
+def _neighbor_op(op, src: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """out[i] = op(src[i-1], src[i+1]) along axis, the index clamped to the
+    edge (mode "nearest"), by slices (of transposed views for axis 1)."""
+    s, o = (src, out) if axis == 0 else (src.T, out.T)
+    one = len(s) == 1
+    op(s[:-2], s[2:], out=o[1:-1])
+    op(s[:1], s if one else s[1:2], out=o[:1])
+    op(s if one else s[-2:-1], s[-1:], out=o[-1:])
+
+
 def _sobel(data: np.ndarray, axis: int) -> np.ndarray:
     """ndimage.sobel(data, axis, mode="nearest") bit for bit, in its order of
     operations: in[0]*0 + (in[-1] - in[+1])*-1 along axis, then
-    d*2 + (d[-1] + d[+1]) across it."""
-    p = np.pad(data, 1, mode="edge")
-    p = p.T if axis == 0 else p
-    d = p[:, :-2] - p[:, 2:]  # in place from here: at most three arrays live
+    d*2 + (d[-1] + d[+1]) across it; two image-sized arrays, no padding."""
+    d, out = np.empty_like(data), np.empty_like(data)
+    _neighbor_op(np.subtract, data, axis, d)
     d *= -1.0
-    d += p[:, 1:-1] * 0.0
-    del p
-    out = d[:-2] + d[2:]
-    out += d[1:-1] * 2.0
-    return out.T if axis == 0 else out
+    d += np.multiply(data, 0.0, out=out)
+    _neighbor_op(np.add, d, 1 - axis, out)
+    d *= 2.0
+    out += d
+    return out
 
 
 def _gaussian(data: np.ndarray, sigma: float) -> np.ndarray:
@@ -119,27 +128,6 @@ def _gaussian(data: np.ndarray, sigma: float) -> np.ndarray:
             out += (p[r - j : r - j + n] + p[r + j : r + j + n]) * taps[j]
         data = out.T
     return data
-
-
-def _bilinear(data: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """ndimage.map_coordinates(data, [ys, xs], order=1, mode="constant",
-    cval=nan) bit for bit: NaN unless 0 <= y <= h-1 and 0 <= x <= w-1."""
-    h, w = data.shape
-    inside = (ys >= 0) & (ys <= h - 1) & (xs >= 0) & (xs <= w - 1)
-    y0, x0 = np.floor(ys), np.floor(xs)
-    # flat index of the top-left tap; a +1 tap past the last row or column
-    # stays on it (its weight is 0 there)
-    iy = np.clip(y0, 0, h - 1).astype(np.intp)
-    ix = np.clip(x0, 0, w - 1).astype(np.intp)
-    i00 = iy * w + ix
-    i01 = i00 + (ix < w - 1)
-    down = (iy < h - 1) * w
-    wy0, wx0 = 1.0 - (ys - y0), 1.0 - (xs - x0)
-    wy1, wx1 = 1.0 - wy0, 1.0 - wx0  # scipy's last weight: 1 - the others
-    t = (data.take(i00) * wy0 * wx0 + data.take(i01) * wy0 * wx1
-         + data.take(i00 + down) * wy1 * wx0 + data.take(i01 + down) * wy1 * wx1)
-    t[~inside] = np.nan
-    return t
 
 
 def estimate_orientation(
@@ -166,9 +154,15 @@ def estimate_orientation(
     gx = _sobel(data, axis=1)
     gy = _sobel(data, axis=0)
 
-    sum_cross = _block_sum(2.0 * gx * gy, block_size)
-    sum_diff = _block_sum(gx * gx - gy * gy, block_size)
-    sum_total = _block_sum(gx * gx + gy * gy, block_size)
+    # products in place; doubling is exact: 2 sum(gx gy) == sum(2 gx gy)
+    work = gx * gy
+    sum_cross = 2.0 * _block_sum(work, block_size)
+    gx *= gx
+    gy *= gy
+    np.subtract(gx, gy, out=work)
+    sum_diff = _block_sum(work, block_size)
+    gx += gy
+    sum_total = _block_sum(gx, block_size)
 
     theta = 0.5 * np.arctan2(sum_cross, sum_diff) + np.pi / 2.0
     coherence = np.hypot(sum_diff, sum_cross) / np.maximum(sum_total, 1e-12)
@@ -199,31 +193,11 @@ def estimate_frequency(
     [3, 25] px are marked absent, then filled with the mean of their present
     3x3 neighbors (up to 3 passes).
     """
-    data = img.pixels
-    h, w = data.shape
     bs = orient.block_size
-    rows, cols = _block_grid(h, w, bs)
+    rows, cols = _block_grid(*img.pixels.shape, bs)
     if (rows, cols) != orient.theta.shape:
         raise ValueError("orientation field does not cover the image")
-
-    # sample offsets across (k) and along (d) the ridge; one
-    # _bilinear call samples the patches of a whole block row
-    k = (np.arange(window) - (window - 1) / 2.0)[None, :, None]
-    d = (np.arange(bs) - (bs - 1) / 2.0)[None, None, :]
-    x0 = np.arange(cols) * bs
-    cx = ((x0 + np.minimum(x0 + bs, w) - 1) / 2.0)[:, None, None]
-    across = orient.theta + np.pi / 2
-    ux, uy = np.cos(across)[..., None, None], np.sin(across)[..., None, None]
-    vx, vy = np.cos(orient.theta)[..., None, None], np.sin(orient.theta)[..., None, None]
-    sig = np.zeros((rows, cols, window))
-    has_sig = np.zeros((rows, cols), dtype=bool)
-    for r in range(rows):
-        cy = (r * bs + min((r + 1) * bs, h) - 1) / 2.0
-        xs = cx + k * ux[r] + d * vx[r]
-        ys = cy + k * uy[r] + d * vy[r]
-        vals = _bilinear(data, ys, xs)
-        has_sig[r] = (np.isfinite(vals).sum(axis=2) >= bs // 2).all(axis=1)
-        sig[r, has_sig[r]] = np.nanmean(vals[has_sig[r]], axis=2)
+    sig, has_sig = _projection_signatures(img.pixels, orient, window)
 
     # smoothing, then peaks (rows of a boolean matrix) with parabolic
     # sub-pixel refinement; n peaks have mean spacing (last - first) / (n - 1)
@@ -244,6 +218,85 @@ def estimate_frequency(
         freq = np.full((rows, cols), np.nan)
         freq[has_sig] = np.where(ok, 1.0 / period, np.nan)
     return FrequencyMap(bs, _fill_absent(freq))
+
+
+def _projection_signatures(
+    data: np.ndarray, orient: OrientationField, window: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """estimate_frequency's (rows, cols, window) signatures, and which
+    blocks have one.
+
+    Samples are scipy's map_coordinates (order 1, mode "constant") bit for
+    bit, (a wy0) wx0 + (b wy0) wx1 + (c wy1) wx0 + (e wy1) wx1 with
+    w1 = 1 - w0, and the signature is their np.nanmean over the inside
+    samples. The image is padded once: a 1-px edge-replicated ring (a
+    sample on the last row or column reads it at weight 0, as scipy's
+    clamped tap does) in a zero margin wide enough for the farthest sample,
+    so the taps are the flat indices i, i+1, i+pw, i+pw+1. Buffers for one
+    block row are allocated once; outside samples are multiplied by 0.
+    """
+    h, w = data.shape
+    bs = orient.block_size
+    rows, cols = orient.theta.shape
+    margin = math.ceil(math.hypot(window, bs) / 2.0) + 1
+    off = margin + 1  # image pixel (y, x) is padded pixel (y + off, x + off)
+    padded = np.zeros((h + 2 * off, w + 2 * off))
+    padded[margin:-margin, margin:-margin] = np.pad(data, 1, mode="edge")
+    pw = padded.shape[1]
+    flat = padded.ravel()
+
+    # sample offsets across (k) and along (d) the ridge
+    k = (np.arange(window) - (window - 1) / 2.0)[None, :, None]
+    d = (np.arange(bs) - (bs - 1) / 2.0)[None, None, :]
+    x0 = np.arange(cols) * bs
+    cx = ((x0 + np.minimum(x0 + bs, w) - 1) / 2.0)[:, None, None]
+    across = orient.theta + np.pi / 2
+    ux, uy = np.cos(across)[..., None, None], np.sin(across)[..., None, None]
+    vx, vy = np.cos(orient.theta)[..., None, None], np.sin(orient.theta)[..., None, None]
+    shape = (cols, window, bs)
+    ys, xs, wy1, wx1, val, tap, weight = (np.empty(shape) for _ in range(7))
+    idx, inside, edge = np.empty(shape, np.intp), np.empty(shape, bool), np.empty(shape, bool)
+    sums, counts, ones = np.empty((cols, window)), np.empty((cols, window)), np.ones(bs)
+    sig = np.zeros((rows, cols, window))
+    has_sig = np.zeros((rows, cols), dtype=bool)
+    for r in range(rows):
+        cy = (r * bs + min((r + 1) * bs, h) - 1) / 2.0
+        np.add(cx + k * ux[r], d * vx[r], out=xs)
+        np.add(cy + k * uy[r], d * vy[r], out=ys)
+        np.greater_equal(ys, 0, out=inside)
+        inside &= np.less_equal(ys, h - 1, out=edge)
+        inside &= np.greater_equal(xs, 0, out=edge)
+        inside &= np.less_equal(xs, w - 1, out=edge)
+        # the floors give the top-left tap's flat index, then
+        # w0 = 1 - (t - floor t) replaces t, and w1 = 1 - w0
+        np.floor(ys, out=wy1)
+        np.floor(xs, out=wx1)
+        ys -= wy1
+        xs -= wx1
+        wy1 *= pw
+        wy1 += wx1 + off * (pw + 1)
+        np.copyto(idx, wy1, casting="unsafe")
+        for t, w1 in ((ys, wy1), (xs, wx1)):
+            np.subtract(1.0, t, out=t)
+            np.subtract(1.0, t, out=w1)
+        # mode "wrap" (every index is in bounds) takes into out= without
+        # the copy that the default "raise" makes
+        flat.take(idx, out=val, mode="wrap")
+        val *= ys
+        val *= xs
+        for shifted, wy, wx in ((flat[1:], ys, wx1), (flat[pw:], wy1, xs),
+                                (flat[pw + 1 :], wy1, wx1)):
+            shifted.take(idx, out=tap, mode="wrap")
+            tap *= wy
+            tap *= wx
+            val += tap
+        np.copyto(weight, inside)
+        val *= weight
+        np.sum(val, axis=2, out=sums)  # nanmean's sum, in its order
+        np.matmul(weight, ones, out=counts)  # sums of 0s and 1s: exact in any order
+        has_sig[r] = (counts >= bs // 2).all(axis=1)
+        sig[r, has_sig[r]] = sums[has_sig[r]] / counts[has_sig[r]]
+    return sig, has_sig
 
 
 def _fill_absent(freq: np.ndarray) -> np.ndarray:
@@ -290,16 +343,9 @@ def compute_region_mask(
     """
     if not 0.0 <= reject_threshold <= 1.0:
         raise ValueError("reject_threshold must lie in [0, 1]")
-    data = img.pixels
     bs = orient.block_size
-
-    counts = _block_sum(np.ones_like(data), bs)
-    sums = _block_sum(data, bs)
-    sqsums = _block_sum(data * data, bs)
-    variance = sqsums / counts - (sums / counts) ** 2
-
     labels = (
-        (variance >= variance_floor)
+        (_block_variance(img.pixels, bs) >= variance_floor)
         & (orient.coherence >= coherence_floor)
         & np.isfinite(freq.freq)
     )
@@ -309,9 +355,27 @@ def compute_region_mask(
     return mask
 
 
+def _block_variance(data: np.ndarray, block_size: int) -> np.ndarray:
+    """Population intensity variance of each block, E[I^2] - E[I]^2; the
+    pixel count of a block comes from its extent (partial at the edges)."""
+    extent = [np.diff(np.minimum(np.arange(0, n + block_size, block_size), n))
+              for n in data.shape]
+    counts = np.multiply.outer(*extent)
+    sums = _block_sum(data, block_size)
+    sqsums = _block_sum(data * data, block_size)
+    return sqsums / counts - (sums / counts) ** 2
+
+
 def _kernel_key(theta: float, freq: float) -> tuple[int, float]:
     """Kernel cache key: theta quantized to whole degrees, freq to 1e-6."""
     return int(round(math.degrees(theta))) % 180, round(float(freq), 6)
+
+
+def _kernel_keys(theta: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_kernel_key of each (theta, freq) pair, as two arrays. The freq
+    keeps Python's round: np.round scales by 1e6 and can round otherwise."""
+    degrees = np.rint(np.degrees(theta)) % 180
+    return degrees, np.array([round(f, 6) for f in freq.tolist()], dtype=np.float64)
 
 
 def _gabor_kernel(
@@ -329,10 +393,10 @@ def _gabor_kernel(
 
 
 def _separable_bank(
-    keys: list[tuple[int, float]], sigma: float, half: int
+    degrees: np.ndarray, freqs: np.ndarray, sigma: float, half: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The isotropic _gabor_kernel of each (degrees, freq) key as an x-pass
-    and a y-pass filter, each (len(keys), 3, K).
+    and a y-pass filter, each (len(degrees), 3, K).
 
     With sigma_x == sigma_y the kernel before mean subtraction is
     Re[h_x(dx) h_y(dy)], h = exp(-t^2 / 2 sigma^2 + 2 pi i freq u t) with u
@@ -341,7 +405,6 @@ def _separable_bank(
     and ones (box sum); the y pass weights those channels with Re h_y,
     -Im h_y and -mean, and sums them.
     """
-    degrees, freqs = np.array(keys, dtype=np.float64).T
     across = np.radians(degrees) + np.pi / 2
     t = np.arange(-half, half + 1, dtype=np.float64)
     envelope = np.exp(-0.5 * t**2 / sigma**2)
@@ -402,16 +465,13 @@ def _separable_response(
         data, ((half, half + rows * bs - h), (half, half + cols * bs - w)),
         mode="reflect",
     )
-    keys: dict[tuple[int, float], int] = {}
-    kernel_id = np.zeros((rows, cols), dtype=np.intp)
-    for r, c in zip(*np.nonzero(mask.labels)):
-        key = _kernel_key(orient.theta[r, c], freq.freq[r, c])
-        kernel_id[r, c] = keys.setdefault(key, len(keys))
-    if not keys:
+    # one filter pair per recoverable block, in row-major block order
+    degrees, freqs = _kernel_keys(orient.theta[mask.labels], freq.freq[mask.labels])
+    if not len(degrees):
         return np.zeros((h, w))
     # a zero tap after each channel's taps: every lag outside the band reads it
-    x_taps, y_taps = (np.pad(bank, ((0, 0), (0, 0), (0, 1))).reshape(len(keys), -1)
-                      for bank in _separable_bank(list(keys), sigma, half))
+    x_taps, y_taps = (np.pad(bank, ((0, 0), (0, 0), (0, 1))).reshape(len(degrees), -1)
+                      for bank in _separable_bank(degrees, freqs, sigma, half))
     u, ch, j = np.ogrid[:span, :3, :bs]
     lag = np.where((u >= j) & (u - j < size), u - j, size) + ch * (size + 1)
     x_lag = lag.reshape(span, 3 * bs)  # X[u, ch bs + j] = x_ch[u - j]
@@ -420,9 +480,11 @@ def _separable_response(
     windows = sliding_window_view(padded, (span, span))[::bs, ::bs]  # [r, c] at (r bs, c bs)
     response = np.zeros((rows * bs, cols * bs))
     blocks = response.reshape(rows, bs, cols, bs).swapaxes(1, 2)
+    start = 0
     for r in range(rows):
         cs = np.flatnonzero(mask.labels[r])
-        ids = kernel_id[r, cs]
+        ids = slice(start, start + len(cs))
+        start += len(cs)
         xs = windows[r, cs] @ x_taps[ids].take(x_lag, axis=1)
         blocks[r, cs] = y_taps[ids].take(y_lag, axis=1) @ xs.reshape(-1, 3 * span, bs)
     return response[:h, :w]
@@ -440,7 +502,7 @@ def gabor_response(
 
     Each recoverable block is filtered with one kernel tuned to its
     (theta, freq); theta is quantized to 1 degree steps and freq to 1e-6,
-    and blocks with the same quantized pair share a kernel. With the default
+    so blocks with the same quantized pair get the same kernel. With the default
     isotropic envelope (sigma_x == sigma_y) each kernel is separable into a
     complex 1-D pair (Areekul et al., "Separable Gabor filter realization
     for fast fingerprint enhancement", ICIP 2005), applied as banded

@@ -147,16 +147,27 @@ def normalize(
     Each pixel moves to target_mean +/- sqrt(target_variance * (I-m)^2 / v),
     keeping the sign of (I - m); m, v are the input mean and (population)
     variance. Constant images map to target_mean everywhere.
+
+    The formula is evaluated once per grey level and the 256-entry table
+    indexed with the pixels; v sums the per-pixel (I - m)^2 (from a table
+    too) in numpy's order, so the output equals the per-pixel formula's
+    bit for bit, and one image-sized float array is written.
     """
     if target_variance <= 0:
         raise ValueError("target_variance must be positive")
-    data = img.pixels.astype(np.float64)
-    mean = data.mean()
-    var = data.var()
+    pixels = img.pixels
+    mean = pixels.sum(dtype=np.float64) / pixels.size  # an exact integer sum
+    levels = np.arange(256, dtype=np.float64)
+    sq = (levels - mean) ** 2
+    out = np.empty_like(pixels, dtype=np.float64)  # var sums in memory order
+    sq.take(pixels, out=out, mode="wrap")  # in range; "raise" would copy out
+    var = out.sum() / pixels.size
     if var == 0.0:
-        return NormalizedImage(np.full_like(data, target_mean))
-    dev = np.sqrt(target_variance * (data - mean) ** 2 / var)
-    out = np.where(data > mean, target_mean + dev, target_mean - dev)
+        out.fill(target_mean)
+        return NormalizedImage(out)
+    dev = np.sqrt(target_variance * sq / var)
+    table = np.where(levels > mean, target_mean + dev, target_mean - dev)
+    table.take(pixels, out=out, mode="wrap")
     return NormalizedImage(out)
 
 

@@ -35,6 +35,18 @@ def classify_pixel(skel, x: int, y: int) -> str | None:
     return None  # count 3: plain ridge pixel; count 1: isolated dot
 
 
+def reference_normalize(img, target_mean=100.0, target_variance=100.0) -> np.ndarray:
+    """Reference for `normalize`: the per-pixel formula on the float image,
+    with numpy's mean and variance."""
+    data = img.pixels.astype(np.float64)
+    mean = data.mean()
+    var = data.var()
+    if var == 0.0:
+        return np.full_like(data, target_mean)
+    dev = np.sqrt(target_variance * (data - mean) ** 2 / var)
+    return np.where(data > mean, target_mean + dev, target_mean - dev)
+
+
 GRID_10 = (
     (48, 48, "ending"), (48, 120, "bifurcation"), (48, 192, "ending"),
     (120, 48, "bifurcation"), (120, 120, "ending"), (120, 192, "bifurcation"),

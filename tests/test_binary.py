@@ -147,6 +147,29 @@ def test_binary_image_validates_bits():
         BinaryImage(np.full((3, 3), 2, np.uint8))
 
 
+@pytest.mark.parametrize("values, dtype", [
+    ((0, 1), np.uint8), ((0, 1), bool), ((0, 1), np.int64), ((0, 1), np.int8),
+    ((0, 1), np.uint16), ((0.0, -0.0, 1.0), np.float64), ((0.0, 1.0), np.float32),
+    ((), np.uint8), ((), np.float64), ((), bool),
+])
+def test_binary_image_accepts_zero_one_of_any_dtype(values, dtype):
+    bits = np.resize(np.array(values, dtype=dtype), (2, 3) if values else (0, 4))
+    img = BinaryImage(bits)
+    assert img.bits.dtype == np.uint8
+    assert np.array_equal(img.bits, bits.astype(np.uint8))
+
+
+@pytest.mark.parametrize("bad, dtype", [
+    (2, np.uint8), (255, np.uint8), (256, np.uint16), (2, np.uint64),
+    (-1, np.int8), (-1, np.int64), (2, np.int64), (256, np.int64),
+    (0.5, np.float64), (2.0, np.float64), (-1.0, np.float64), (np.nan, np.float64),
+])
+def test_binary_image_rejects_values_other_than_zero_one(bad, dtype):
+    bits = np.array([[0, 1, 1], [1, 0, bad]], dtype=dtype)
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        BinaryImage(bits)
+
+
 def test_skeleton_is_binary_image():
     s = Skeleton(np.zeros((3, 3), np.uint8))
     assert isinstance(s, BinaryImage)

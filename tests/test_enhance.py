@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from conftest import corpus_spec, reference_normalize
 from ridgekit import enhance as enh
-from ridgekit.image import GrayImage, normalize
+from ridgekit.image import GrayImage, NormalizedImage, normalize
 from ridgekit.synth import ParallelPattern, SynthSpec, generate
 
 
@@ -407,6 +408,38 @@ def test_gabor_enhance_matches_dense_path_on_corpus(corpus_enhance_inputs, monke
         assert np.array_equal(pixels, enh.gabor_enhance(*inputs).pixels), image_id
 
 
+def _exact_half_degrees():
+    """Angles whose math.degrees is exactly k + 0.5, found among the floats
+    next to (k + 0.5) pi / 180, with their two neighbours."""
+    out = []
+    for k in range(180):
+        t = math.radians(k + 0.5)
+        for c in (t, *np.nextafter(t, [np.inf, -np.inf])):
+            for u in (c, *np.nextafter(c, [np.inf, -np.inf])):
+                if math.degrees(float(u)) == k + 0.5:
+                    out += [u, *np.nextafter(u, [np.inf, -np.inf])]
+    return np.array(out)
+
+
+def test_kernel_keys_equal_kernel_key(corpus_enhance_inputs):
+    thetas = [o.theta[m.labels] for _, _, o, _, m in corpus_enhance_inputs]
+    freqs = [f.freq[m.labels] for _, _, _, f, m in corpus_enhance_inputs]
+    halves = _exact_half_degrees()
+    assert len(halves) >= 3 * 150
+    # frequencies on 6-digit half boundaries and one float to either side;
+    # np.round rounds many of these the other way
+    on_half = (np.arange(40000, 340000, 7) + 0.5) / 1e6
+    boundary = np.concatenate([on_half, np.nextafter(on_half, 1.0), np.nextafter(on_half, 0.0)])
+    assert (np.round(on_half, 6) != [round(f, 6) for f in on_half.tolist()]).any()
+    theta = np.concatenate([*thetas, halves, [0.0, np.pi - 1e-9, np.nextafter(np.pi, 0.0)],
+                            np.resize(halves, len(boundary))])
+    freq = np.concatenate([*freqs, np.full(len(halves) + 3, 0.125), boundary])
+    degrees, rounded = enh._kernel_keys(theta, freq)
+    want = [enh._kernel_key(t, f) for t, f in zip(theta, freq)]
+    assert degrees.tolist() == [float(d) for d, _ in want]
+    assert rounded.tolist() == [f for _, f in want]
+
+
 def test_gabor_anisotropic_envelope(clean_stripes):
     img, _ = clean_stripes
     norm, orient, freq, mask = _enhance_setup(img)
@@ -517,5 +550,171 @@ def test_bilinear_matches_scipy(shape):
     want = ndimage.map_coordinates(data, np.stack([ys, xs]), order=1,
                                    mode="constant", cval=np.nan)
     assert np.isnan(want).any() and np.isfinite(want).any()
-    got = enh._bilinear(data, ys.reshape(40, 500), xs.reshape(40, 500))
+    got = _bilinear(data, ys.reshape(40, 500), xs.reshape(40, 500))
     assert np.array_equal(got.ravel(), want, equal_nan=True)
+
+
+# References for the front end: the bodies of estimate_orientation,
+# estimate_frequency's sampling and compute_region_mask before they worked
+# in place, with scipy's filters for the NumPy ones (bit-equal, as pinned
+# above), and reference_normalize (conftest) for normalize. The rewritten
+# stages must reproduce them bit for bit, signed zeros and NaN included.
+
+
+def _bilinear(data, ys, xs):
+    """ndimage.map_coordinates(data, [ys, xs], order=1, mode="constant",
+    cval=nan) bit for bit: NaN unless 0 <= y <= h-1 and 0 <= x <= w-1."""
+    h, w = data.shape
+    inside = (ys >= 0) & (ys <= h - 1) & (xs >= 0) & (xs <= w - 1)
+    y0, x0 = np.floor(ys), np.floor(xs)
+    # flat index of the top-left tap; a +1 tap past the last row or column
+    # stays on it (its weight is 0 there)
+    iy = np.clip(y0, 0, h - 1).astype(np.intp)
+    ix = np.clip(x0, 0, w - 1).astype(np.intp)
+    i00 = iy * w + ix
+    i01 = i00 + (ix < w - 1)
+    down = (iy < h - 1) * w
+    wy0, wx0 = 1.0 - (ys - y0), 1.0 - (xs - x0)
+    wy1, wx1 = 1.0 - wy0, 1.0 - wx0  # scipy's last weight: 1 - the others
+    t = (data.take(i00) * wy0 * wx0 + data.take(i01) * wy0 * wx1
+         + data.take(i00 + down) * wy1 * wx0 + data.take(i01 + down) * wy1 * wx1)
+    t[~inside] = np.nan
+    return t
+
+
+def _reference_orientation(data, block_size=enh.DEFAULT_BLOCK_SIZE,
+                           smooth_sigma=enh.DEFAULT_SMOOTH_SIGMA):
+    gx = ndimage.sobel(data, axis=1, mode="nearest")
+    gy = ndimage.sobel(data, axis=0, mode="nearest")
+    sum_cross = enh._block_sum(2.0 * gx * gy, block_size)
+    sum_diff = enh._block_sum(gx * gx - gy * gy, block_size)
+    sum_total = enh._block_sum(gx * gx + gy * gy, block_size)
+    theta = 0.5 * np.arctan2(sum_cross, sum_diff) + np.pi / 2.0
+    coherence = np.hypot(sum_diff, sum_cross) / np.maximum(sum_total, 1e-12)
+    if smooth_sigma > 0:
+        doubled = 2.0 * theta
+        cos2 = ndimage.gaussian_filter(np.cos(doubled), smooth_sigma, mode="nearest")
+        sin2 = ndimage.gaussian_filter(np.sin(doubled), smooth_sigma, mode="nearest")
+        theta = 0.5 * np.arctan2(sin2, cos2)
+    return np.mod(theta, np.pi), coherence
+
+
+def _sample_points(h, w, orient, window, r):
+    """Sample coordinates (ys, xs) of block row r, (cols, window, bs)."""
+    bs = orient.block_size
+    cols = orient.theta.shape[1]
+    k = (np.arange(window) - (window - 1) / 2.0)[None, :, None]
+    d = (np.arange(bs) - (bs - 1) / 2.0)[None, None, :]
+    x0 = np.arange(cols) * bs
+    cx = ((x0 + np.minimum(x0 + bs, w) - 1) / 2.0)[:, None, None]
+    across = orient.theta[r] + np.pi / 2
+    ux, uy = np.cos(across)[:, None, None], np.sin(across)[:, None, None]
+    vx, vy = np.cos(orient.theta[r])[:, None, None], np.sin(orient.theta[r])[:, None, None]
+    cy = (r * bs + min((r + 1) * bs, h) - 1) / 2.0
+    return cy + k * uy + d * vy, cx + k * ux + d * vx
+
+
+def _reference_signatures(data, orient, window):
+    h, w = data.shape
+    rows, cols = orient.theta.shape
+    bs = orient.block_size
+    sig = np.zeros((rows, cols, window))
+    has_sig = np.zeros((rows, cols), dtype=bool)
+    for r in range(rows):
+        vals = _bilinear(data, *_sample_points(h, w, orient, window, r))
+        has_sig[r] = (np.isfinite(vals).sum(axis=2) >= bs // 2).all(axis=1)
+        sig[r, has_sig[r]] = np.nanmean(vals[has_sig[r]], axis=2)
+    return sig, has_sig
+
+
+def _reference_block_variance(data, bs):
+    counts = enh._block_sum(np.ones_like(data), bs)
+    sums = enh._block_sum(data, bs)
+    sqsums = enh._block_sum(data * data, bs)
+    return sqsums / counts - (sums / counts) ** 2
+
+
+def assert_frequency_matches_reference(norm, orient, monkeypatch):
+    """Signatures, their presence mask and the frequency map equal the
+    reference sampling's; returns the frequency map."""
+    window = enh.DEFAULT_FREQ_WINDOW
+    sig, has_sig = enh._projection_signatures(norm.pixels, orient, window)
+    want_sig, want_has = _reference_signatures(norm.pixels, orient, window)
+    assert_same_bits(sig, want_sig)
+    assert np.array_equal(has_sig, want_has)
+    freq = enh.estimate_frequency(norm, orient)
+    with monkeypatch.context() as m:
+        m.setattr(enh, "_projection_signatures", _reference_signatures)
+        assert_same_bits(freq.freq, enh.estimate_frequency(norm, orient).freq)
+    return freq
+
+
+def assert_front_end_matches_reference(norm, monkeypatch):
+    """theta, coherence, frequency and mask of norm equal the references'."""
+    orient = enh.estimate_orientation(norm)
+    theta, coherence = _reference_orientation(norm.pixels)
+    assert_same_bits(orient.theta, theta)
+    assert_same_bits(orient.coherence, coherence)
+    freq = assert_frequency_matches_reference(norm, orient, monkeypatch)
+    variance = _reference_block_variance(norm.pixels, orient.block_size)
+    assert_same_bits(enh._block_variance(norm.pixels, orient.block_size), variance)
+    mask = enh.compute_region_mask(norm, orient, freq, 0.0)
+    assert np.array_equal(mask.labels, (variance >= enh.DEFAULT_VARIANCE_FLOOR)
+                          & (coherence >= enh.DEFAULT_COHERENCE_FLOOR)
+                          & np.isfinite(freq.freq))
+    gated = enh.compute_region_mask(norm, orient, freq)
+    assert isinstance(gated, enh.Rejection) == (mask.recoverable_fraction
+                                                < enh.DEFAULT_REJECT_THRESHOLD)
+
+
+def _gate_blank(seed):
+    rng = np.random.default_rng(seed)
+    return GrayImage(rng.integers(120, 136, (256, 256)).astype(np.uint8))
+
+
+def _gate_partial_touch(seed):
+    """A print on a disc of ~15% of the frame, light background elsewhere."""
+    rng = np.random.default_rng(seed)
+    img = oriented_image(float(rng.uniform(0.0, 180.0)), noise=20.0, seed=seed)
+    yy, xx = np.mgrid[0:256, 0:256]
+    inside = (yy - 100.0) ** 2 + (xx - 150.0) ** 2 <= 0.15 * 256 * 256 / math.pi
+    light = np.clip(np.rint(rng.normal(225.0, 4.0, (256, 256))), 0, 255)
+    return GrayImage(np.where(inside, img.pixels, light).astype(np.uint8))
+
+
+# PIN_IMAGES (blurred noise among them), one capture of each other gate
+# family, and the 20 acceptance prints
+FRONT_END_IMAGES = {
+    **PIN_IMAGES,
+    "gate_blank": lambda: _gate_blank(21),
+    "gate_partial_touch": lambda: _gate_partial_touch(22),
+    **{f"corpus_{k:02d}": (lambda k=k: generate(corpus_spec(k))[0]) for k in range(20)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRONT_END_IMAGES))
+def test_front_end_bit_identical_to_reference(name, monkeypatch):
+    img = FRONT_END_IMAGES[name]()
+    norm = normalize(img)
+    assert_same_bits(norm.pixels, reference_normalize(img))
+    assert_front_end_matches_reference(norm, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["256x256", "250x237", "40x61", "rounded_40x61",
+                                  "normal_40x61"])  # the grids of one block or more
+def test_front_end_bit_identical_to_reference_on_filter_grids(name, monkeypatch):
+    assert_front_end_matches_reference(NormalizedImage(FILTER_GRIDS[name]()), monkeypatch)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2])
+@pytest.mark.parametrize("name", ["256x256", "250x237", "40x61"])
+def test_frequency_bit_identical_to_reference_at_edge_exact_angles(name, theta, monkeypatch):
+    norm = normalize(PIN_IMAGES[name]())
+    h, w = norm.pixels.shape
+    shape = enh.estimate_orientation(norm).theta.shape
+    orient = enh.OrientationField(16, np.full(shape, theta), np.ones(shape))
+    # some samples fall exactly on the last row or column, where the +1 tap
+    # lies outside the image at weight 0
+    points = [_sample_points(h, w, orient, enh.DEFAULT_FREQ_WINDOW, r) for r in range(shape[0])]
+    assert any((ys == h - 1).any() or (xs == w - 1).any() for ys, xs in points)
+    assert_frequency_matches_reference(norm, orient, monkeypatch)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import reference_normalize
 from ridgekit.binary import BinaryImage, Skeleton
 from ridgekit.image import (
     GrayImage,
@@ -163,6 +164,35 @@ def test_normalize_affine_invariant(a, b):
     n1 = normalize(img, 100.0, 100.0)
     n2 = normalize(scaled, 100.0, 100.0)
     assert np.allclose(n1.pixels, n2.pixels, atol=1e-6)
+
+
+def _levels(values, counts, shape):
+    return np.repeat(np.array(values, np.uint8), counts).reshape(shape)
+
+
+# 10/20/30 in equal numbers: the mean, 20, is a grey level of the image
+NORMALIZE_PINS = {
+    "constant": lambda: np.full((9, 7), 77, np.uint8),
+    "two_level": lambda: _levels((0, 200), (4, 4), (2, 4)),
+    "mean_on_level": lambda: _levels((10, 20, 30), (12, 12, 12), (6, 6)),
+    "all_levels": lambda: np.arange(256, dtype=np.uint8).reshape(16, 16),
+    "noise_40x61": lambda: np.random.default_rng(4).integers(0, 256, (40, 61)).astype(np.uint8),
+    "narrow_1x9": lambda: np.random.default_rng(5).integers(90, 99, (1, 9)).astype(np.uint8),
+    # a column-major view: numpy sums the float image in its memory order
+    "transposed_37x100": lambda: np.random.default_rng(1).integers(0, 256, (100, 37)).astype(np.uint8).T,
+}
+
+
+# at target mean -0.0, a pixel on the mean maps to -0.0 - 0.0 = -0.0
+@pytest.mark.parametrize("targets", [(100.0, 100.0), (0.0, 1.0), (-3.5, 1e4), (-0.0, 25.0)])
+@pytest.mark.parametrize("name", sorted(NORMALIZE_PINS))
+def test_normalize_matches_per_pixel_formula_bit_for_bit(name, targets):
+    img = GrayImage(NORMALIZE_PINS[name]())
+    got = normalize(img, *targets).pixels
+    want = reference_normalize(img, *targets)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_normalize_requires_positive_variance():
