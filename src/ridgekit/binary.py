@@ -61,29 +61,9 @@ def auto_threshold(img: GrayImage, mask) -> BinarizeParams:
     return BinarizeParams(int(np.rint(mean)))
 
 
-# 8-neighbor offsets (dy, dx): N, NE, E, SE, S, SW, W, NW. Bit k of a
-# neighbor code is neighbor k; skeleton walks scan neighbors in this order.
+# 8-neighbor offsets (dy, dx): N, NE, E, SE, S, SW, W, NW; skeleton walks
+# scan neighbors in this order.
 _NEIGHBOR_OFFSETS = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
-
-
-def _deletable(code: int) -> bool:
-    """Deletion rule for a ridge pixel whose 8-neighbor byte is `code`
-    (bit k = neighbor k).
-
-    The pixel may go when its connectivity (Hilditch) number is 1, so
-    deleting it keeps 8-connected ridge and 4-connected background topology,
-    and it has at least 2 ridge neighbors, so endpoints of open curves stay.
-    """
-    n, ne, e, se, s, sw, w, nw = ((code >> k) & 1 for k in range(8))
-    conn = (
-        (1 - e) * max(ne, n) + (1 - n) * max(nw, w)
-        + (1 - w) * max(sw, s) + (1 - s) * max(se, e)
-    )
-    return conn == 1 and n + ne + e + se + s + sw + w + nw >= 2
-
-
-_DELETABLE = np.array([_deletable(code) for code in range(256)], np.uint8)
-_CODE_WEIGHTS = tuple(np.uint8(1 << k) for k in range(8))
 
 
 def thin(bin_img: BinaryImage) -> Skeleton:
@@ -97,10 +77,11 @@ def thin(bin_img: BinaryImage) -> Skeleton:
     survive. The result is a fixpoint: thinning a skeleton returns it
     unchanged.
 
-    The image is held as its four 2x2 phase planes, one per subfield, so a
-    subfield step reads its 8 neighbors as contiguous slices of the other
-    planes, packs them into one byte per pixel and looks the deletion rule
-    up in a 256-entry table (Guo & Hall, CACM 1989).
+    The image is held as its four 2x2 phase planes, one per subfield, each
+    stored flat with a zero ring. Every neighbor of a plane's interior is
+    then one contiguous 1-D slice of another plane, and a subfield step
+    evaluates Hilditch's connectivity number on those slices with array
+    logic (Guo & Hall, CACM 1989).
     """
     h, w = bin_img.bits.shape
     # a 2-pixel zero margin keeps each pixel's phase equal to its parity and
@@ -109,24 +90,20 @@ def thin(bin_img: BinaryImage) -> Skeleton:
     ph, pw = (h + 5) // 2, (w + 5) // 2
     padded = np.zeros((2 * ph, 2 * pw), np.uint8)
     padded[2 : h + 2, 2 : w + 2] = bin_img.bits
-    planes = [[np.ascontiguousarray(padded[a::2, b::2]) for b in (0, 1)] for a in (0, 1)]
+    planes = {(a, b): padded[a::2, b::2].ravel() for a in (0, 1) for b in (0, 1)}
 
-    subfields = ((0, 0), (0, 1), (1, 0), (1, 1))
-    cores = [planes[a][b][1:-1, 1:-1] for a, b in subfields]
-    # neighbor k of every plane-interior pixel, as a slice of another plane
-    neighbors = [
-        [
-            planes[(a + dy) & 1][(b + dx) & 1][
-                1 + ((a + dy) >> 1) : ph - 1 + ((a + dy) >> 1),
-                1 + ((b + dx) >> 1) : pw - 1 + ((b + dx) >> 1),
-            ]
-            for dy, dx in _NEIGHBOR_OFFSETS
-        ]
-        for a, b in subfields
-    ]
-    code = np.empty((ph - 2, pw - 2), np.uint8)
-    bit = np.empty_like(code)
-    kill = np.empty_like(code)
+    # the plane interior, rows 1..ph-2, as one flat run; the ring pixels in
+    # it are 0, so they are never candidates and stay 0
+    lo, hi = pw + 1, (ph - 1) * pw - 1
+    cores = [plane[lo:hi] for plane in planes.values()]
+    # neighbor k of every interior pixel, as a flat slice of another plane
+    neighbors = []
+    for a, b in planes:
+        nbrs = []
+        for dy, dx in _NEIGHBOR_OFFSETS:
+            off = ((a + dy) >> 1) * pw + ((b + dx) >> 1)
+            nbrs.append(planes[(a + dy) & 1, (b + dx) & 1][lo + off : hi + off])
+        neighbors.append(nbrs)
     changed = True
     while changed:
         changed = False
@@ -135,18 +112,17 @@ def thin(bin_img: BinaryImage) -> Skeleton:
             # neighbor in this direction is background (one border layer)
             candidates = [np.greater(core, nbrs[border]) for core, nbrs in zip(cores, neighbors)]
             for core, nbrs, cand in zip(cores, neighbors, candidates):
-                np.copyto(code, nbrs[0])
-                for k in range(1, 8):
-                    # in numpy, uint8 multiply by 2**k runs faster than left_shift
-                    np.multiply(nbrs[k], _CODE_WEIGHTS[k], out=bit)
-                    code |= bit
-                np.take(_DELETABLE, code, out=kill)
-                kill &= cand
+                n, ne, e, se, s, sw, w_, nw = nbrs
+                # Hilditch's connectivity number; (ne | n) > e is (1 - e) * max(ne, n)
+                conn = np.greater(ne | n, e).view(np.uint8)
+                conn += np.greater(nw | w_, n).view(np.uint8)
+                conn += np.greater(sw | s, w_).view(np.uint8)
+                conn += np.greater(se | e, s).view(np.uint8)
+                degree = sum(nbrs)
+                kill = cand & (conn == 1) & (degree >= 2)
                 if kill.any():
                     core ^= kill
                     changed = True
-    out = np.empty((h, w), np.uint8)
-    for (a, b), core in zip(subfields, cores):
-        part = out[a::2, b::2]
-        part[...] = core[: part.shape[0], : part.shape[1]]
-    return Skeleton(out)
+    for (a, b), plane in planes.items():
+        padded[a::2, b::2] = plane.reshape(ph, pw)
+    return Skeleton(padded[2 : h + 2, 2 : w + 2])

@@ -123,6 +123,17 @@ def _clusters(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cluster = spread
 
 
+def _walk_step(flat: np.ndarray, offsets: np.ndarray, cur: np.ndarray,
+               visited: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One lockstep move of skeleton walks standing on the flat indices cur:
+    each walk's first free neighbor (a ridge pixel of `flat` not in its row
+    of `visited`), in _NEIGHBOR_OFFSETS order, and its number of free
+    neighbors. Each caller applies its own stop rule."""
+    nxt = cur[:, None] + offsets
+    free = (flat[nxt] == 1) & ~(nxt[:, :, None] == visited[:, None, :]).any(axis=2)
+    return nxt[np.arange(cur.size), free.argmax(axis=1)], free.sum(axis=1)
+
+
 def _branch_vectors(
     bits: np.ndarray, ys: np.ndarray, xs: np.ndarray
 ) -> list[list[tuple[float, float]]]:
@@ -133,7 +144,7 @@ def _branch_vectors(
     the first unvisited ridge neighbor; the pixel and all of its branch
     starts count as visited. A walk stops early at a dead end or where more
     than one continuation is free. All walks of all pixels advance in
-    lockstep on arrays of flat indices.
+    lockstep (_walk_step).
     """
     pw = bits.shape[1] + 2
     flat = np.pad(bits, 1).ravel()  # out-of-image neighbors read as background
@@ -150,11 +161,10 @@ def _branch_vectors(
     visited[:, 1:9] = np.where(is_start[owner], around[owner], -1)
     live = np.arange(owner.size)
     for step in range(DIRECTION_WALK_STEPS - 1):
-        nxt = cur[live, None] + offsets
-        free = (flat[nxt] == 1) & ~(nxt[:, :, None] == visited[live, None, :]).any(axis=2)
-        go = free.sum(axis=1) == 1
-        live, nxt, free = live[go], nxt[go], free[go]
-        cur[live] = nxt[np.arange(live.size), free.argmax(axis=1)]
+        nxt, nfree = _walk_step(flat, offsets, cur[live], visited[live])
+        go = nfree == 1
+        live = live[go]
+        cur[live] = nxt[go]
         visited[live, 9 + step] = cur[live]
 
     ey, ex = np.divmod(cur, pw)
@@ -216,27 +226,32 @@ def extract_minutiae(skel: Skeleton, image_id: str = "") -> MinutiaeSet:
     return MinutiaeSet(image_id, minutiae, RAW)
 
 
-def _spur_junction(grid: bytearray, pw: int, start: int, max_steps: int):
-    """Walk from an ending; if a bifurcation pixel lies within max_steps,
-    return (junction, branch pixels to erase), else None.
+def _spur_walks(flat: np.ndarray, offsets: np.ndarray, starts: np.ndarray,
+                max_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Walk from every ending in `starts` in lockstep, each move to the first
+    free ridge neighbor (_walk_step), until a dead end, max_steps moves or a
+    step onto a bifurcation pixel (3x3 count >= 4). Every pixel stepped onto
+    before that has at most two ridge neighbors, so a walk can meet only its
+    start and its previous pixel again: they are its visited set.
 
-    Pixels are flat indices into `grid`, the skeleton with a 1-pixel zero
-    margin, rows `pw` long.
+    Returns (trail, hit): trail[k] holds the pixels walk k visited, start
+    first, then -1; hit[k] is -1, or the index in trail[k] of the
+    bifurcation, after the spur.
     """
-    around = [dy * pw + dx for dy, dx in _NEIGHBOR_OFFSETS]
-    path = [start]
-    cur = start
-    visited = {cur}
-    for _ in range(max_steps):
-        nxt = next((cur + d for d in around if grid[cur + d] and cur + d not in visited), None)
-        if nxt is None:
-            return None
-        visited.add(nxt)
-        if 1 + sum(grid[nxt + d] for d in around) >= 4:
-            return nxt, path
-        path.append(nxt)
-        cur = nxt
-    return None
+    trail, hit = [starts], np.full(starts.size, -1)
+    live, prev, cur = np.arange(starts.size), starts, starts
+    for step in range(1, max_steps + 1):
+        if not live.size:
+            break
+        nxt, nfree = _walk_step(flat, offsets, cur, np.stack((starts[live], prev), axis=1))
+        go = nfree > 0
+        live, prev, cur = live[go], cur[go], nxt[go]
+        trail.append(np.full(starts.size, -1))
+        trail[-1][live] = cur
+        stop = flat[cur[:, None] + offsets].sum(axis=1) >= 3
+        hit[live[stop]] = step
+        live, prev, cur = live[~stop], prev[~stop], cur[~stop]
+    return np.stack(trail, axis=1), hit
 
 
 def _segment_pixels(a: tuple[int, int], b: tuple[int, int]) -> list[tuple[int, int]]:
@@ -307,10 +322,12 @@ def postprocess(
     every reconnectable pair is also mutually adjacent, so the stated rules
     would otherwise never repair a ridge.
 
-    Spur walks run one after another on a flat copy of the skeleton, with a
-    live mask over the input minutiae. Reconnection and adjacency take their
-    candidate pairs from one windowed search on y-sorted coordinate arrays
-    (close_pairs); only those few pairs get the angle and segment checks.
+    Spur walks run for all endings in lockstep (_spur_walks); spurs are then
+    accepted in ending order, with a live mask over the input minutiae, and a
+    walk that read a pixel next to an erased spur walks again. Reconnection
+    and adjacency take their candidate pairs from one windowed search on
+    y-sorted coordinate arrays (close_pairs); only those few pairs get the
+    angle and segment checks.
     """
     h, w = skel.bits.shape
     ms = mset.minutiae
@@ -319,19 +336,26 @@ def postprocess(
     is_bif = np.array([m.kind == BIFURCATION for m in ms], bool)
     live = np.ones(len(ms), bool)
 
-    # (1) spurs, walked one after another on the flat padded skeleton
+    # (1) spurs, walked in lockstep, then accepted in ending order
     pw = w + 2
-    grid = bytearray(np.pad(skel.bits, 1).tobytes())
+    grid = np.pad(skel.bits, 1).ravel()
     at = {(m.y + 1) * pw + m.x + 1: k for k, m in enumerate(ms)}
     window = [dy * pw + dx for dy, dx in _WINDOW_BY_DISTANCE]
-    for k in np.flatnonzero(~is_bif).tolist():
-        start = (ms[k].y + 1) * pw + ms[k].x + 1
-        if not grid[start]:
-            continue  # already erased by an earlier spur
-        hit = _spur_junction(grid, pw, start, params.spur_length)
-        if hit is None:
+    offsets = np.array([dy * pw + dx for dy, dx in _NEIGHBOR_OFFSETS])
+    starts = (ys[~is_bif] + 1) * pw + xs[~is_bif] + 1
+    trail, hit = _spur_walks(grid, offsets, starts, params.spur_length)
+    near_erased = np.zeros(grid.size + 1, bool)  # the last entry is read by -1 padding
+    stale = np.zeros(starts.size, bool)
+    for k, start in enumerate(starts.tolist()):
+        if not (hit[k] >= 0 or stale[k]) or not grid[start]:
+            continue  # no spur, or already erased by an earlier spur
+        walk, moves = trail[k], hit[k]
+        if stale[k]:
+            walked, moved = _spur_walks(grid, offsets, starts[k : k + 1], params.spur_length)
+            walk, moves = walked[0], moved[0]
+        if moves < 0:
             continue
-        junction, branch = hit
+        junction, branch = int(walk[moves]), walk[:moves]  # branch[0] is the ending
         # the nearest live bifurcation, by (Chebyshev distance, y, x); a +-2
         # column step off the image lands in a margin column, never on a minutia
         for d in window:
@@ -339,11 +363,11 @@ def postprocess(
             if near is not None and live[near] and is_bif[near]:
                 live[near] = False
                 break
-        for p in branch:  # branch[0] is the ending itself
-            grid[p] = 0
-            if p in at:
-                live[at[p]] = False
-    bits = np.frombuffer(grid, np.uint8).reshape(h + 2, pw)[1:-1, 1:-1].copy()
+        grid[branch] = 0
+        live[[at[p] for p in branch.tolist() if p in at]] = False
+        near_erased[branch[:, None] + np.append(offsets, 0)] = True
+        stale |= near_erased[trail].any(axis=1)
+    bits = grid.reshape(h + 2, pw)[1:-1, 1:-1].copy()
 
     # (2) border
     edge = np.minimum(np.minimum(xs, ys), np.minimum(w - 1 - xs, h - 1 - ys))

@@ -160,8 +160,10 @@ def run_eval(
     fail to load or extract, or whose worker process died are reported as
     errors and skipped. Results are ordered by image id, so reports are
     identical for any worker count. An empty dataset raises before out_dir
-    is created.
+    is created, as does a worker count below 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     images = sorted(Path(dataset_dir).glob("*.pgm"))
     if not images:
         raise ValueError(f"no PGM images found in {dataset_dir}")
@@ -209,7 +211,9 @@ def run_eval(
 
 def run_synth(spec_path: str | Path, count: int, out_dir: str | Path) -> list[Path]:
     """Generate `count` seeded images (seeds base..base+count-1) plus truth
-    files. The spec is validated before anything is written."""
+    files. The count and the spec are validated before anything is written."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     base = parse_synth_spec(spec_path)
     specs = [replace(base, seed=base.seed + k) for k in range(count)]
     out_dir = Path(out_dir)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from ridgekit.image import GrayImage
 from ridgekit.minutiae import BIFURCATION, ENDING, neighborhood_count
 from ridgekit.synth import ConcentricPattern, ParallelPattern, SynthSpec, generate
 
@@ -20,6 +22,14 @@ def make_blob_image(rng: np.random.Generator, size: int = 96) -> np.ndarray:
         h, w = rng.integers(4, 14, 2)
         img[y0 : y0 + h, x0 : x0 + w] = 1
     return img
+
+
+def _blurred_noise(seed, size=256):
+    """Gaussian-blurred N(128, 60) noise, the quality gate's hard case."""
+    rng = np.random.default_rng(seed)
+    a = ndimage.gaussian_filter(rng.normal(128.0, 60.0, (size, size)), 2.0)
+    a = (a - a.min()) * 255.0 / (a.max() - a.min())
+    return GrayImage(np.clip(np.rint(a), 0, 255).astype(np.uint8))
 
 
 def classify_pixel(skel, x: int, y: int) -> str | None:

@@ -216,7 +216,8 @@ def test_thin_matches_reference_on_corpus(corpus_bitmaps):
         assert (skeleton == _reference_thin(binary)).all(), image_id
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (33, 40), (65, 72), (40, 33)])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (33, 40), (65, 72), (40, 33),
+                                   (1, 40), (40, 1), (2, 2), (5, 64)])
 @pytest.mark.parametrize("density", [0.5, 0.8, 1.0])
 def test_thin_matches_reference_on_odd_shapes(shape, density):
     rng = np.random.default_rng([shape[0], shape[1], int(density * 10)])

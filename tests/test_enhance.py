@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from conftest import corpus_spec, reference_normalize
+from conftest import _blurred_noise, corpus_spec, reference_normalize
 from ridgekit import enhance as enh
 from ridgekit.image import GrayImage, NormalizedImage, normalize
 from ridgekit.synth import ParallelPattern, SynthSpec, generate
@@ -173,14 +173,6 @@ def _reference_frequency(norm, orient, window=enh.DEFAULT_FREQ_WINDOW):
         if period is not None:
             freq[r, c] = 1.0 / period
     return enh._fill_absent(freq)
-
-
-def _blurred_noise(seed, size=256):
-    """Gaussian-blurred N(128, 60) noise, the quality gate's hard case."""
-    rng = np.random.default_rng(seed)
-    a = ndimage.gaussian_filter(rng.normal(128.0, 60.0, (size, size)), 2.0)
-    a = (a - a.min()) * 255.0 / (a.max() - a.min())
-    return GrayImage(np.clip(np.rint(a), 0, 255).astype(np.uint8))
 
 
 # sizes with partial edge blocks (250 x 237, 40 x 61) and blurred noise

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from conftest import classify_pixel, make_blob_image
+from conftest import _blurred_noise, classify_pixel, make_blob_image
 from ridgekit.binary import BinaryImage, Skeleton, thin
+from ridgekit.config import PipelineConfig
 from ridgekit.minutiae import (
     DIRECTION_WALK_STEPS,
     BIFURCATION,
@@ -27,6 +28,7 @@ from ridgekit.minutiae import (
     _minutia_direction,
     _segment_pixels,
 )
+from ridgekit.pipeline import extract_from_image
 
 EIGHT = np.ones((3, 3))
 
@@ -596,6 +598,46 @@ def test_postprocess_matches_reference_on_raw_noise(seed):
     skel = Skeleton((rng.random((48, 64)) < 0.3).astype(np.uint8))
     for params in (PostprocessParams(), PostprocessParams(1, 3, 9, 3)):
         _assert_matches_references(skel, "noise", params)
+
+
+@pytest.fixture(scope="module")
+def blurred_noise_skeletons():
+    """Skeletons of blurred-noise captures that the quality gate accepts:
+    hundreds of endings, and spurs close enough to each other that an
+    erased spur changes what a later spur walk reads."""
+    out = []
+    for seed in (1, 8):
+        outcome = extract_from_image(_blurred_noise(seed), f"blurred_noise_{seed}",
+                                     PipelineConfig())
+        assert not outcome.rejected
+        out.append((outcome.image_id, outcome.intermediates["skeleton"]))
+    return out
+
+
+@pytest.mark.parametrize("params", [
+    PostprocessParams(), PostprocessParams(spur_length=0), PostprocessParams(spur_length=1),
+    PostprocessParams(spur_length=20),
+], ids=["default", "spur_length_0", "spur_length_1", "spur_length_20"])
+def test_extract_and_postprocess_match_reference_on_accepted_blurred_noise(
+        blurred_noise_skeletons, params):
+    for image_id, skel in blurred_noise_skeletons:
+        _assert_matches_references(skel, image_id, params)
+
+
+def test_spur_walk_never_steps_back_onto_its_start():
+    # an ending listed on a ring pixel that a tail makes a junction: the
+    # walk goes once round the ring and must then stop at a dead end, not
+    # step back onto its start and take it for the junction
+    bits = np.zeros((16, 16), np.uint8)
+    for y, x in octagon_ring(y0=4, x0=6, straight=3, corner=2) + [(3, 5), (2, 4), (1, 3)]:
+        bits[y, x] = 1
+    mset = MinutiaeSet("loop", (Minutia(6, 4, ENDING, 0.0), Minutia(3, 1, ENDING, 0.0)), "raw")
+    params = PostprocessParams(0, 0, 0, 20)  # the ring is 20 px round
+    final, final_skel = postprocess(mset, Skeleton(bits), params)
+    want, want_bits = _reference_postprocess(mset, Skeleton(bits), params)
+    assert final.minutiae == want.minutiae
+    assert (final_skel.bits == want_bits).all()
+    assert want_bits[4, 6] == 1 and want_bits[1, 3] == 0  # only the tail was a spur
 
 
 def test_reconnection_equal_distance_ties_match_reference():

@@ -479,6 +479,28 @@ def test_cli_eval_empty_dataset_leaves_no_output_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_cli_synth_count_below_one_is_an_input_error(tmp_path, capsys, count):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text("width = 96\nheight = 96\nperiod = 8\n")
+    out = tmp_path / "corpus"
+    assert main(["synth", str(spec_file), "--count", count, "--out", str(out)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert f"error: count must be >= 1, got {count}" in captured.err
+    assert "wrote" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_eval_workers_below_one_is_an_input_error(tmp_path, capsys, workers):
+    data, truthd = build_corpus(tmp_path, n=2)
+    out = tmp_path / "D"
+    code = main(["eval", str(data), str(truthd), "--out", str(out), "--workers", workers])
+    assert code == EXIT_INPUT_ERROR
+    assert f"error: workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_extract_rejected_leaves_no_output_dir(tmp_path, capsys):
     rng = np.random.default_rng(1)
     path = tmp_path / "noise.pgm"
