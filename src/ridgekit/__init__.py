@@ -29,7 +29,6 @@ from .minutiae import (
     MinutiaeSet,
     PostprocessParams,
     extract_minutiae,
-    neighborhood_count,
     postprocess,
     read_minutiae,
     write_minutiae,

@@ -57,7 +57,8 @@ def auto_threshold(img: GrayImage, mask) -> BinarizeParams:
     sel = mask.pixel_mask(img.height, img.width)
     if not sel.any():
         raise ValueError("cannot choose threshold: no recoverable pixels")
-    mean = img.pixels[sel].astype(np.float64).mean()
+    # an exact integer sum: the float mean of the selected pixels
+    mean = int(img.pixels.sum(where=sel, dtype=np.int64)) / int(np.count_nonzero(sel))
     return BinarizeParams(int(np.rint(mean)))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .image import GrayImage, NormalizedImage
+from .image import GrayImage, NormalizedImage, _bands
 
 DEFAULT_BLOCK_SIZE = 16
 DEFAULT_SMOOTH_SIGMA = 1.0  # in blocks
@@ -90,10 +90,13 @@ def _block_sum(arr: np.ndarray, block_size: int) -> np.ndarray:
 
 def _neighbor_op(op, src: np.ndarray, axis: int, out: np.ndarray) -> None:
     """out[i] = op(src[i-1], src[i+1]) along axis, the index clamped to the
-    edge (mode "nearest"), by slices (of transposed views for axis 1)."""
+    edge (mode "nearest"), by slices (of transposed views for axis 1); on
+    C-contiguous rows one flat pass, whose wrapped row ends are overwritten."""
     s, o = (src, out) if axis == 0 else (src.T, out.T)
     one = len(s) == 1
-    op(s[:-2], s[2:], out=o[1:-1])
+    flat = axis == 1 and src.flags.c_contiguous and out.flags.c_contiguous
+    a, b = (src.ravel(), out.ravel()) if flat else (s, o)
+    op(a[:-2], a[2:], out=b[1:-1])
     op(s[:1], s if one else s[1:2], out=o[:1])
     op(s if one else s[-2:-1], s[-1:], out=o[-1:])
 
@@ -142,27 +145,29 @@ def estimate_orientation(
     direction orthogonal to the dominant gradient, folded into [0, pi).
     The field is then smoothed with a Gaussian (sigma in block units) on the
     doubled-angle unit vectors so antipodal angles average correctly.
+    Gradients and block sums are taken per band of block rows (_bands), each
+    band's Sobel reading one halo row above and below it.
     """
     if block_size < 4:
         raise ValueError("block_size must be >= 4")
     data = img.pixels
-    if data.shape[0] < block_size or data.shape[1] < block_size:
-        raise ValueError(
-            f"image {data.shape[1]}x{data.shape[0]} smaller than one "
-            f"{block_size}px block"
-        )
-    gx = _sobel(data, axis=1)
-    gy = _sobel(data, axis=0)
-
-    # products in place; doubling is exact: 2 sum(gx gy) == sum(2 gx gy)
-    work = gx * gy
-    sum_cross = 2.0 * _block_sum(work, block_size)
-    gx *= gx
-    gy *= gy
-    np.subtract(gx, gy, out=work)
-    sum_diff = _block_sum(work, block_size)
-    gx += gy
-    sum_total = _block_sum(gx, block_size)
+    h, w = data.shape
+    if h < block_size or w < block_size:
+        raise ValueError(f"image {w}x{h} smaller than one {block_size}px block")
+    sum_cross, sum_diff, sum_total = np.empty((3, *_block_grid(h, w, block_size)))
+    for y0, y1, lo, hi in _bands(h, w, block_size, halo=1):
+        gx, gy = (_sobel(data[lo:hi], axis)[y0 - lo : y1 - lo] for axis in (1, 0))
+        blocks = slice(y0 // block_size, -(-y1 // block_size))
+        # products in place; doubling is exact: 2 sum(gx gy) == sum(2 gx gy)
+        work = gx * gy
+        sum_cross[blocks] = 2.0 * _block_sum(work, block_size)
+        gx *= gx
+        gy *= gy
+        np.subtract(gx, gy, out=work)
+        sum_diff[blocks] = _block_sum(work, block_size)
+        gx += gy
+        sum_total[blocks] = _block_sum(gx, block_size)
+        del gx, gy, work  # before the next band's arrays
 
     theta = 0.5 * np.arctan2(sum_cross, sum_diff) + np.pi / 2.0
     coherence = np.hypot(sum_diff, sum_cross) / np.maximum(sum_total, 1e-12)
@@ -191,17 +196,27 @@ def estimate_frequency(
     sub-pixel positions by a parabola, and the mean peak spacing is the
     ridge period. Blocks with fewer than two peaks or no period in
     [3, 25] px are marked absent, then filled with the mean of their present
-    3x3 neighbors (up to 3 passes).
+    3x3 neighbors (up to 3 passes). Each band of block rows (_bands) is
+    sampled and searched for peaks before the next.
     """
     bs = orient.block_size
-    rows, cols = _block_grid(*img.pixels.shape, bs)
+    h, w = img.pixels.shape
+    rows, cols = _block_grid(h, w, bs)
     if (rows, cols) != orient.theta.shape:
         raise ValueError("orientation field does not cover the image")
-    sig, has_sig = _projection_signatures(img.pixels, orient, window)
+    freq = np.full((rows, cols), np.nan)
+    for top, bottom, _, _ in _bands(h, w, bs):
+        blocks = slice(top // bs, -(-bottom // bs))
+        sig, has_sig = _projection_signatures(img.pixels, orient, window, blocks)
+        freq[blocks][has_sig] = _signature_frequency(sig[has_sig])
+    return FrequencyMap(bs, _fill_absent(freq))
 
+
+def _signature_frequency(sig: np.ndarray) -> np.ndarray:
+    """The ridge frequency of each signature (row), NaN where absent."""
     # smoothing, then peaks (rows of a boolean matrix) with parabolic
     # sub-pixel refinement; n peaks have mean spacing (last - first) / (n - 1)
-    p = np.pad(sig[has_sig], ((0, 0), (1, 1)), mode="edge")
+    p = np.concatenate((sig[:, :1], sig, sig[:, -1:]), axis=1)  # edge padded
     t = 1.0 / 3.0
     smooth = p[:, :-2] * t + p[:, 1:-1] * t + p[:, 2:] * t
     y0, y1, y2 = smooth[:, :-2], smooth[:, 1:-1], smooth[:, 2:]
@@ -210,92 +225,101 @@ def estimate_frequency(
     n = peaks.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = np.where(np.abs(denom) > 1e-12, 0.5 * (y0 - y2) / denom, 0.0)
-        positions = np.arange(1, window - 1) + np.clip(shift, -0.5, 0.5)
+        positions = np.arange(1, sig.shape[1] - 1) + np.clip(shift, -0.5, 0.5)
         first = np.where(peaks, positions, np.inf).min(axis=1, initial=np.inf)
         last = np.where(peaks, positions, -np.inf).max(axis=1, initial=-np.inf)
         period = (last - first) / (n - 1)
         ok = (n >= 2) & (period >= MIN_RIDGE_PERIOD) & (period <= MAX_RIDGE_PERIOD)
-        freq = np.full((rows, cols), np.nan)
-        freq[has_sig] = np.where(ok, 1.0 / period, np.nan)
-    return FrequencyMap(bs, _fill_absent(freq))
+        return np.where(ok, 1.0 / period, np.nan)
 
 
 def _projection_signatures(
-    data: np.ndarray, orient: OrientationField, window: int
+    data: np.ndarray, orient: OrientationField, window: int, blocks: slice
 ) -> tuple[np.ndarray, np.ndarray]:
-    """estimate_frequency's (rows, cols, window) signatures, and which
-    blocks have one.
+    """estimate_frequency's (rows, cols, window) signatures of the block
+    rows `blocks`, and which blocks have one.
 
     Samples are scipy's map_coordinates (order 1, mode "constant") bit for
     bit, (a wy0) wx0 + (b wy0) wx1 + (c wy1) wx0 + (e wy1) wx1 with
     w1 = 1 - w0, and the signature is their np.nanmean over the inside
-    samples. The image is padded once: a 1-px edge-replicated ring (a
-    sample on the last row or column reads it at weight 0, as scipy's
-    clamped tap does) in a zero margin wide enough for the farthest sample,
-    so the taps are the flat indices i, i+1, i+pw, i+pw+1. Buffers for one
-    block row are allocated once; outside samples are multiplied by 0.
+    samples. Per block row, the rows its samples can reach are copied into
+    a slab: a 1-px edge-replicated ring (a sample on the last row or column
+    reads it at weight 0, as scipy's clamped tap does) in a zero margin
+    wide enough for the farthest sample, so the taps are the flat indices
+    i, i+1, i+pw, i+pw+1, shifted by the slab's first row. Blocks are
+    sampled in groups of at most BAND_PIXELS / 4 samples, into buffers
+    allocated once; outside samples are multiplied by 0.
     """
     h, w = data.shape
     bs = orient.block_size
-    rows, cols = orient.theta.shape
+    theta = orient.theta[blocks]
+    rows, cols = theta.shape
     margin = math.ceil(math.hypot(window, bs) / 2.0) + 1
-    off = margin + 1  # image pixel (y, x) is padded pixel (y + off, x + off)
-    padded = np.zeros((h + 2 * off, w + 2 * off))
-    padded[margin:-margin, margin:-margin] = np.pad(data, 1, mode="edge")
-    pw = padded.shape[1]
-    flat = padded.ravel()
+    off = margin + 1  # image column x is slab column x + off
+    slab = np.zeros((2 * margin + 1, w + 2 * off))  # rows floor(cy) -+ margin
+    pw, flat = slab.shape[1], slab.ravel()
 
     # sample offsets across (k) and along (d) the ridge
     k = (np.arange(window) - (window - 1) / 2.0)[None, :, None]
     d = (np.arange(bs) - (bs - 1) / 2.0)[None, None, :]
     x0 = np.arange(cols) * bs
     cx = ((x0 + np.minimum(x0 + bs, w) - 1) / 2.0)[:, None, None]
-    across = orient.theta + np.pi / 2
-    ux, uy = np.cos(across)[..., None, None], np.sin(across)[..., None, None]
-    vx, vy = np.cos(orient.theta)[..., None, None], np.sin(orient.theta)[..., None, None]
-    shape = (cols, window, bs)
-    ys, xs, wy1, wx1, val, tap, weight = (np.empty(shape) for _ in range(7))
-    idx, inside, edge = np.empty(shape, np.intp), np.empty(shape, bool), np.empty(shape, bool)
-    sums, counts, ones = np.empty((cols, window)), np.empty((cols, window)), np.ones(bs)
-    sig = np.zeros((rows, cols, window))
+    ux, uy, vx, vy = (f(a)[..., None, None] for a in (theta + np.pi / 2, theta)
+                      for f in (np.cos, np.sin))
+    groups = list(_bands(cols, 4 * window * bs))  # 7 buffers: 1.75 BAND_PIXELS values
+    shape = (groups[0][1], window, bs)
+    buffers = [np.empty(shape, t) for t in [float] * 6 + [np.intp, bool, bool]]
+    sig, ones = np.zeros((rows, cols, window)), np.ones(bs)
     has_sig = np.zeros((rows, cols), dtype=bool)
-    for r in range(rows):
-        cy = (r * bs + min((r + 1) * bs, h) - 1) / 2.0
-        np.add(cx + k * ux[r], d * vx[r], out=xs)
-        np.add(cy + k * uy[r], d * vy[r], out=ys)
-        np.greater_equal(ys, 0, out=inside)
-        inside &= np.less_equal(ys, h - 1, out=edge)
-        inside &= np.greater_equal(xs, 0, out=edge)
-        inside &= np.less_equal(xs, w - 1, out=edge)
-        # the floors give the top-left tap's flat index, then
-        # w0 = 1 - (t - floor t) replaces t, and w1 = 1 - w0
-        np.floor(ys, out=wy1)
-        np.floor(xs, out=wx1)
-        ys -= wy1
-        xs -= wx1
-        wy1 *= pw
-        wy1 += wx1 + off * (pw + 1)
-        np.copyto(idx, wy1, casting="unsafe")
-        for t, w1 in ((ys, wy1), (xs, wx1)):
-            np.subtract(1.0, t, out=t)
-            np.subtract(1.0, t, out=w1)
-        # mode "wrap" (every index is in bounds) takes into out= without
-        # the copy that the default "raise" makes
-        flat.take(idx, out=val, mode="wrap")
-        val *= ys
-        val *= xs
-        for shifted, wy, wx in ((flat[1:], ys, wx1), (flat[pw:], wy1, xs),
-                                (flat[pw + 1 :], wy1, wx1)):
-            shifted.take(idx, out=tap, mode="wrap")
-            tap *= wy
-            tap *= wx
-            val += tap
-        np.copyto(weight, inside)
-        val *= weight
-        np.sum(val, axis=2, out=sums)  # nanmean's sum, in its order
-        np.matmul(weight, ones, out=counts)  # sums of 0s and 1s: exact in any order
-        has_sig[r] = (counts >= bs // 2).all(axis=1)
-        sig[r, has_sig[r]] = sums[has_sig[r]] / counts[has_sig[r]]
+    for r, y0 in enumerate(range(blocks.start * bs, blocks.stop * bs, bs)):
+        cy = (y0 + min(y0 + bs, h) - 1) / 2.0
+        top = math.floor(cy) - margin  # image row y is slab row y - top
+        a, z = max(top, 0), min(top + len(slab), h)
+        slab[a - top : z - top, off : off + w] = data[a:z]
+        slab[: max(-1 - top, 0)] = slab[h + 1 - top :] = 0  # beyond the ring
+        if top < 0:  # the ring rows above and below the image
+            slab[-1 - top, off : off + w] = data[0]
+        if z - top < len(slab):
+            slab[h - top, off : off + w] = data[h - 1]
+        slab[:, margin], slab[:, off + w] = slab[:, off], slab[:, off + w - 1]
+        for c0, c1, _, _ in groups:
+            ys, xs, wy1, wx1, val, tap, idx, inside, edge = (b[: c1 - c0] for b in buffers)
+            g = slice(c0, c1)
+            np.add(cx[g] + k * ux[r, g], d * vx[r, g], out=xs)
+            np.add(cy + k * uy[r, g], d * vy[r, g], out=ys)
+            np.greater_equal(ys, 0, out=inside)
+            inside &= np.less_equal(ys, h - 1, out=edge)
+            inside &= np.greater_equal(xs, 0, out=edge)
+            inside &= np.less_equal(xs, w - 1, out=edge)
+            # the floors give the top-left tap's flat index, then
+            # w0 = 1 - (t - floor t) replaces t, and w1 = 1 - w0
+            np.floor(ys, out=wy1)
+            np.floor(xs, out=wx1)
+            ys -= wy1
+            xs -= wx1
+            wy1 *= pw
+            wy1 += wx1
+            wy1 += off - top * pw
+            np.copyto(idx, wy1, casting="unsafe")
+            for t, w1 in ((ys, wy1), (xs, wx1)):
+                np.subtract(1.0, t, out=t)
+                np.subtract(1.0, t, out=w1)
+            # mode "wrap" (every index is in bounds) takes into out= without
+            # the copy that the default "raise" makes
+            flat.take(idx, out=val, mode="wrap")
+            val *= ys
+            val *= xs
+            for shifted, wy, wx in ((flat[1:], ys, wx1), (flat[pw:], wy1, xs),
+                                    (flat[pw + 1 :], wy1, wx1)):
+                shifted.take(idx, out=tap, mode="wrap")
+                tap *= wy
+                tap *= wx
+                val += tap
+            np.copyto(tap, inside)  # 0/1 weights
+            val *= tap
+            counts = tap @ ones  # sums of 0s and 1s: exact in any order
+            ok = has_sig[r, g] = (counts >= bs // 2).all(axis=1)
+            sig[r, g][ok] = val.sum(axis=2)[ok] / counts[ok]  # nanmean's sum, in its order
     return sig, has_sig
 
 
@@ -357,12 +381,16 @@ def compute_region_mask(
 
 def _block_variance(data: np.ndarray, block_size: int) -> np.ndarray:
     """Population intensity variance of each block, E[I^2] - E[I]^2; the
-    pixel count of a block comes from its extent (partial at the edges)."""
+    pixel count of a block comes from its extent (partial at the edges).
+    The sums are taken per band of block rows (_bands)."""
     extent = [np.diff(np.minimum(np.arange(0, n + block_size, block_size), n))
               for n in data.shape]
     counts = np.multiply.outer(*extent)
-    sums = _block_sum(data, block_size)
-    sqsums = _block_sum(data * data, block_size)
+    sums, sqsums = np.empty((2, *counts.shape))
+    for y0, y1, _, _ in _bands(*data.shape, block_size):
+        band, blocks = data[y0:y1], slice(y0 // block_size, -(-y1 // block_size))
+        sums[blocks] = _block_sum(band, block_size)
+        sqsums[blocks] = _block_sum(band * band, block_size)
     return sqsums / counts - (sums / counts) ** 2
 
 
@@ -448,8 +476,9 @@ def _separable_response(
     data: np.ndarray, orient: OrientationField, freq: FrequencyMap,
     mask: RegionMask, sigma: float, half: int,
 ) -> np.ndarray:
-    """gabor_response by separable passes: per block row, windows @ X, then
-    Y @ that, batched over the row's recoverable blocks.
+    """gabor_response by separable passes: windows @ X, then Y @ that,
+    batched over groups of recoverable blocks. Each band of block rows
+    (_bands) reads its windows from its own reflect-padded slab.
 
     A 1-D pass of filter k over a block's padded window is a product with
     B[u, j] = k[u - j] (0 <= u - j <= 2 half, else 0). X holds a block's
@@ -460,33 +489,34 @@ def _separable_response(
     bs = orient.block_size
     rows, cols = mask.labels.shape
     size, span = 2 * half + 1, bs + 2 * half
-    # padded to whole blocks, so every block has a full window
-    padded = np.pad(
-        data, ((half, half + rows * bs - h), (half, half + cols * bs - w)),
-        mode="reflect",
-    )
-    # one filter pair per recoverable block, in row-major block order
-    degrees, freqs = _kernel_keys(orient.theta[mask.labels], freq.freq[mask.labels])
-    if not len(degrees):
-        return np.zeros((h, w))
-    # a zero tap after each channel's taps: every lag outside the band reads it
-    x_taps, y_taps = (np.pad(bank, ((0, 0), (0, 0), (0, 1))).reshape(len(degrees), -1)
-                      for bank in _separable_bank(degrees, freqs, sigma, half))
+    # rows of the image reflect-padded to whole blocks: every block has a full window
+    padded_rows = np.pad(np.arange(h), (half, half + rows * bs - h), mode="reflect")
     u, ch, j = np.ogrid[:span, :3, :bs]
     lag = np.where((u >= j) & (u - j < size), u - j, size) + ch * (size + 1)
     x_lag = lag.reshape(span, 3 * bs)  # X[u, ch bs + j] = x_ch[u - j]
     y_lag = lag.transpose(2, 0, 1).reshape(bs, 3 * span)  # Y[i, 3u + ch] = y_ch[u - i]
 
-    windows = sliding_window_view(padded, (span, span))[::bs, ::bs]  # [r, c] at (r bs, c bs)
     response = np.zeros((rows * bs, cols * bs))
     blocks = response.reshape(rows, bs, cols, bs).swapaxes(1, 2)
-    start = 0
-    for r in range(rows):
-        cs = np.flatnonzero(mask.labels[r])
-        ids = slice(start, start + len(cs))
-        start += len(cs)
-        xs = windows[r, cs] @ x_taps[ids].take(x_lag, axis=1)
-        blocks[r, cs] = y_taps[ids].take(y_lag, axis=1) @ xs.reshape(-1, 3 * span, bs)
+    for top, bottom, _, _ in _bands(h, w, bs):
+        r0, r1 = top // bs, -(-bottom // bs)
+        labels = mask.labels[r0:r1]
+        # one filter pair per recoverable block, in row-major block order
+        degrees, freqs = _kernel_keys(orient.theta[r0:r1][labels], freq.freq[r0:r1][labels])
+        if not len(degrees):
+            continue
+        # a zero tap after each channel's taps: every lag outside the band reads it
+        x_taps, y_taps = (np.pad(bank, ((0, 0), (0, 0), (0, 1))).reshape(len(degrees), -1)
+                          for bank in _separable_bank(degrees, freqs, sigma, half))
+        slab = np.pad(data.take(padded_rows[top : r1 * bs + 2 * half], axis=0),
+                      ((0, 0), (half, half + cols * bs - w)), mode="reflect")
+        windows = sliding_window_view(slab, (span, span))[::bs, ::bs]  # [r, c] at (r bs, c bs)
+        rs, cs = np.nonzero(labels)  # row-major, the order of the filter pairs
+        # in groups of blocks whose windows hold at most BAND_PIXELS / 2 pixels
+        for a, b, _, _ in _bands(len(rs), 2 * span * span):
+            xs = windows[rs[a:b], cs[a:b]] @ x_taps[a:b].take(x_lag, axis=1)
+            blocks[r0 + rs[a:b], cs[a:b]] = y_taps[a:b].take(y_lag, axis=1) @ xs.reshape(-1, 3 * span, bs)
+        del x_taps, y_taps, slab, windows, xs  # before the next band's arrays
     return response[:h, :w]
 
 
@@ -538,19 +568,22 @@ def gabor_enhance(
 
     Recoverable pixels carry the rescaled filter response (ridges stay
     dark); unrecoverable pixels are set to the background intensity. A
-    constant response maps to mid-gray (the kernels are DC-free).
+    constant response maps to mid-gray (the kernels are DC-free). The
+    response is rescaled in place.
     """
     response = gabor_response(img, orient, freq, mask, sigma_x, sigma_y)
     h, w = response.shape
     sel = mask.pixel_mask(h, w)
     out = np.full((h, w), BACKGROUND_INTENSITY, dtype=np.uint8)
     if sel.any():
-        vals = response[sel]
-        lo, hi = vals.min(), vals.max()
+        lo, hi = response.min(where=sel, initial=np.inf), response.max(where=sel, initial=-np.inf)
         if hi - lo < 1e-12:
             out[sel] = 128
-        else:
-            out[sel] = np.rint((vals - lo) * 255.0 / (hi - lo)).astype(np.uint8)
+        else:  # rint((v - lo) * 255 / (hi - lo)) in place, in that order
+            response -= lo
+            response *= 255.0
+            response /= hi - lo
+            np.copyto(out, np.rint(response, out=response), casting="unsafe", where=sel)
     return GrayImage(out)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 
 DEFAULT_TARGET_MEAN = 100.0
 DEFAULT_TARGET_VARIANCE = 100.0
+BAND_PIXELS = 32 * 1024  # the front end's working set: 2 bands of a 256^2 print, 8 of 512^2
 
 
 class PgmError(ValueError):
@@ -137,6 +138,16 @@ def save_pgm(img, path: str | Path) -> None:
     path.write_bytes(header + arr.astype(np.uint8).tobytes())
 
 
+def _bands(length: int, unit_pixels: int, unit: int = 1, halo: int = 0):
+    """Bands (start, stop, lo, hi) covering range(length): as many whole
+    `unit`s as fit in BAND_PIXELS (at least one; the last may be partial)
+    at unit_pixels per index; lo:hi widens a band by `halo`, clipped."""
+    step = max(1, BAND_PIXELS // (unit_pixels * unit)) * unit
+    for start in range(0, length, step):
+        stop = min(start + step, length)
+        yield start, stop, max(start - halo, 0), min(stop + halo, length)
+
+
 def normalize(
     img: GrayImage,
     target_mean: float = DEFAULT_TARGET_MEAN,
@@ -151,7 +162,8 @@ def normalize(
     The formula is evaluated once per grey level and the 256-entry table
     indexed with the pixels; v sums the per-pixel (I - m)^2 (from a table
     too) in numpy's order, so the output equals the per-pixel formula's
-    bit for bit, and one image-sized float array is written.
+    bit for bit, and one image-sized float array is written. The tables are
+    indexed by row bands (_bands), so no whole-image index array is made.
     """
     if target_variance <= 0:
         raise ValueError("target_variance must be positive")
@@ -160,14 +172,17 @@ def normalize(
     levels = np.arange(256, dtype=np.float64)
     sq = (levels - mean) ** 2
     out = np.empty_like(pixels, dtype=np.float64)  # var sums in memory order
-    sq.take(pixels, out=out, mode="wrap")  # in range; "raise" would copy out
+    bands = [slice(y0, y1) for y0, y1, _, _ in _bands(*pixels.shape)]
+    for b in bands:  # indices in range; "raise" would copy out
+        sq.take(pixels[b], out=out[b], mode="wrap")
     var = out.sum() / pixels.size
     if var == 0.0:
         out.fill(target_mean)
         return NormalizedImage(out)
     dev = np.sqrt(target_variance * sq / var)
     table = np.where(levels > mean, target_mean + dev, target_mean - dev)
-    table.take(pixels, out=out, mode="wrap")
+    for b in bands:
+        table.take(pixels[b], out=out[b], mode="wrap")
     return NormalizedImage(out)
 
 

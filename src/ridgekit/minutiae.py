@@ -75,22 +75,9 @@ class PostprocessParams:
                 raise ValueError(f"{name} must be >= 0")
 
 
-def neighborhood_count(skel: Skeleton, x: int, y: int) -> int:
-    """Ridge pixels in the 3x3 window centered at (x, y), center included.
-
-    Out-of-bounds neighbors count as background.
-    """
-    bits = skel.bits
-    h, w = bits.shape
-    if not (0 <= x < w and 0 <= y < h):
-        raise IndexError(f"({x}, {y}) outside {w}x{h} image")
-    y0, y1 = max(0, y - 1), min(h, y + 2)
-    x0, x1 = max(0, x - 1), min(w, x + 2)
-    return int(bits[y0:y1, x0:x1].sum())
-
-
 def _count_grid(bits: np.ndarray) -> np.ndarray:
-    """neighborhood_count for every pixel at once."""
+    """Ridge pixels in the 3x3 window centered at each pixel, center
+    included; out-of-bounds neighbors count as background."""
     padded = np.pad(bits.astype(np.int16), 1)
     total = np.zeros_like(bits, dtype=np.int16)
     for dy in (0, 1, 2):

@@ -5,7 +5,7 @@ import pytest
 from scipy import ndimage
 
 from ridgekit.image import GrayImage
-from ridgekit.minutiae import BIFURCATION, ENDING, neighborhood_count
+from ridgekit.minutiae import BIFURCATION, ENDING
 from ridgekit.synth import ConcentricPattern, ParallelPattern, SynthSpec, generate
 
 
@@ -30,6 +30,19 @@ def _blurred_noise(seed, size=256):
     a = ndimage.gaussian_filter(rng.normal(128.0, 60.0, (size, size)), 2.0)
     a = (a - a.min()) * 255.0 / (a.max() - a.min())
     return GrayImage(np.clip(np.rint(a), 0, 255).astype(np.uint8))
+
+
+def neighborhood_count(skel, x: int, y: int) -> int:
+    """Reference for minutiae._count_grid: ridge pixels in the 3x3 window
+    centered at (x, y), center included; out-of-bounds neighbors count as
+    background."""
+    bits = skel.bits
+    h, w = bits.shape
+    if not (0 <= x < w and 0 <= y < h):
+        raise IndexError(f"({x}, {y}) outside {w}x{h} image")
+    y0, y1 = max(0, y - 1), min(h, y + 2)
+    x0, x1 = max(0, x - 1), min(w, x + 2)
+    return int(bits[y0:y1, x0:x1].sum())
 
 
 def classify_pixel(skel, x: int, y: int) -> str | None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from conftest import _blurred_noise, classify_pixel, make_blob_image
+from conftest import _blurred_noise, classify_pixel, make_blob_image, neighborhood_count
 from ridgekit.binary import BinaryImage, Skeleton, thin
 from ridgekit.config import PipelineConfig
 from ridgekit.minutiae import (
@@ -15,7 +15,6 @@ from ridgekit.minutiae import (
     MinutiaeSet,
     PostprocessParams,
     extract_minutiae,
-    neighborhood_count,
     postprocess,
     read_minutiae,
     write_minutiae,
@@ -25,6 +24,7 @@ from ridgekit.minutiae import (
     _angle_between,
     _branch_vectors,
     _clusters,
+    _count_grid,
     _minutia_direction,
     _segment_pixels,
 )
@@ -54,6 +54,14 @@ def test_neighborhood_count_border_clipping():
     assert neighborhood_count(s, 0, 0) == 4
     with pytest.raises(IndexError):
         neighborhood_count(s, 2, 0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (23, 31)])
+def test_count_grid_matches_neighborhood_count(shape):
+    bits = (np.random.default_rng(shape[0] * 100 + shape[1]).random(shape) < 0.5).astype(np.uint8)
+    skel = Skeleton(bits)
+    want = [[neighborhood_count(skel, x, y) for x in range(shape[1])] for y in range(shape[0])]
+    assert _count_grid(bits).tolist() == want
 
 
 def test_classification_exhaustive_256_patterns():
