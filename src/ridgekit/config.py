@@ -19,8 +19,7 @@ class PipelineConfig:
     block_size: int = enhance.DEFAULT_BLOCK_SIZE
     smooth_sigma: float = enhance.DEFAULT_SMOOTH_SIGMA
     freq_window: int = enhance.DEFAULT_FREQ_WINDOW
-    sigma_x: float = enhance.DEFAULT_SIGMA_X
-    sigma_y: float = enhance.DEFAULT_SIGMA_Y
+    sigma: float = enhance.DEFAULT_SIGMA
     reject_threshold: float = enhance.DEFAULT_REJECT_THRESHOLD
     coherence_floor: float = enhance.DEFAULT_COHERENCE_FLOOR
     variance_floor: float = enhance.DEFAULT_VARIANCE_FLOOR
@@ -46,8 +45,8 @@ class PipelineConfig:
             raise ValueError("reject_threshold must lie in [0, 1]")
         if self.target_variance <= 0:
             raise ValueError("target_variance must be positive")
-        if self.sigma_x <= 0 or self.sigma_y <= 0:
-            raise ValueError("gabor sigmas must be positive")
+        if self.sigma <= 0:
+            raise ValueError("sigma must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.threshold != "auto":
@@ -104,6 +103,8 @@ def load_config(path: str | Path | None = None, **overrides) -> PipelineConfig:
     if path is not None:
         known = {f.name for f in fields(PipelineConfig)}
         for key, text in read_key_values(path):
+            if key in ("sigma_x", "sigma_y"):
+                raise ValueError(f"{path}: config key {key} is now 'sigma', one isotropic envelope")
             if key not in known:
                 raise ValueError(f"{path}: unknown config key {key!r}")
             values[key] = _coerce(path, key, text)

@@ -18,8 +18,7 @@ from .image import GrayImage, NormalizedImage, _bands
 DEFAULT_BLOCK_SIZE = 16
 DEFAULT_SMOOTH_SIGMA = 1.0  # in blocks
 DEFAULT_FREQ_WINDOW = 32
-DEFAULT_SIGMA_X = 4.0
-DEFAULT_SIGMA_Y = 4.0
+DEFAULT_SIGMA = 4.0  # px, isotropic Gabor envelope (Hong et al. 1998)
 DEFAULT_COHERENCE_FLOOR = 0.3
 DEFAULT_VARIANCE_FLOOR = 10.0  # on the normalized intensity scale
 DEFAULT_REJECT_THRESHOLD = 0.25
@@ -394,44 +393,28 @@ def _block_variance(data: np.ndarray, block_size: int) -> np.ndarray:
     return sqsums / counts - (sums / counts) ** 2
 
 
-def _kernel_key(theta: float, freq: float) -> tuple[int, float]:
-    """Kernel cache key: theta quantized to whole degrees, freq to 1e-6."""
-    return int(round(math.degrees(theta))) % 180, round(float(freq), 6)
-
-
 def _kernel_keys(theta: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_kernel_key of each (theta, freq) pair, as two arrays. The freq
-    keeps Python's round: np.round scales by 1e6 and can round otherwise."""
+    """The Gabor kernel key of each (theta, freq) pair, as two arrays: theta
+    rounded to whole degrees mod 180, freq to 6 decimals. The freq keeps
+    Python's round: np.round scales by 1e6 and can round otherwise."""
     degrees = np.rint(np.degrees(theta)) % 180
     return degrees, np.array([round(f, 6) for f in freq.tolist()], dtype=np.float64)
-
-
-def _gabor_kernel(
-    theta: float, freq: float, sigma_x: float, sigma_y: float, half: int
-) -> np.ndarray:
-    """Even-symmetric Gabor kernel tuned to (theta, freq), mean-subtracted."""
-    dy, dx = np.mgrid[-half : half + 1, -half : half + 1].astype(np.float64)
-    ux, uy = math.cos(theta + np.pi / 2), math.sin(theta + np.pi / 2)
-    across = dx * ux + dy * uy  # orthogonal to ridge direction
-    along = -dx * uy + dy * ux
-    kernel = np.exp(
-        -0.5 * (across**2 / sigma_x**2 + along**2 / sigma_y**2)
-    ) * np.cos(2.0 * np.pi * freq * across)
-    return kernel - kernel.mean()
 
 
 def _separable_bank(
     degrees: np.ndarray, freqs: np.ndarray, sigma: float, half: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The isotropic _gabor_kernel of each (degrees, freq) key as an x-pass
-    and a y-pass filter, each (len(degrees), 3, K).
+    """The Gabor kernel of each (degrees, freq) key as an x-pass and a
+    y-pass filter, each (len(degrees), 3, K).
 
-    With sigma_x == sigma_y the kernel before mean subtraction is
-    Re[h_x(dx) h_y(dy)], h = exp(-t^2 / 2 sigma^2 + 2 pi i freq u t) with u
-    the across-ridge unit vector's component on that axis, and its mean is
-    Re(sum h_x * sum h_y) / K^2. The x pass filters rows with Re h_x, Im h_x
-    and ones (box sum); the y pass weights those channels with Re h_y,
-    -Im h_y and -mean, and sums them.
+    The kernel on the K x K grid dx, dy in [-half, half] is
+    exp(-(dx^2 + dy^2) / 2 sigma^2) cos(2 pi freq (dx ux + dy uy)) minus its
+    mean, (ux, uy) the across-ridge unit vector. Before mean subtraction it
+    is Re[h_x(dx) h_y(dy)], h_x(t) = exp(-t^2 / 2 sigma^2 + 2 pi i freq ux t)
+    and h_y likewise with uy, and its mean is Re(sum h_x * sum h_y) / K^2.
+    The x pass filters rows with Re h_x, Im h_x and ones (box sum); the y
+    pass weights those channels with Re h_y, -Im h_y and -mean, and sums
+    them.
     """
     across = np.radians(degrees) + np.pi / 2
     t = np.arange(-half, half + 1, dtype=np.float64)
@@ -446,48 +429,45 @@ def _separable_bank(
     return x_bank, y_bank
 
 
-def _dense_response(
-    data: np.ndarray, orient: OrientationField, freq: FrequencyMap,
-    mask: RegionMask, sigma_x: float, sigma_y: float, half: int,
+def gabor_response(
+    img: NormalizedImage,
+    orient: OrientationField,
+    freq: FrequencyMap,
+    mask: RegionMask,
+    sigma: float = DEFAULT_SIGMA,
 ) -> np.ndarray:
-    """gabor_response by one dense K x K kernel per block."""
-    h, w = data.shape
-    bs = orient.block_size
-    padded = np.pad(data, half, mode="reflect")
-    response = np.zeros((h, w))
-    cache: dict[tuple[int, float], np.ndarray] = {}
-    for r, c in zip(*np.nonzero(mask.labels)):
-        key = _kernel_key(orient.theta[r, c], freq.freq[r, c])
-        kernel = cache.get(key)
-        if kernel is None:
-            kernel = _gabor_kernel(math.radians(key[0]), key[1], sigma_x, sigma_y, half)
-            cache[key] = kernel
-        y0, y1 = r * bs, min((r + 1) * bs, h)
-        x0, x1 = c * bs, min((c + 1) * bs, w)
-        patch = padded[y0 : y1 + 2 * half, x0 : x1 + 2 * half]
-        windows = sliding_window_view(patch, kernel.shape)
-        bh, bw = y1 - y0, x1 - x0
-        flat = windows.reshape(bh * bw, kernel.size)
-        response[y0:y1, x0:x1] = (flat @ kernel.ravel()).reshape(bh, bw)
-    return response
+    """Raw Gabor filter response; zero outside the recoverable region.
 
-
-def _separable_response(
-    data: np.ndarray, orient: OrientationField, freq: FrequencyMap,
-    mask: RegionMask, sigma: float, half: int,
-) -> np.ndarray:
-    """gabor_response by separable passes: windows @ X, then Y @ that,
-    batched over groups of recoverable blocks. Each band of block rows
-    (_bands) reads its windows from its own reflect-padded slab.
+    Each recoverable block is filtered with one even-symmetric kernel tuned
+    to its (theta, freq) under an isotropic envelope of width sigma; theta
+    is quantized to 1 degree steps and freq to 1e-6, so blocks with the same
+    quantized pair get the same kernel. Each kernel is separable into a
+    complex 1-D pair (Areekul et al., "Separable Gabor filter realization
+    for fast fingerprint enhancement", ICIP 2005), applied by two matrix
+    products, windows @ X, then Y @ that, batched over groups of
+    recoverable blocks. Each band of block rows (_bands) reads its windows
+    from its own reflect-padded slab.
 
     A 1-D pass of filter k over a block's padded window is a product with
     B[u, j] = k[u - j] (0 <= u - j <= 2 half, else 0). X holds a block's
     three x-channel B side by side, Y its three y-channel B transposed,
     their columns interleaved to match the rows of windows @ X per channel.
     """
+    data = img.pixels
+    if not (
+        orient.block_size == freq.block_size == mask.block_size
+        and orient.theta.shape == freq.freq.shape == mask.labels.shape
+    ):
+        raise ValueError("orientation, frequency and mask block geometry differ")
+    missing = np.argwhere(mask.labels & ~np.isfinite(freq.freq))
+    if len(missing):
+        r, c = missing[0]
+        raise ValueError(f"recoverable block ({r}, {c}) has no frequency estimate")
+
     h, w = data.shape
     bs = orient.block_size
     rows, cols = mask.labels.shape
+    half = math.ceil(3.0 * sigma)
     size, span = 2 * half + 1, bs + 2 * half
     # rows of the image reflect-padded to whole blocks: every block has a full window
     padded_rows = np.pad(np.arange(h), (half, half + rows * bs - h), mode="reflect")
@@ -520,49 +500,12 @@ def _separable_response(
     return response[:h, :w]
 
 
-def gabor_response(
-    img: NormalizedImage,
-    orient: OrientationField,
-    freq: FrequencyMap,
-    mask: RegionMask,
-    sigma_x: float = DEFAULT_SIGMA_X,
-    sigma_y: float = DEFAULT_SIGMA_Y,
-) -> np.ndarray:
-    """Raw Gabor filter response; zero outside the recoverable region.
-
-    Each recoverable block is filtered with one kernel tuned to its
-    (theta, freq); theta is quantized to 1 degree steps and freq to 1e-6,
-    so blocks with the same quantized pair get the same kernel. With the default
-    isotropic envelope (sigma_x == sigma_y) each kernel is separable into a
-    complex 1-D pair (Areekul et al., "Separable Gabor filter realization
-    for fast fingerprint enhancement", ICIP 2005), applied as banded
-    matrices in two matrix products per block row; an anisotropic
-    envelope uses one dense kernel per block.
-    """
-    data = img.pixels
-    if not (
-        orient.block_size == freq.block_size == mask.block_size
-        and orient.theta.shape == freq.freq.shape == mask.labels.shape
-    ):
-        raise ValueError("orientation, frequency and mask block geometry differ")
-    missing = np.argwhere(mask.labels & ~np.isfinite(freq.freq))
-    if len(missing):
-        r, c = missing[0]
-        raise ValueError(f"recoverable block ({r}, {c}) has no frequency estimate")
-
-    half = math.ceil(3.0 * max(sigma_x, sigma_y))
-    if sigma_x == sigma_y:
-        return _separable_response(data, orient, freq, mask, sigma_x, half)
-    return _dense_response(data, orient, freq, mask, sigma_x, sigma_y, half)
-
-
 def gabor_enhance(
     img: NormalizedImage,
     orient: OrientationField,
     freq: FrequencyMap,
     mask: RegionMask,
-    sigma_x: float = DEFAULT_SIGMA_X,
-    sigma_y: float = DEFAULT_SIGMA_Y,
+    sigma: float = DEFAULT_SIGMA,
 ) -> GrayImage:
     """Gabor band-pass enhancement, rescaled to an 8-bit image.
 
@@ -571,7 +514,7 @@ def gabor_enhance(
     constant response maps to mid-gray (the kernels are DC-free). The
     response is rescaled in place.
     """
-    response = gabor_response(img, orient, freq, mask, sigma_x, sigma_y)
+    response = gabor_response(img, orient, freq, mask, sigma)
     h, w = response.shape
     sel = mask.pixel_mask(h, w)
     out = np.full((h, w), BACKGROUND_INTENSITY, dtype=np.uint8)

@@ -117,10 +117,9 @@ def load_pgm(path: str | Path) -> GrayImage:
                 f"truncated pixel data: expected {npix} samples, got {len(values)}"
             )
         arr = np.array([int(v) for v in values[:npix]], dtype=np.int64)
-        if arr.min() < 0 or arr.max() > maxval:
-            raise PgmError("pixel value outside [0, maxval]")
-        arr = arr.astype(np.uint8)
-    return GrayImage(arr.reshape(height, width))
+    if arr.min() < 0 or arr.max() > maxval:
+        raise PgmError("pixel value outside [0, maxval]")
+    return GrayImage(arr.astype(np.uint8, copy=False).reshape(height, width))
 
 
 def save_pgm(img, path: str | Path) -> None:

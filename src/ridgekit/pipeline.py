@@ -62,7 +62,7 @@ def extract_from_image(img: GrayImage, image_id: str, config: PipelineConfig) ->
     if isinstance(mask, enh.Rejection):
         return ExtractOutcome(image_id, None, mask)
 
-    enhanced = enh.gabor_enhance(norm, orient, freq, mask, config.sigma_x, config.sigma_y)
+    enhanced = enh.gabor_enhance(norm, orient, freq, mask, config.sigma)
     work = invert(enhanced)  # ridges become bright so that ridge => 1
     if config.threshold == "auto":
         params = auto_threshold(work, mask)

@@ -143,6 +143,7 @@ def generate(spec: SynthSpec) -> tuple[GrayImage, MinutiaeSet]:
 
 
 _KIND_FROM_CODE = {"E": ENDING, "B": BIFURCATION, "ending": ENDING, "bifurcation": BIFURCATION}
+_SPEC_KEYS = ("width", "height", "period", "noise_amplitude", "seed", "pattern")
 
 
 def parse_synth_spec(path: str | Path) -> SynthSpec:
@@ -150,18 +151,23 @@ def parse_synth_spec(path: str | Path) -> SynthSpec:
 
     Keys: width, height, period, noise_amplitude, seed,
     pattern (``parallel:ANGLE_DEG`` or ``concentric:CX,CY``),
-    and one ``inject = x,y,E|B`` line per minutia.
+    and one ``inject = x,y,E|B`` line per minutia; any other key is an error.
     """
     fields: dict[str, str] = {}
     injected: list[tuple[int, int, str]] = []
     for key, value in read_key_values(path):
         if key == "inject":
-            x, y, kind = (v.strip() for v in value.split(","))
+            parts = [v.strip() for v in value.split(",")]
+            if len(parts) != 3:
+                raise ValueError(f"{path}: expected 'inject = x,y,E|B', got 'inject = {value}'")
+            x, y, kind = parts
             if kind not in _KIND_FROM_CODE:
                 raise ValueError(f"{path}: unknown minutia kind {kind!r}")
             injected.append((int(x), int(y), _KIND_FROM_CODE[kind]))
-        else:
+        elif key in _SPEC_KEYS:
             fields[key] = value
+        else:
+            raise ValueError(f"{path}: unknown spec key {key!r}")
 
     pattern_text = fields.get("pattern", "parallel:0")
     name, _, args = pattern_text.partition(":")

@@ -85,7 +85,7 @@ def test_bands_split_the_front_end_bit_identically(name, monkeypatch):
     sel = mask.pixel_mask(h, w)
     assert np.array_equal(enhanced.pixels, _parent_enhance(response, sel))
     with monkeypatch.context() as m:
-        m.setattr(enh, "_separable_response", _dense_reference)
+        m.setattr(enh, "gabor_response", _dense_reference)
         assert np.array_equal(enhanced.pixels, enh.gabor_enhance(norm, orient, freq, mask).pixels)
 
     work = invert(enhanced)

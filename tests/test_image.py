@@ -48,6 +48,21 @@ def test_load_maxval_too_large(tmp_path):
         load_pgm(f)
 
 
+@pytest.mark.parametrize("magic", ["P2", "P5"])
+def test_load_sample_above_maxval(tmp_path, magic):
+    f = tmp_path / "a.pgm"
+
+    def write(values):
+        raster = bytes(values) if magic == "P5" else " ".join(map(str, values)).encode()
+        f.write_bytes(magic.encode() + b"\n2 1\n15\n" + raster)
+
+    write([15, 0])  # maxval itself is in range
+    assert load_pgm(f).pixels.ravel().tolist() == [15, 0]
+    write([15, 200])
+    with pytest.raises(PgmError, match=r"^pixel value outside \[0, maxval\]$"):
+        load_pgm(f)
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_pgm(tmp_path / "nope.pgm")

@@ -16,6 +16,7 @@ from ridgekit.evaluate import match_minutiae
 from ridgekit.image import GrayImage, save_pgm
 from ridgekit.minutiae import PostprocessParams, read_minutiae
 import ridgekit
+from ridgekit import enhance as enh
 from ridgekit import pipeline
 from ridgekit.pipeline import extract_from_image, run_eval, run_extract, run_synth
 from ridgekit.synth import ParallelPattern, SynthSpec, generate
@@ -96,15 +97,6 @@ def test_extract_finds_injected_minutiae(tmp_path):
     assert (w, h) == (256, 256)
     r = match_minutiae(written, truth, 8.0)
     assert r.matched >= 9
-
-
-def test_extract_anisotropic_gabor_envelope():
-    # sigma_x != sigma_y: the Gabor kernels are not separable
-    img, truth = generate(corpus_spec(5))
-    config = PipelineConfig(sigma_x=4.0, sigma_y=6.0)
-    out = extract_from_image(img, truth.image_id, config)
-    assert not out.rejected
-    assert match_minutiae(out.minutiae, truth, 8.0).matched >= 9
 
 
 def test_extract_rejects_noise(tmp_path):
@@ -206,8 +198,7 @@ EMPTY_RUN_CSV = """\
 # freq_window = 32
 # reconnect_gap = 6
 # reject_threshold = 0.25
-# sigma_x = 4.0
-# sigma_y = 4.0
+# sigma = 4.0
 # smooth_sigma = 1.0
 # spur_length = 6
 # target_mean = 100.0
@@ -491,6 +482,17 @@ def test_cli_synth_count_below_one_is_an_input_error(tmp_path, capsys, count):
     assert not out.exists()
 
 
+def test_cli_synth_unknown_spec_key_is_an_input_error(tmp_path, capsys):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text("widht = 300\nperiod = 8\n")
+    out = tmp_path / "corpus"
+    assert main(["synth", str(spec_file), "--out", str(out)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {spec_file}: unknown spec key 'widht'\n"
+    assert "wrote" not in captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_cli_eval_workers_below_one_is_an_input_error(tmp_path, capsys, workers):
     data, truthd = build_corpus(tmp_path, n=2)
@@ -530,6 +532,7 @@ def test_config_non_numeric_threshold_names_key():
     ("spur_length = -1", "spur_length must be >= 0"),
     ("border_distance = -3", "border_distance must be >= 0"),
     ("threshold = 300", "threshold 300 outside [0, 255]"),
+    ("sigma = 0", "sigma must be positive"),
 ])
 def test_cli_config_file_range_error_names_file_and_key(tmp_path, capsys, line, message):
     path, _, _ = write_synth_fixture(tmp_path)
@@ -545,10 +548,37 @@ def test_cli_config_file_range_error_names_file_and_key(tmp_path, capsys, line, 
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["sigma_x", "sigma_y"])
+def test_cli_config_sigma_x_or_y_names_sigma(tmp_path, capsys, key):
+    path, _, _ = write_synth_fixture(tmp_path)
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = 4.0\n")
+    out = tmp_path / "out"
+    code = main(["extract", str(path), "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: config key {key} is now 'sigma', one isotropic envelope\n")
+    assert not out.exists()
+
+
+def test_extract_passes_sigma_to_gabor(monkeypatch):
+    seen = []
+    gabor_response = enh.gabor_response
+
+    def recording(*args):
+        seen.append(args[4])
+        return gabor_response(*args)
+
+    monkeypatch.setattr(enh, "gabor_response", recording)
+    img, truth = generate(corpus_spec(5))
+    assert not extract_from_image(img, truth.image_id, PipelineConfig(sigma=3.5)).rejected
+    assert seen == [3.5]
+
+
 def test_config_refuses_non_finite_floats():
     float_keys = [f.name for f in fields(PipelineConfig) if isinstance(f.default, float)]
     assert sorted(float_keys) == [
-        "coherence_floor", "reject_threshold", "sigma_x", "sigma_y", "smooth_sigma",
+        "coherence_floor", "reject_threshold", "sigma", "smooth_sigma",
         "target_mean", "target_variance", "tolerance", "variance_floor",
     ]
     for key in float_keys:
@@ -558,7 +588,7 @@ def test_config_refuses_non_finite_floats():
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
-@pytest.mark.parametrize("key", ["smooth_sigma", "sigma_x", "variance_floor", "target_mean",
+@pytest.mark.parametrize("key", ["smooth_sigma", "sigma", "variance_floor", "target_mean",
                                  "tolerance"])
 def test_cli_non_finite_config_value_is_an_input_error(tmp_path, capsys, key, value):
     path, _, _ = write_synth_fixture(tmp_path)

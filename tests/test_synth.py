@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,13 @@ def test_parse_concentric(tmp_path):
 
 def test_parse_rejects_bad_lines(tmp_path):
     f = tmp_path / "spec.txt"
-    f.write_text("width 100\n")
-    with pytest.raises(ValueError):
-        parse_synth_spec(f)
+    for text, message in [
+        ("width 100\n", "expected 'key = value', got 'width 100'"),
+        ("noise_amplitud = 40\nwidht = 300\n", "unknown spec key 'noise_amplitud'"),
+        ("width = 300\nwidht = 300\n", "unknown spec key 'widht'"),
+        ("inject = 100,100\n", "expected 'inject = x,y,E|B', got 'inject = 100,100'"),
+        ("inject = 1,2,E,B\n", "expected 'inject = x,y,E|B', got 'inject = 1,2,E,B'"),
+    ]:
+        f.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{f}: {message}')}$"):
+            parse_synth_spec(f)
