@@ -81,8 +81,12 @@ def read_key_values(path: str | Path) -> list[tuple[str, str]]:
     ``#`` starts a comment; blank lines are skipped. Keys and values are
     stripped; a value may itself contain ``=``.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     pairs = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -101,32 +105,33 @@ def load_config(path: str | Path | None = None, **overrides) -> PipelineConfig:
     keyword overrides (CLI flags), in that precedence order."""
     values: dict[str, object] = {}
     if path is not None:
-        known = {f.name for f in fields(PipelineConfig)}
         for key, text in read_key_values(path):
             if key in ("sigma_x", "sigma_y"):
                 raise ValueError(f"{path}: config key {key} is now 'sigma', one isotropic envelope")
-            if key not in known:
-                raise ValueError(f"{path}: unknown config key {key!r}")
-            values[key] = _coerce(path, key, text)
+            values[key] = coerce(PipelineConfig, "config", path, key, text)
     for key, val in overrides.items():
         if val is not None:
             values[key] = val
     return PipelineConfig(**values)
 
 
-def _coerce(path: str | Path, key: str, text: str):
-    """The file value of key, converted to its field's type and checked on
-    its own against PipelineConfig's rules; errors name the file and key."""
-    kind = type(getattr(PipelineConfig, key))
+def coerce(record, noun: str, path: str | Path, key: str, text: str):
+    """The file value of key, converted to the type of the record's field and
+    checked alone. Only fields with a scalar default can be set from a file."""
+    kind = type({f.name: f.default for f in fields(record)}.get(key))
+    if kind not in (bool, int, float, str):
+        raise ValueError(f"{path}: unknown {noun} key {key!r}")
     try:
         value = _BOOL[text.lower()] if kind is bool else kind(text)
     except (KeyError, ValueError):
-        raise ValueError(
-            f"{path}: config key {key}: expected {kind.__name__}, got {text!r}"
-        ) from None
+        raise ValueError(f"{path}: {noun} key {key}: expected {kind.__name__}, got {text!r}") from None
+    return checked(record, noun, path, key, value)
+
+
+def checked(record, noun: str, path: str | Path, key: str, value):
+    """value, if record(key=value) keeps the record's rules; else an error naming file and key."""
     try:
-        PipelineConfig(**{key: value})
+        record(**{key: value})
     except ValueError as exc:
-        message = str(exc).removeprefix(f"{key}: ")
-        raise ValueError(f"{path}: config key {key}: {message}") from None
+        raise ValueError(f"{path}: {noun} key {key}: {str(exc).removeprefix(f'{key}: ')}") from None
     return value

@@ -203,6 +203,8 @@ def estimate_frequency(
     rows, cols = _block_grid(h, w, bs)
     if (rows, cols) != orient.theta.shape:
         raise ValueError("orientation field does not cover the image")
+    if window < 1:
+        raise ValueError("window must be >= 1")
     freq = np.full((rows, cols), np.nan)
     for top, bottom, _, _ in _bands(h, w, bs):
         blocks = slice(top // bs, -(-bottom // bs))
@@ -454,6 +456,8 @@ def gabor_response(
     their columns interleaved to match the rows of windows @ X per channel.
     """
     data = img.pixels
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     if not (
         orient.block_size == freq.block_size == mask.block_size
         and orient.theta.shape == freq.freq.shape == mask.labels.shape

@@ -19,7 +19,7 @@ from .binary import _NEIGHBOR_OFFSETS, Skeleton
 ENDING = "ending"
 BIFURCATION = "bifurcation"
 _KIND_CODE = {ENDING: "E", BIFURCATION: "B"}
-_CODE_KIND = {"E": ENDING, "B": BIFURCATION}
+CODE_KIND = {"E": ENDING, "B": BIFURCATION}
 
 RAW = "raw"
 POSTPROCESSED = "postprocessed"
@@ -428,10 +428,10 @@ def read_minutiae(path: str | Path) -> tuple[MinutiaeSet, int, int]:
     minutiae = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 4 or parts[2] not in _CODE_KIND:
+        if len(parts) != 4 or parts[2] not in CODE_KIND:
             raise ValueError(f"{path}: malformed minutia line {ln!r}")
         minutiae.append(
-            Minutia(int(parts[0]), int(parts[1]), _CODE_KIND[parts[2]],
+            Minutia(int(parts[0]), int(parts[1]), CODE_KIND[parts[2]],
                     math.radians(float(parts[3])))
         )
     return MinutiaeSet(image_id, tuple(minutiae), POSTPROCESSED), width, height

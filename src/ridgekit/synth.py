@@ -20,13 +20,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .config import read_key_values
+from .config import checked, coerce, read_key_values
 from .image import GrayImage
-from .minutiae import BIFURCATION, ENDING, POSTPROCESSED, Minutia, MinutiaeSet
+from .minutiae import BIFURCATION, CODE_KIND, ENDING, POSTPROCESSED, Minutia, MinutiaeSet
 
 MID_INTENSITY = 127.5
 RIDGE_AMPLITUDE = 100.0
@@ -56,20 +57,26 @@ class ConcentricPattern:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    width: int
-    height: int
-    pattern: ParallelPattern | ConcentricPattern
-    period: float
+    width: int = 256
+    height: int = 256
+    pattern: ParallelPattern | ConcentricPattern = ParallelPattern(0.0)
+    period: float = 8.0
     injected: tuple[tuple[int, int, str], ...] = ()
     noise_amplitude: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "injected", tuple(self.injected))
+        if min(self.width, self.height) < 1:
+            raise ValueError("width and height must be >= 1")
+        if not all(map(math.isfinite, vars(self.pattern).values())):
+            raise ValueError("pattern: numbers must be finite")
         if not 4.0 <= self.period <= 20.0:
             raise ValueError(f"period {self.period} outside [4, 20]")
-        if self.noise_amplitude < 0:
-            raise ValueError("noise_amplitude must be >= 0")
+        if not 0.0 <= 2.0 * self.noise_amplitude < math.inf:  # rng.uniform needs a finite range
+            raise ValueError("noise_amplitude must be >= 0 and 2*noise_amplitude finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         margin = 2.0 * self.period
         for x, y, kind in self.injected:
             if kind not in (ENDING, BIFURCATION):
@@ -79,14 +86,9 @@ class SynthSpec:
                 raise ValueError(
                     f"injected point ({x}, {y}) closer than 2*period to a border"
                 )
-        min_gap = 3.0 * self.period
-        pts = [(x, y) for x, y, _ in self.injected]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]) < min_gap:
-                    raise ValueError(
-                        f"injected points {pts[i]} and {pts[j]} closer than 3*period"
-                    )
+        for p, q in combinations([(x, y) for x, y, _ in self.injected], 2):
+            if math.dist(p, q) < 3.0 * self.period:
+                raise ValueError(f"injected points {p} and {q} closer than 3*period")
 
 
 def generate(spec: SynthSpec) -> tuple[GrayImage, MinutiaeSet]:
@@ -142,49 +144,38 @@ def generate(spec: SynthSpec) -> tuple[GrayImage, MinutiaeSet]:
     )
 
 
-_KIND_FROM_CODE = {"E": ENDING, "B": BIFURCATION, "ending": ENDING, "bifurcation": BIFURCATION}
-_SPEC_KEYS = ("width", "height", "period", "noise_amplitude", "seed", "pattern")
-
-
 def parse_synth_spec(path: str | Path) -> SynthSpec:
-    """Read a generator spec from a key = value file.
-
-    Keys: width, height, period, noise_amplitude, seed,
-    pattern (``parallel:ANGLE_DEG`` or ``concentric:CX,CY``),
-    and one ``inject = x,y,E|B`` line per minutia; any other key is an error.
-    """
-    fields: dict[str, str] = {}
+    """Read a generator spec from a key = value file: SynthSpec's scalar
+    fields, pattern = parallel:DEG | concentric:CX,CY, and one inject = x,y,E|B
+    line per minutia. Other keys are errors; keys left out keep the defaults."""
+    values: dict[str, object] = {}
     injected: list[tuple[int, int, str]] = []
-    for key, value in read_key_values(path):
+    for key, text in read_key_values(path):
         if key == "inject":
-            parts = [v.strip() for v in value.split(",")]
-            if len(parts) != 3:
-                raise ValueError(f"{path}: expected 'inject = x,y,E|B', got 'inject = {value}'")
-            x, y, kind = parts
-            if kind not in _KIND_FROM_CODE:
-                raise ValueError(f"{path}: unknown minutia kind {kind!r}")
-            injected.append((int(x), int(y), _KIND_FROM_CODE[kind]))
-        elif key in _SPEC_KEYS:
-            fields[key] = value
+            try:
+                x, y, code = (v.strip() for v in text.split(","))
+                injected.append((int(x), int(y), CODE_KIND[code]))
+            except (KeyError, ValueError):
+                raise ValueError(f"{path}: expected 'inject = x,y,E|B', got 'inject = {text}'") from None
+        elif key == "pattern":
+            values[key] = checked(SynthSpec, "spec", path, key, _parse_pattern(path, text))
         else:
-            raise ValueError(f"{path}: unknown spec key {key!r}")
+            values[key] = coerce(SynthSpec, "spec", path, key, text)
+    try:
+        return SynthSpec(**values, injected=tuple(injected))
+    except ValueError as exc:  # a rule across keys: inject spacing or borders
+        raise ValueError(f"{path}: {exc}") from None
 
-    pattern_text = fields.get("pattern", "parallel:0")
-    name, _, args = pattern_text.partition(":")
-    if name.strip() == "parallel":
-        pattern = ParallelPattern(math.radians(float(args or "0")))
-    elif name.strip() == "concentric":
-        cx, cy = (float(v) for v in re.split(r"[,\s]+", args.strip()))
-        pattern = ConcentricPattern(cx, cy)
-    else:
-        raise ValueError(f"{path}: unknown pattern {pattern_text!r}")
 
-    return SynthSpec(
-        width=int(fields.get("width", "256")),
-        height=int(fields.get("height", "256")),
-        pattern=pattern,
-        period=float(fields.get("period", "8")),
-        injected=tuple(injected),
-        noise_amplitude=float(fields.get("noise_amplitude", "0")),
-        seed=int(fields.get("seed", "0")),
-    )
+def _parse_pattern(path: str | Path, text: str) -> ParallelPattern | ConcentricPattern:
+    name, _, args = text.partition(":")
+    try:
+        if name.strip() == "parallel":
+            return ParallelPattern(math.radians(float(args or "0")))
+        if name.strip() == "concentric":
+            cx, cy = (float(v) for v in re.split(r"[,\s]+", args.strip()))
+            return ConcentricPattern(cx, cy)
+    except ValueError:
+        pass
+    raise ValueError(
+        f"{path}: spec key pattern: expected 'parallel:DEG' or 'concentric:CX,CY', got {text!r}")

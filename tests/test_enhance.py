@@ -323,6 +323,23 @@ def test_gabor_missing_frequency_in_recoverable_block_reports_block():
         enh.gabor_response(norm, orient, freq, mask)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stage, kwargs, message", [
+    ("estimate_frequency", {"window": 0}, "window must be >= 1"),
+    ("estimate_frequency", {"window": -3}, "window must be >= 1"),
+    ("gabor_enhance", {"sigma": 0.0}, "sigma must be positive and finite"),
+    ("gabor_enhance", {"sigma": -1.0}, "sigma must be positive and finite"),
+    ("gabor_enhance", {"sigma": math.nan}, "sigma must be positive and finite"),
+    ("gabor_enhance", {"sigma": math.inf}, "sigma must be positive and finite"),
+    ("gabor_response", {"sigma": 0.0}, "sigma must be positive and finite"),
+], ids=["window-0", "window-neg", "sigma-0", "sigma-neg", "sigma-nan", "sigma-inf", "response-sigma-0"])
+def test_stage_refuses_bad_parameter(stage, kwargs, message):
+    norm, orient, freq, mask = _enhance_setup(oriented_image(30.0, size=64))
+    args = (norm, orient) if stage == "estimate_frequency" else (norm, orient, freq, mask)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        getattr(enh, stage)(*args, **kwargs)
+
+
 @pytest.mark.parametrize("gaps", [False, True])
 @pytest.mark.parametrize("name", sorted(PIN_IMAGES))
 def test_gabor_separable_matches_dense_path(name, gaps):

@@ -74,6 +74,11 @@ def test_read_key_values(tmp_path):
     f.write_text("a = 1\njunk\n")
     with pytest.raises(ValueError, match="expected 'key = value'"):
         read_key_values(f)
+    f.write_bytes(b"# header\na = \xff\n")
+    with pytest.raises(ValueError) as exc:
+        read_key_values(f)
+    assert str(exc.value) == (
+        f"{f}: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte")
 
 
 def test_config_echo_stable():
@@ -319,7 +324,7 @@ def test_run_synth_invalid_spec_writes_nothing(tmp_path):
     out = tmp_path / "corpus"
     with pytest.raises(ValueError):
         run_synth(spec_file, 2, out)
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 # --- CLI surface ---
@@ -489,6 +494,26 @@ def test_cli_synth_unknown_spec_key_is_an_input_error(tmp_path, capsys):
     assert main(["synth", str(spec_file), "--out", str(out)]) == EXIT_INPUT_ERROR
     captured = capsys.readouterr()
     assert captured.err == f"error: {spec_file}: unknown spec key 'widht'\n"
+    assert "wrote" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("noise_amplitude = inf\n",
+     "spec key noise_amplitude: noise_amplitude must be >= 0 and 2*noise_amplitude finite"),
+    ("noise_amplitude = 10\nseed = -1\n", "spec key seed: seed must be >= 0"),
+    ("width = 0\n", "spec key width: width and height must be >= 1"),
+    ("pattern = parallel:nan\n", "spec key pattern: numbers must be finite"),
+    ("width = abc\n", "spec key width: expected int, got 'abc'"),
+    ("inject = a,2,E\n", "expected 'inject = x,y,E|B', got 'inject = a,2,E'"),
+], ids=["noise-inf", "seed-negative", "width-0", "pattern-nan", "width-abc", "inject-a"])
+def test_cli_synth_bad_spec_value_is_an_input_error(tmp_path, capsys, text, message):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(text)
+    out = tmp_path / "corpus"
+    assert main(["synth", str(spec_file), "--count", "2", "--out", str(out)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {spec_file}: {message}\n"
     assert "wrote" not in captured.out
     assert not out.exists()
 

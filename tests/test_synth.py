@@ -115,6 +115,10 @@ def test_parse_concentric(tmp_path):
     assert (spec.pattern.cx, spec.pattern.cy) == (-60.0, -60.0)
 
 
+NOISE_RULE = "noise_amplitude must be >= 0 and 2*noise_amplitude finite"
+PATTERN_FORMS = "expected 'parallel:DEG' or 'concentric:CX,CY'"
+
+
 def test_parse_rejects_bad_lines(tmp_path):
     f = tmp_path / "spec.txt"
     for text, message in [
@@ -123,7 +127,52 @@ def test_parse_rejects_bad_lines(tmp_path):
         ("width = 300\nwidht = 300\n", "unknown spec key 'widht'"),
         ("inject = 100,100\n", "expected 'inject = x,y,E|B', got 'inject = 100,100'"),
         ("inject = 1,2,E,B\n", "expected 'inject = x,y,E|B', got 'inject = 1,2,E,B'"),
+        ("noise_amplitude = inf\n", f"spec key noise_amplitude: {NOISE_RULE}"),
+        ("noise_amplitude = nan\n", f"spec key noise_amplitude: {NOISE_RULE}"),
+        ("noise_amplitude = 1e308\n", f"spec key noise_amplitude: {NOISE_RULE}"),
+        ("noise_amplitude = 5\nseed = -1\n", "spec key seed: seed must be >= 0"),
+        ("width = 0\n", "spec key width: width and height must be >= 1"),
+        ("height = -3\n", "spec key height: width and height must be >= 1"),
+        ("pattern = parallel:nan\n", "spec key pattern: numbers must be finite"),
+        ("pattern = concentric:inf,0\n", "spec key pattern: numbers must be finite"),
+        ("width = abc\n", "spec key width: expected int, got 'abc'"),
+        ("inject = a,2,E\n", "expected 'inject = x,y,E|B', got 'inject = a,2,E'"),
+        ("inject = 100,100,ending\n",
+         "expected 'inject = x,y,E|B', got 'inject = 100,100,ending'"),
+        ("pattern = concentric:1\n", f"spec key pattern: {PATTERN_FORMS}, got 'concentric:1'"),
+        ("pattern = spiral:3\n", f"spec key pattern: {PATTERN_FORMS}, got 'spiral:3'"),
+        ("period = 30\n", "spec key period: period 30.0 outside [4, 20]"),
+        ("injected = 1\n", "unknown spec key 'injected'"),
+        ("width = 96\ninject = 40,40,E\ninject = 44,40,E\n",
+         "injected points (40, 40) and (44, 40) closer than 3*period"),
     ]:
         f.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{f}: {message}')}$"):
             parse_synth_spec(f)
+
+
+def test_parse_empty_spec_is_the_default_spec(tmp_path):
+    f = tmp_path / "spec.txt"
+    f.write_text("# nothing set\n")
+    spec = parse_synth_spec(f)
+    assert spec == SynthSpec()
+    assert spec == SynthSpec(256, 256, ParallelPattern(0.0), 8.0, (), 0.0, 0)
+
+
+def test_parse_readme_example_spec(tmp_path):
+    f = tmp_path / "spec.txt"
+    f.write_text(
+        "width = 256\n"
+        "height = 256\n"
+        "pattern = parallel:30        # ridge direction in degrees\n"
+        "# pattern = concentric:-60,-60   # ring center (corner/outside recommended)\n"
+        "period = 8                   # ridge period, px (4..20)\n"
+        "noise_amplitude = 20         # uniform additive noise\n"
+        "seed = 100\n"
+        "inject = 48,48,E             # one line per ground-truth minutia\n"
+        "inject = 120,120,B\n"
+    )
+    assert parse_synth_spec(f) == SynthSpec(
+        width=256, height=256, pattern=ParallelPattern(math.radians(30)), period=8.0,
+        injected=((48, 48, ENDING), (120, 120, BIFURCATION)), noise_amplitude=20.0, seed=100,
+    )
