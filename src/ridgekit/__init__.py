@@ -1,6 +1,6 @@
 """Fingerprint ridge enhancement, minutiae extraction and evaluation."""
 
-from .binary import BinarizeParams, BinaryImage, Skeleton, auto_threshold, binarize, thin
+from .binary import BinaryImage, Skeleton, auto_threshold, binarize, thin
 from .config import PipelineConfig, load_config
 from .enhance import (
     FrequencyMap,

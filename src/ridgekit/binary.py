@@ -10,17 +10,6 @@ from .image import GrayImage
 
 
 @dataclass(frozen=True)
-class BinarizeParams:
-    """Threshold separating background from ridge intensities."""
-
-    threshold: int
-
-    def __post_init__(self):
-        if not 0 <= self.threshold <= 255:
-            raise ValueError(f"threshold {self.threshold} outside [0, 255]")
-
-
-@dataclass(frozen=True)
 class BinaryImage:
     """Per-pixel ridge (1) / background (0) bitmap."""
 
@@ -44,12 +33,12 @@ class Skeleton(BinaryImage):
     """Ridge bitmap thinned to 1-pixel-wide curves."""
 
 
-def binarize(img: GrayImage, params: BinarizeParams) -> BinaryImage:
+def binarize(img: GrayImage, threshold: int) -> BinaryImage:
     """Threshold: ridge (1) where intensity >= threshold, else background."""
-    return BinaryImage((img.pixels >= params.threshold).astype(np.uint8))
+    return BinaryImage((img.pixels >= threshold).astype(np.uint8))
 
 
-def auto_threshold(img: GrayImage, mask) -> BinarizeParams:
+def auto_threshold(img: GrayImage, mask) -> int:
     """Mean intensity over recoverable pixels, rounded to nearest integer.
 
     ``mask`` is a RegionMask covering the image.
@@ -59,7 +48,7 @@ def auto_threshold(img: GrayImage, mask) -> BinarizeParams:
         raise ValueError("cannot choose threshold: no recoverable pixels")
     # an exact integer sum: the float mean of the selected pixels
     mean = int(img.pixels.sum(where=sel, dtype=np.int64)) / int(np.count_nonzero(sel))
-    return BinarizeParams(int(np.rint(mean)))
+    return int(np.rint(mean))
 
 
 # 8-neighbor offsets (dy, dx): N, NE, E, SE, S, SW, W, NW; skeleton walks

@@ -28,10 +28,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
     parser.add_argument("--block-size", type=int, metavar="N", dest="block_size")
-    parser.add_argument(
-        "--threshold", metavar="auto|0..255",
-        help="binarization threshold (default: auto = mean over recoverable pixels)",
-    )
     parser.add_argument("--tolerance", type=float, metavar="PX",
                         help="matching tolerance in pixels")
     parser.add_argument("--dump-intermediates", action="store_true", default=None,
@@ -74,7 +70,6 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(
             args.config,
             block_size=args.block_size,
-            threshold=args.threshold,
             tolerance=args.tolerance,
             dump_intermediates=args.dump_intermediates,
         )

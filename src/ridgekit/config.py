@@ -8,7 +8,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import enhance
-from .binary import BinarizeParams
 from .evaluate import DEFAULT_TOLERANCE
 from .image import DEFAULT_TARGET_MEAN, DEFAULT_TARGET_VARIANCE
 from .minutiae import PostprocessParams
@@ -25,7 +24,6 @@ class PipelineConfig:
     variance_floor: float = enhance.DEFAULT_VARIANCE_FLOOR
     target_mean: float = DEFAULT_TARGET_MEAN
     target_variance: float = DEFAULT_TARGET_VARIANCE
-    threshold: str = "auto"  # "auto" or an integer 0..255 as text
     adjacency_window: int = PostprocessParams.adjacency_window
     border_distance: int = PostprocessParams.border_distance
     reconnect_gap: int = PostprocessParams.reconnect_gap
@@ -49,14 +47,6 @@ class PipelineConfig:
             raise ValueError("sigma must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.threshold != "auto":
-            try:
-                value = int(self.threshold)
-            except ValueError:
-                raise ValueError(
-                    f"threshold: expected 'auto' or an integer 0..255, got {self.threshold!r}"
-                ) from None
-            BinarizeParams(value)  # raises outside 0..255
         self.postprocess_params()  # raises on a negative window
 
     def postprocess_params(self) -> PostprocessParams:

@@ -116,10 +116,15 @@ def load_pgm(path: str | Path) -> GrayImage:
             raise PgmError(
                 f"truncated pixel data: expected {npix} samples, got {len(values)}"
             )
-        arr = np.array([int(v) for v in values[:npix]], dtype=np.int64)
-    if arr.min() < 0 or arr.max() > maxval:
+        samples = values[:npix]
+        # like a P5 byte, a P2 sample is a decimal 0..255 (at most 3 digits)
+        bad = next((v for v in samples if not (v.isdigit() and len(v) <= 3 and int(v) <= 255)), None)
+        if bad is not None:
+            raise PgmError(f"malformed pixel data: expected an integer 0..255, got {bad!r}")
+        arr = np.array([int(v) for v in samples], dtype=np.uint8)
+    if arr.max() > maxval:
         raise PgmError("pixel value outside [0, maxval]")
-    return GrayImage(arr.astype(np.uint8, copy=False).reshape(height, width))
+    return GrayImage(arr.reshape(height, width))
 
 
 def save_pgm(img, path: str | Path) -> None:

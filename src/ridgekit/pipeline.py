@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import enhance as enh
-from .binary import BinarizeParams, auto_threshold, binarize, thin
+from .binary import auto_threshold, binarize, thin
 from .config import PipelineConfig
 from .evaluate import (
     AggregateReport,
@@ -64,11 +64,7 @@ def extract_from_image(img: GrayImage, image_id: str, config: PipelineConfig) ->
 
     enhanced = enh.gabor_enhance(norm, orient, freq, mask, config.sigma)
     work = invert(enhanced)  # ridges become bright so that ridge => 1
-    if config.threshold == "auto":
-        params = auto_threshold(work, mask)
-    else:
-        params = BinarizeParams(int(config.threshold))
-    bin_img = binarize(work, params)
+    bin_img = binarize(work, auto_threshold(work, mask))
     skel = thin(bin_img)
     raw = extract_minutiae(skel, image_id)
     final, _ = postprocess(raw, skel, config.postprocess_params())

@@ -31,6 +31,7 @@ from .minutiae import BIFURCATION, CODE_KIND, ENDING, POSTPROCESSED, Minutia, Mi
 
 MID_INTENSITY = 127.5
 RIDGE_AMPLITUDE = 100.0
+MAX_CENTER = 1e6  # px, bound on |cx| and |cy| of a concentric pattern
 _VORTEX_SIGN = {ENDING: 1.0, BIFURCATION: -1.0}
 
 
@@ -71,6 +72,10 @@ class SynthSpec:
             raise ValueError("width and height must be >= 1")
         if not all(map(math.isfinite, vars(self.pattern).values())):
             raise ValueError("pattern: numbers must be finite")
+        if isinstance(self.pattern, ConcentricPattern) and max(
+                abs(self.pattern.cx), abs(self.pattern.cy)) > MAX_CENTER:
+            # a farther center overflows the ring phase 2*pi*r/period
+            raise ValueError(f"pattern: concentric center must have |cx|, |cy| <= {MAX_CENTER:g}")
         if not 4.0 <= self.period <= 20.0:
             raise ValueError(f"period {self.period} outside [4, 20]")
         if not 0.0 <= 2.0 * self.noise_amplitude < math.inf:  # rng.uniform needs a finite range

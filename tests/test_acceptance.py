@@ -8,7 +8,7 @@ import numpy as np
 from scipy import ndimage
 
 from conftest import classify_pixel, corpus_spec, make_blob_image
-from ridgekit.binary import BinarizeParams, BinaryImage, Skeleton, binarize, thin
+from ridgekit.binary import BinaryImage, Skeleton, binarize, thin
 from ridgekit.config import PipelineConfig
 from ridgekit.enhance import (
     OrientationField,
@@ -45,7 +45,7 @@ def test_criterion_1_binarization_exactness():
     for _ in range(100):
         data = rng.integers(0, 256, (64, 64)).astype(np.uint8)
         tp = int(rng.integers(0, 256))
-        out = binarize(GrayImage(data), BinarizeParams(tp)).bits
+        out = binarize(GrayImage(data), tp).bits
         oracle = np.empty((64, 64), np.uint8)
         for y in range(64):
             for x in range(64):

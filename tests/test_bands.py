@@ -90,7 +90,7 @@ def test_bands_split_the_front_end_bit_identically(name, monkeypatch):
 
     work = invert(enhanced)
     want = int(np.rint(work.pixels[sel].astype(np.float64).mean()))
-    assert auto_threshold(work, mask).threshold == want
+    assert auto_threshold(work, mask) == want
 
 
 def test_bands_cover_in_order_with_halos():

@@ -7,7 +7,6 @@ from scipy import ndimage
 
 from conftest import make_blob_image
 from ridgekit.binary import (
-    BinarizeParams,
     BinaryImage,
     Skeleton,
     auto_threshold,
@@ -31,19 +30,19 @@ def has_2x2(bits: np.ndarray) -> bool:
 def test_binarize_boundary_inclusive():
     # I == threshold maps to ridge
     img = GrayImage(np.array([[100]], np.uint8))
-    assert binarize(img, BinarizeParams(100)).bits[0, 0] == 1
+    assert binarize(img, 100).bits[0, 0] == 1
 
 
 def test_binarize_all_zero_threshold_one():
     img = GrayImage(np.zeros((8, 8), np.uint8))
-    assert (binarize(img, BinarizeParams(1)).bits == 0).all()
+    assert (binarize(img, 1).bits == 0).all()
 
 
 def test_binarize_matches_pixel_oracle():
     rng = np.random.default_rng(5)
     img = GrayImage(rng.integers(0, 256, (64, 64)).astype(np.uint8))
     tp = int(rng.integers(0, 256))
-    out = binarize(img, BinarizeParams(tp))
+    out = binarize(img, tp)
     for y in range(64):
         for x in range(64):
             assert out.bits[y, x] == (1 if img.pixels[y, x] >= tp else 0)
@@ -52,37 +51,32 @@ def test_binarize_matches_pixel_oracle():
 def test_binarize_idempotent_on_scaled_output():
     rng = np.random.default_rng(6)
     img = GrayImage(rng.integers(0, 256, (32, 32)).astype(np.uint8))
-    b = binarize(img, BinarizeParams(130))
+    b = binarize(img, 130)
     rescaled = GrayImage((b.bits * 255).astype(np.uint8))
-    assert (binarize(rescaled, BinarizeParams(1)).bits == b.bits).all()
+    assert (binarize(rescaled, 1).bits == b.bits).all()
 
 
 def test_binarize_monotone_in_threshold():
     rng = np.random.default_rng(7)
     img = GrayImage(rng.integers(0, 256, (32, 32)).astype(np.uint8))
-    prev = binarize(img, BinarizeParams(0)).bits
+    prev = binarize(img, 0).bits
     for tp in (40, 90, 160, 255):
-        cur = binarize(img, BinarizeParams(tp)).bits
+        cur = binarize(img, tp).bits
         assert not (cur & ~prev).any()  # raising T_p never turns 0 into 1
         prev = cur
-
-
-def test_binarize_params_range():
-    with pytest.raises(ValueError):
-        BinarizeParams(256)
 
 
 def test_auto_threshold_constant_region():
     img = GrayImage(np.full((32, 32), 128, np.uint8))
     mask = RegionMask(16, np.ones((2, 2), bool))
-    assert auto_threshold(img, mask).threshold == 128
+    assert auto_threshold(img, mask) == 128
 
 
 def test_auto_threshold_two_values():
     data = np.full((32, 32), 100, np.uint8)
     data[:, 16:] = 200
     mask = RegionMask(16, np.ones((2, 2), bool))
-    assert auto_threshold(img := GrayImage(data), mask).threshold == 150
+    assert auto_threshold(img := GrayImage(data), mask) == 150
 
 
 def test_auto_threshold_uses_only_recoverable():
@@ -92,10 +86,10 @@ def test_auto_threshold_uses_only_recoverable():
     labels[0, 0] = False
     mask = RegionMask(16, labels)
     img = GrayImage(data)
-    assert auto_threshold(img, mask).threshold == 100
+    assert auto_threshold(img, mask) == 100
     # independent re-computation over selected pixels
     sel = mask.pixel_mask(32, 32)
-    assert abs(auto_threshold(img, mask).threshold - img.pixels[sel].mean()) <= 2
+    assert abs(auto_threshold(img, mask) - img.pixels[sel].mean()) <= 2
 
 
 def test_auto_threshold_empty_region_errors():

@@ -63,6 +63,15 @@ def test_load_sample_above_maxval(tmp_path, magic):
         load_pgm(f)
 
 
+@pytest.mark.parametrize("sample", [b"99999999999999999999999", b"x", b"-1", b"256"])
+def test_load_p2_bad_sample_names_it(tmp_path, sample):
+    f = tmp_path / "a.pgm"
+    f.write_bytes(b"P2\n2 1\n255\n1 " + sample + b"\n")
+    with pytest.raises(PgmError) as exc:
+        load_pgm(f)
+    assert str(exc.value) == f"malformed pixel data: expected an integer 0..255, got {sample!r}"
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_pgm(tmp_path / "nope.pgm")

@@ -38,11 +38,6 @@ def test_config_validation():
         PipelineConfig(block_size=2)
     with pytest.raises(ValueError):
         PipelineConfig(reject_threshold=1.5)
-    with pytest.raises(ValueError):
-        PipelineConfig(threshold="300")
-    with pytest.raises(ValueError):
-        PipelineConfig(threshold="junk")
-    assert PipelineConfig(threshold="128").threshold == "128"
     with pytest.raises(ValueError, match="freq_window"):
         PipelineConfig(freq_window=0)
     for name in ("adjacency_window", "border_distance", "reconnect_gap", "spur_length"):
@@ -208,7 +203,6 @@ EMPTY_RUN_CSV = """\
 # spur_length = 6
 # target_mean = 100.0
 # target_variance = 100.0
-# threshold = auto
 # tolerance = 8.0
 # variance_floor = 10.0
 record,image_id,sen,spe,matched,missed,false_count,ground_truth
@@ -350,7 +344,7 @@ def test_cli_extract_missing_file(tmp_path, capsys):
 
 def test_cli_bad_config_value(tmp_path, capsys):
     path, _, _ = write_synth_fixture(tmp_path)
-    assert main(["extract", str(path), "--threshold", "999"]) == EXIT_INPUT_ERROR
+    assert main(["extract", str(path), "--block-size", "2"]) == EXIT_INPUT_ERROR
 
 
 @pytest.mark.parametrize("command", ["eval", "extract"])
@@ -506,7 +500,10 @@ def test_cli_synth_unknown_spec_key_is_an_input_error(tmp_path, capsys):
     ("pattern = parallel:nan\n", "spec key pattern: numbers must be finite"),
     ("width = abc\n", "spec key width: expected int, got 'abc'"),
     ("inject = a,2,E\n", "expected 'inject = x,y,E|B', got 'inject = a,2,E'"),
-], ids=["noise-inf", "seed-negative", "width-0", "pattern-nan", "width-abc", "inject-a"])
+    ("width = 16\nheight = 16\npattern = concentric:1e308,0\n",
+     "spec key pattern: concentric center must have |cx|, |cy| <= 1e+06"),
+], ids=["noise-inf", "seed-negative", "width-0", "pattern-nan", "width-abc", "inject-a",
+        "concentric-far"])
 def test_cli_synth_bad_spec_value_is_an_input_error(tmp_path, capsys, text, message):
     spec_file = tmp_path / "spec.txt"
     spec_file.write_text(text)
@@ -548,16 +545,33 @@ def test_load_config_malformed_value_names_file_and_key(tmp_path, line, kind):
     assert str(exc.value) == f"{cfg}: config key {key}: expected {kind}, got {value!r}"
 
 
-def test_config_non_numeric_threshold_names_key():
-    with pytest.raises(ValueError, match=r"^threshold: expected 'auto' or an integer 0\.\.255, got 'abc'$"):
-        PipelineConfig(threshold="abc")
+def test_cli_threshold_config_key_is_an_input_error(tmp_path, capsys):
+    # binarization has one rule, the mean over recoverable pixels: no key sets it
+    path, _, _ = write_synth_fixture(tmp_path)
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("threshold = 128\n")
+    out = tmp_path / "out"
+    code = main(["extract", str(path), "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {cfg}: unknown config key 'threshold'\n"
+    assert not out.exists()
+
+
+def test_cli_threshold_flag_is_a_usage_error(tmp_path, capsys):
+    path, _, _ = write_synth_fixture(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", str(path), "--threshold", "128", "--out", str(out)])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "unrecognized arguments: --threshold 128" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line, message", [
     ("spur_length = -1", "spur_length must be >= 0"),
     ("border_distance = -3", "border_distance must be >= 0"),
-    ("threshold = 300", "threshold 300 outside [0, 255]"),
     ("sigma = 0", "sigma must be positive"),
+    ("tolerance = -1", "tolerance must be positive"),
 ])
 def test_cli_config_file_range_error_names_file_and_key(tmp_path, capsys, line, message):
     path, _, _ = write_synth_fixture(tmp_path)
@@ -565,7 +579,7 @@ def test_cli_config_file_range_error_names_file_and_key(tmp_path, capsys, line, 
     cfg.write_text(line + "\n")
     key = line.split()[0]
     # a flag that overrides the key does not excuse the file's bad value
-    for flags in ([], ["--threshold", "128"]):
+    for flags in ([], ["--tolerance", "8"]):
         code = main(["extract", str(path), "--config", str(cfg), *flags,
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_INPUT_ERROR
@@ -628,9 +642,9 @@ def test_cli_non_finite_config_value_is_an_input_error(tmp_path, capsys, key, va
 
 def test_cli_flag_range_error_keeps_its_message(tmp_path, capsys):
     path, _, _ = write_synth_fixture(tmp_path)
-    code = main(["extract", str(path), "--threshold", "300", "--out", str(tmp_path / "out")])
+    code = main(["extract", str(path), "--block-size", "2", "--out", str(tmp_path / "out")])
     assert code == EXIT_INPUT_ERROR
-    assert capsys.readouterr().err == "error: threshold 300 outside [0, 255]\n"
+    assert capsys.readouterr().err == "error: block_size must be >= 4\n"
 
 
 def test_run_eval_worker_death_becomes_error_rows(tmp_path, monkeypatch):

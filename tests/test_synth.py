@@ -117,6 +117,17 @@ def test_parse_concentric(tmp_path):
 
 NOISE_RULE = "noise_amplitude must be >= 0 and 2*noise_amplitude finite"
 PATTERN_FORMS = "expected 'parallel:DEG' or 'concentric:CX,CY'"
+CENTER_RULE = "concentric center must have |cx|, |cy| <= 1e+06"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_concentric_center_bound():
+    # at the bound the ring phase stays finite and the rings are drawn
+    img, _ = generate(SynthSpec(16, 16, ConcentricPattern(-1e6, 1e6)))
+    assert img.pixels.max() - img.pixels.min() > 100
+    for cx, cy in [(1.000001e6, 0.0), (0.0, -1e308)]:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'pattern: {CENTER_RULE}')}$"):
+            SynthSpec(16, 16, ConcentricPattern(cx, cy))
 
 
 def test_parse_rejects_bad_lines(tmp_path):
@@ -135,6 +146,7 @@ def test_parse_rejects_bad_lines(tmp_path):
         ("height = -3\n", "spec key height: width and height must be >= 1"),
         ("pattern = parallel:nan\n", "spec key pattern: numbers must be finite"),
         ("pattern = concentric:inf,0\n", "spec key pattern: numbers must be finite"),
+        ("pattern = concentric:0,-2e6\n", f"spec key pattern: {CENTER_RULE}"),
         ("width = abc\n", "spec key width: expected int, got 'abc'"),
         ("inject = a,2,E\n", "expected 'inject = x,y,E|B', got 'inject = a,2,E'"),
         ("inject = 100,100,ending\n",
