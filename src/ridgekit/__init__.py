@@ -27,7 +27,6 @@ from .minutiae import (
     ENDING,
     Minutia,
     MinutiaeSet,
-    PostprocessParams,
     extract_minutiae,
     postprocess,
     read_minutiae,

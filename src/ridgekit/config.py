@@ -10,7 +10,6 @@ from pathlib import Path
 from . import enhance
 from .evaluate import DEFAULT_TOLERANCE
 from .image import DEFAULT_TARGET_MEAN, DEFAULT_TARGET_VARIANCE
-from .minutiae import PostprocessParams
 
 
 @dataclass(frozen=True)
@@ -24,10 +23,10 @@ class PipelineConfig:
     variance_floor: float = enhance.DEFAULT_VARIANCE_FLOOR
     target_mean: float = DEFAULT_TARGET_MEAN
     target_variance: float = DEFAULT_TARGET_VARIANCE
-    adjacency_window: int = PostprocessParams.adjacency_window
-    border_distance: int = PostprocessParams.border_distance
-    reconnect_gap: int = PostprocessParams.reconnect_gap
-    spur_length: int = PostprocessParams.spur_length
+    adjacency_window: int = 6
+    border_distance: int = 10
+    reconnect_gap: int = 6
+    spur_length: int = 6  # ridge-path distance; endings at <= this are spurs
     tolerance: float = DEFAULT_TOLERANCE
     dump_intermediates: bool = False
 
@@ -47,15 +46,9 @@ class PipelineConfig:
             raise ValueError("sigma must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        self.postprocess_params()  # raises on a negative window
-
-    def postprocess_params(self) -> PostprocessParams:
-        return PostprocessParams(
-            adjacency_window=self.adjacency_window,
-            border_distance=self.border_distance,
-            reconnect_gap=self.reconnect_gap,
-            spur_length=self.spur_length,
-        )
+        for name in ("adjacency_window", "border_distance", "reconnect_gap", "spur_length"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     def echo_lines(self) -> list[str]:
         """Stable key=value listing for report embedding."""

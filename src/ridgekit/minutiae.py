@@ -10,11 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .binary import _NEIGHBOR_OFFSETS, Skeleton
+
+if TYPE_CHECKING:  # config imports evaluate, which imports this module
+    from .config import PipelineConfig
 
 ENDING = "ending"
 BIFURCATION = "bifurcation"
@@ -60,19 +63,6 @@ class MinutiaeSet:
 
     def __len__(self) -> int:
         return len(self.minutiae)
-
-
-@dataclass(frozen=True)
-class PostprocessParams:
-    adjacency_window: int = 6
-    border_distance: int = 10
-    reconnect_gap: int = 6
-    spur_length: int = 6  # ridge-path distance; endings at <= this are spurs
-
-    def __post_init__(self):
-        for name in ("adjacency_window", "border_distance", "reconnect_gap", "spur_length"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 def _count_grid(bits: np.ndarray) -> np.ndarray:
@@ -291,7 +281,7 @@ def _angle_between(a: float, b: float) -> float:
 
 
 def postprocess(
-    mset: MinutiaeSet, skel: Skeleton, params: PostprocessParams
+    mset: MinutiaeSet, skel: Skeleton, config: PipelineConfig
 ) -> tuple[MinutiaeSet, Skeleton]:
     """Remove spurious minutiae and repair broken ridges.
 
@@ -330,7 +320,7 @@ def postprocess(
     window = [dy * pw + dx for dy, dx in _WINDOW_BY_DISTANCE]
     offsets = np.array([dy * pw + dx for dy, dx in _NEIGHBOR_OFFSETS])
     starts = (ys[~is_bif] + 1) * pw + xs[~is_bif] + 1
-    trail, hit = _spur_walks(grid, offsets, starts, params.spur_length)
+    trail, hit = _spur_walks(grid, offsets, starts, config.spur_length)
     near_erased = np.zeros(grid.size + 1, bool)  # the last entry is read by -1 padding
     stale = np.zeros(starts.size, bool)
     for k, start in enumerate(starts.tolist()):
@@ -338,7 +328,7 @@ def postprocess(
             continue  # no spur, or already erased by an earlier spur
         walk, moves = trail[k], hit[k]
         if stale[k]:
-            walked, moved = _spur_walks(grid, offsets, starts[k : k + 1], params.spur_length)
+            walked, moved = _spur_walks(grid, offsets, starts[k : k + 1], config.spur_length)
             walk, moves = walked[0], moved[0]
         if moves < 0:
             continue
@@ -358,19 +348,19 @@ def postprocess(
 
     # (2) border
     edge = np.minimum(np.minimum(xs, ys), np.minimum(w - 1 - xs, h - 1 - ys))
-    live &= edge >= params.border_distance
+    live &= edge >= config.border_distance
 
     # (3) reconnection of broken ridges
     ends = np.flatnonzero(live & ~is_bif)
     endings = [ms[k] for k in ends]
-    near_i, near_j = close_pairs(endings, endings, params.reconnect_gap)
+    near_i, near_j = close_pairs(endings, endings, config.reconnect_gap)
     candidates = []
     for i, j in zip(near_i.tolist(), near_j.tolist()):
         if i >= j:
             continue
         a, b = endings[i], endings[j]
         dist = math.hypot(a.x - b.x, a.y - b.y)
-        if dist > params.reconnect_gap:
+        if dist > config.reconnect_gap:
             continue
         if _angle_between(a.direction, b.direction) < math.pi - math.pi / 6:
             continue
@@ -390,7 +380,7 @@ def postprocess(
     # (4) mutual adjacency
     alive = np.flatnonzero(live)
     survivors = [ms[k] for k in alive]
-    near_i, near_j = close_pairs(survivors, survivors, params.adjacency_window)
+    near_i, near_j = close_pairs(survivors, survivors, config.adjacency_window)
     live[alive[near_i[near_i != near_j]]] = False
 
     kept = np.flatnonzero(live)
@@ -416,22 +406,29 @@ def write_minutiae(path: str | Path, mset: MinutiaeSet, width: int, height: int)
 
 
 def read_minutiae(path: str | Path) -> tuple[MinutiaeSet, int, int]:
-    """Read a minutiae file; returns (set, width, height)."""
+    """Read a minutiae file; returns (set, width, height).
+
+    The image id is everything before the header's last two tokens, so it
+    may contain spaces. Coordinates and sizes must be integers and the
+    direction finite.
+    """
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path}: missing '# image_id width height' header")
-    header = lines[0][1:].split()
-    if len(header) != 3:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}")
-    image_id, width, height = header[0], int(header[1]), int(header[2])
+    try:
+        image_id, width, height = lines[0][1:].rsplit(maxsplit=2)
+        width, height = int(width), int(height)
+    except ValueError:
+        raise ValueError(f"{path}: malformed header {lines[0]!r}") from None
     minutiae = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4 or parts[2] not in CODE_KIND:
-            raise ValueError(f"{path}: malformed minutia line {ln!r}")
-        minutiae.append(
-            Minutia(int(parts[0]), int(parts[1]), CODE_KIND[parts[2]],
-                    math.radians(float(parts[3])))
-        )
-    return MinutiaeSet(image_id, tuple(minutiae), POSTPROCESSED), width, height
+        try:
+            x, y, code, degrees = ln.split()
+            direction = math.radians(float(degrees))
+            if code not in CODE_KIND or not math.isfinite(direction):
+                raise ValueError
+            minutiae.append(Minutia(int(x), int(y), CODE_KIND[code], direction))
+        except ValueError:
+            raise ValueError(f"{path}: malformed minutia line {ln!r}") from None
+    return MinutiaeSet(image_id.strip(), tuple(minutiae), POSTPROCESSED), width, height

@@ -67,7 +67,7 @@ def extract_from_image(img: GrayImage, image_id: str, config: PipelineConfig) ->
     bin_img = binarize(work, auto_threshold(work, mask))
     skel = thin(bin_img)
     raw = extract_minutiae(skel, image_id)
-    final, _ = postprocess(raw, skel, config.postprocess_params())
+    final, _ = postprocess(raw, skel, config)
 
     return ExtractOutcome(image_id, final, None, {
         "enhanced": enhanced, "binary": bin_img, "skeleton": skel,

@@ -23,7 +23,6 @@ from ridgekit.image import GrayImage, normalize
 from ridgekit.minutiae import (
     BIFURCATION,
     ENDING,
-    PostprocessParams,
     extract_minutiae,
     postprocess,
 )
@@ -185,14 +184,14 @@ def test_criterion_7_spur_rule():
     for length in (3, 5, 6):
         skel = fixture(length)
         final, _ = postprocess(
-            extract_minutiae(skel, "s"), skel, PostprocessParams()
+            extract_minutiae(skel, "s"), skel, PipelineConfig()
         )
         assert not any(m.kind == BIFURCATION for m in final.minutiae), length
         assert not any(m.kind == ENDING for m in final.minutiae), length
     for length in (8, 12):
         skel = fixture(length)
         final, _ = postprocess(
-            extract_minutiae(skel, "s"), skel, PostprocessParams()
+            extract_minutiae(skel, "s"), skel, PipelineConfig()
         )
         assert any(m.kind == BIFURCATION for m in final.minutiae), length
     elapsed = time.perf_counter() - t0

@@ -13,7 +13,6 @@ from ridgekit.minutiae import (
     ENDING,
     Minutia,
     MinutiaeSet,
-    PostprocessParams,
     extract_minutiae,
     postprocess,
     read_minutiae,
@@ -243,7 +242,7 @@ def test_spur_removed_at_or_below_six(length):
     skel, junction, tip = make_spur_fixture(length)
     raw = extract_minutiae(skel, "spur")
     assert any(m.kind == BIFURCATION for m in raw.minutiae)
-    final, out_skel = postprocess(raw, skel, PostprocessParams())
+    final, out_skel = postprocess(raw, skel, PipelineConfig())
     assert not any(m.kind == BIFURCATION for m in final.minutiae)
     assert not any((m.x, m.y) == tip for m in final.minutiae)
     # spur branch erased from the returned skeleton
@@ -255,7 +254,7 @@ def test_spur_removed_at_or_below_six(length):
 def test_spur_kept_above_six(length):
     skel, junction, tip = make_spur_fixture(length)
     raw = extract_minutiae(skel, "spur")
-    final, out_skel = postprocess(raw, skel, PostprocessParams())
+    final, out_skel = postprocess(raw, skel, PipelineConfig())
     assert any(m.kind == BIFURCATION for m in final.minutiae)
     assert out_skel.bits[tip[1], tip[0]] == 1
 
@@ -267,7 +266,7 @@ def test_spur_example_counts():
     raw = extract_minutiae(skel, "spur4")
     assert sum(m.kind == BIFURCATION for m in raw.minutiae) == 1
     assert sum(m.kind == ENDING for m in raw.minutiae) == 3  # tip + 2 ridge ends
-    final, _ = postprocess(raw, skel, PostprocessParams())
+    final, _ = postprocess(raw, skel, PipelineConfig())
     assert len(final) == 0  # ridge-end minutiae die by the border rule
 
 
@@ -302,7 +301,7 @@ def test_gap_reconnection():
     skel = Skeleton(bits)
     raw = extract_minutiae(skel, "gap")
     assert [m.kind for m in raw.minutiae] == [ENDING, ENDING]
-    final, out_skel = postprocess(raw, skel, PostprocessParams())
+    final, out_skel = postprocess(raw, skel, PipelineConfig())
     assert len(final) == 0
     for y, x in gap:
         assert out_skel.bits[y, x] == 1  # segment drawn back in
@@ -315,7 +314,7 @@ def test_gap_reconnection_merges_components():
     skel = Skeleton(bits)
     assert ndimage.label(skel.bits, structure=EIGHT)[1] == 2
     raw = extract_minutiae(skel, "merge")
-    final, out_skel = postprocess(raw, skel, PostprocessParams())
+    final, out_skel = postprocess(raw, skel, PipelineConfig())
     assert ndimage.label(out_skel.bits, structure=EIGHT)[1] == 1
     # only the outer endpoints survive
     assert sorted((m.x, m.y) for m in final.minutiae) == [(10, 20), (45, 20)]
@@ -328,7 +327,7 @@ def test_reconnection_blocked_by_crossing_ridge():
     bits[10:31, 27] = 1  # a ridge passes through the gap
     skel = Skeleton(bits)
     raw = extract_minutiae(skel, "blocked")
-    final, out_skel = postprocess(raw, skel, PostprocessParams(border_distance=3))
+    final, out_skel = postprocess(raw, skel, PipelineConfig(border_distance=3))
     assert ndimage.label(out_skel.bits, structure=EIGHT)[1] == ndimage.label(bits, structure=EIGHT)[1]
 
 
@@ -337,7 +336,7 @@ def test_border_removal():
     bits[15, 3:28] = 1  # ending at x=3, 3 px from border
     skel = Skeleton(bits)
     raw = extract_minutiae(skel, "border")
-    final, _ = postprocess(raw, skel, PostprocessParams(border_distance=10))
+    final, _ = postprocess(raw, skel, PipelineConfig(border_distance=10))
     assert not any(m.x == 3 for m in final.minutiae)
 
 
@@ -347,7 +346,7 @@ def test_adjacency_removes_both():
     bits[24, 12:18] = 1  # two parallel stubs; their tips at x=17 are 4 apart
     skel = Skeleton(bits)
     raw = extract_minutiae(skel, "adj")
-    final, _ = postprocess(raw, skel, PostprocessParams(border_distance=2, reconnect_gap=0))
+    final, _ = postprocess(raw, skel, PipelineConfig(border_distance=2, reconnect_gap=0))
     # tips at (17,20) and (17,24) are Chebyshev 4 <= 6: both die; tail tips at
     # (12,20),(12,24) likewise
     assert len(final) == 0
@@ -362,7 +361,7 @@ def test_postprocess_idempotent_and_monotone():
 
     skel = thin(BinaryImage(bits))
     raw = extract_minutiae(skel, "idem")
-    params = PostprocessParams()
+    params = PipelineConfig()
     once_set, once_skel = postprocess(raw, skel, params)
     assert len(once_set) <= len(raw)
     assert (
@@ -407,6 +406,34 @@ def test_read_minutiae_rejects_malformed(tmp_path):
     bad.write_text("5 6 E 0.0\n")
     with pytest.raises(ValueError):
         read_minutiae(bad)
+
+
+def test_minutiae_file_round_trips_an_id_with_spaces(tmp_path):
+    mset = MinutiaeSet("my  scan", (Minutia(5, 6, ENDING, 0.0),), "postprocessed")
+    path = tmp_path / "my  scan.txt"
+    write_minutiae(path, mset, 64, 48)
+    back, width, height = read_minutiae(path)
+    assert (back.image_id, width, height) == ("my  scan", 64, 48)
+    assert back.minutiae == mset.minutiae
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# a 10 x\n", "malformed header '# a 10 x'"),
+    ("# a 1.5 10\n", "malformed header '# a 1.5 10'"),
+    ("# 10 10\n", "malformed header '# 10 10'"),  # no image id
+    ("# a 10 10\n1.5 2 E 30\n", "malformed minutia line '1.5 2 E 30'"),
+    ("# a 10 10\n1 y E 30\n", "malformed minutia line '1 y E 30'"),
+    ("# a 10 10\n1 2 E abc\n", "malformed minutia line '1 2 E abc'"),
+    ("# a 10 10\n1 2 E nan\n", "malformed minutia line '1 2 E nan'"),
+    ("# a 10 10\n1 2 B inf\n", "malformed minutia line '1 2 B inf'"),
+    ("# a 10 10\n1 2 E -inf\n", "malformed minutia line '1 2 E -inf'"),
+], ids=["width", "height", "no-id", "x", "y", "direction", "nan", "inf", "-inf"])
+def test_read_minutiae_bad_value_names_file_and_line(tmp_path, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_minutiae(bad)
+    assert str(exc.value) == f"{bad}: {message}"
 
 
 # --- per-pixel references for the array code in extract_minutiae/postprocess
@@ -558,7 +585,7 @@ def _reference_postprocess(mset, skel, params):
     return MinutiaeSet(mset.image_id, tuple(current), "postprocessed"), bits
 
 
-def _assert_matches_references(skel, image_id, params=PostprocessParams()):
+def _assert_matches_references(skel, image_id, params=PipelineConfig()):
     raw = extract_minutiae(skel, image_id)
     assert raw.minutiae == _reference_extract(skel, image_id).minutiae
     final, final_skel = postprocess(raw, skel, params)
@@ -595,7 +622,8 @@ def test_extract_and_postprocess_match_reference_on_corpus(corpus_bitmaps):
 
 def test_extract_and_postprocess_match_reference_on_random_skeletons():
     for image_id, skel in _random_skeletons():
-        for params in (PostprocessParams(), PostprocessParams(2, 0, 12, 9)):
+        for params in (PipelineConfig(), PipelineConfig(adjacency_window=2, border_distance=0,
+                                                        reconnect_gap=12, spur_length=9)):
             _assert_matches_references(skel, image_id, params)
 
 
@@ -604,7 +632,8 @@ def test_postprocess_matches_reference_on_raw_noise(seed):
     # unthinned noise: thick clusters, many near ties in every rule
     rng = np.random.default_rng(seed)
     skel = Skeleton((rng.random((48, 64)) < 0.3).astype(np.uint8))
-    for params in (PostprocessParams(), PostprocessParams(1, 3, 9, 3)):
+    for params in (PipelineConfig(), PipelineConfig(adjacency_window=1, border_distance=3,
+                                                    reconnect_gap=9, spur_length=3)):
         _assert_matches_references(skel, "noise", params)
 
 
@@ -623,8 +652,8 @@ def blurred_noise_skeletons():
 
 
 @pytest.mark.parametrize("params", [
-    PostprocessParams(), PostprocessParams(spur_length=0), PostprocessParams(spur_length=1),
-    PostprocessParams(spur_length=20),
+    PipelineConfig(), PipelineConfig(spur_length=0), PipelineConfig(spur_length=1),
+    PipelineConfig(spur_length=20),
 ], ids=["default", "spur_length_0", "spur_length_1", "spur_length_20"])
 def test_extract_and_postprocess_match_reference_on_accepted_blurred_noise(
         blurred_noise_skeletons, params):
@@ -640,7 +669,8 @@ def test_spur_walk_never_steps_back_onto_its_start():
     for y, x in octagon_ring(y0=4, x0=6, straight=3, corner=2) + [(3, 5), (2, 4), (1, 3)]:
         bits[y, x] = 1
     mset = MinutiaeSet("loop", (Minutia(6, 4, ENDING, 0.0), Minutia(3, 1, ENDING, 0.0)), "raw")
-    params = PostprocessParams(0, 0, 0, 20)  # the ring is 20 px round
+    params = PipelineConfig(adjacency_window=0, border_distance=0, reconnect_gap=0,
+                            spur_length=20)  # the ring is 20 px round
     final, final_skel = postprocess(mset, Skeleton(bits), params)
     want, want_bits = _reference_postprocess(mset, Skeleton(bits), params)
     assert final.minutiae == want.minutiae
@@ -660,7 +690,8 @@ def test_reconnection_equal_distance_ties_match_reference():
     bits[46, 20:38] = 1
     bits[50, 20:36] = 1
     bits[50, 40:55] = 1
-    raw, final = _assert_matches_references(Skeleton(bits), "ties", PostprocessParams(2, 2, 6, 6))
+    params = PipelineConfig(adjacency_window=2, border_distance=2, reconnect_gap=6, spur_length=6)
+    raw, final = _assert_matches_references(Skeleton(bits), "ties", params)
     assert {(m.x, m.y) for m in raw.minutiae} - {(m.x, m.y) for m in final.minutiae} == {
         (29, 20), (34, 20), (37, 46), (40, 50)
     }
@@ -684,7 +715,8 @@ def test_spur_bifurcation_ties_match_reference(seed):
     rng.shuffle(minutiae)
     skel = Skeleton(bits)
     mset = MinutiaeSet("ties", tuple(minutiae), "raw")
-    params = PostprocessParams(0, 0, 0, 6)
+    params = PipelineConfig(adjacency_window=0, border_distance=0, reconnect_gap=0,
+                            spur_length=6)
     final, final_skel = postprocess(mset, skel, params)
     want, want_bits = _reference_postprocess(mset, skel, params)
     assert final.minutiae == want.minutiae

@@ -14,7 +14,7 @@ from ridgekit.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_REJECTED, main
 from ridgekit.config import PipelineConfig, load_config, read_key_values
 from ridgekit.evaluate import match_minutiae
 from ridgekit.image import GrayImage, save_pgm
-from ridgekit.minutiae import PostprocessParams, read_minutiae
+from ridgekit.minutiae import read_minutiae
 import ridgekit
 from ridgekit import enhance as enh
 from ridgekit import pipeline
@@ -84,7 +84,6 @@ def test_config_echo_stable():
 
 
 def test_config_postprocess_defaults_come_from_params():
-    assert PipelineConfig().postprocess_params() == PostprocessParams()
     assert {"adjacency_window = 6", "border_distance = 10", "reconnect_gap = 6",
             "spur_length = 6"} <= set(PipelineConfig().echo_lines())
 
@@ -565,6 +564,33 @@ def test_cli_threshold_flag_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == EXIT_INPUT_ERROR
     assert "unrecognized arguments: --threshold 128" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "eval"])
+def test_cli_unknown_flag_shows_the_subcommand_usage(tmp_path, capsys, command):
+    path, _, _ = write_synth_fixture(tmp_path)
+    inputs = [str(path)] if command == "extract" else [str(tmp_path), str(tmp_path)]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, "--bogus", "--out", str(out)])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ridgekit {command} ")
+    assert f"ridgekit {command}: error: unrecognized arguments: --bogus\n" in err
+    assert not out.exists()
+
+
+def test_cli_extract_then_eval_round_trips_an_id_with_spaces(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    path, _, _ = write_synth_fixture(data)
+    scan = path.rename(data / "my scan.pgm")
+    assert main(["extract", str(scan), "--out", str(tmp_path / "truth")]) == EXIT_OK
+    assert (tmp_path / "truth" / "my scan.txt").read_text().startswith("# my scan 256 256\n")
+    out = tmp_path / "out"
+    assert main(["eval", str(data), str(tmp_path / "truth"), "--out", str(out)]) == EXIT_OK
+    text = (out / "report.txt").read_text()
+    assert "\nimages evaluated: 1\n" in text and "errors" not in text
 
 
 @pytest.mark.parametrize("line, message", [
