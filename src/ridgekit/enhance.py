@@ -407,7 +407,8 @@ def _separable_bank(
     degrees: np.ndarray, freqs: np.ndarray, sigma: float, half: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The Gabor kernel of each (degrees, freq) key as an x-pass and a
-    y-pass filter, each (len(degrees), 3, K).
+    y-pass filter, each (len(degrees), 3 (K + 1)): three channels of K taps,
+    each followed by a zero tap.
 
     The kernel on the K x K grid dx, dy in [-half, half] is
     exp(-(dx^2 + dy^2) / 2 sigma^2) cos(2 pi freq (dx ux + dy uy)) minus its
@@ -416,19 +417,28 @@ def _separable_bank(
     and h_y likewise with uy, and its mean is Re(sum h_x * sum h_y) / K^2.
     The x pass filters rows with Re h_x, Im h_x and ones (box sum); the y
     pass weights those channels with Re h_y, -Im h_y and -mean, and sums
-    them.
+    them. Only the taps t >= 0 are computed, by the real cos and sin of the
+    phase 2 pi freq t u, multiplied in that order; the taps t < 0 mirror
+    them. Each tap equals the complex exp's, bit for bit.
     """
     across = np.radians(degrees) + np.pi / 2
-    t = np.arange(-half, half + 1, dtype=np.float64)
+    t = np.arange(half + 1, dtype=np.float64)
     envelope = np.exp(-0.5 * t**2 / sigma**2)
-    phase = 2j * np.pi * freqs[:, None] * t
-    hx = envelope * np.exp(phase * np.cos(across)[:, None])
-    hy = envelope * np.exp(phase * np.sin(across)[:, None])
-    mean = (hx.sum(axis=1) * hy.sum(axis=1)).real / t.size**2
-    ones = np.ones_like(hx.real)
-    x_bank = np.stack([hx.real, hx.imag, ones], axis=1)
-    y_bank = np.stack([hy.real, -hy.imag, -mean[:, None] * ones], axis=1)
-    return x_bank, y_bank
+    phase = 2 * np.pi * freqs[:, None] * t * np.stack((np.cos(across), np.sin(across)))[:, :, None]
+    size = 2 * half + 1
+    banks = np.zeros((2, len(degrees), 3, size + 1))  # x, y
+    re, im = banks[:, :, 0, :size], banks[:, :, 1, :size]
+    np.multiply(envelope, np.cos(phase), out=re[..., half:])
+    np.multiply(envelope, np.sin(phase), out=im[..., half:])
+    re[..., :half] = re[..., :half:-1]  # h(-t) is the conjugate of h(t)
+    np.negative(im[..., :half:-1], out=im[..., :half])
+    # summed as complex numbers: numpy orders a complex sum unlike a real one
+    sums = (re + 1j * im).sum(axis=2)
+    x_bank, y_bank = banks
+    x_bank[:, 2, :size] = 1.0
+    np.negative(y_bank[:, 1], out=y_bank[:, 1])
+    y_bank[:, 2, :size] = -((sums[0] * sums[1]).real / size**2)[:, None]
+    return x_bank.reshape(len(degrees), -1), y_bank.reshape(len(degrees), -1)
 
 
 def gabor_response(
@@ -489,9 +499,8 @@ def gabor_response(
         degrees, freqs = _kernel_keys(orient.theta[r0:r1][labels], freq.freq[r0:r1][labels])
         if not len(degrees):
             continue
-        # a zero tap after each channel's taps: every lag outside the band reads it
-        x_taps, y_taps = (np.pad(bank, ((0, 0), (0, 0), (0, 1))).reshape(len(degrees), -1)
-                          for bank in _separable_bank(degrees, freqs, sigma, half))
+        # every lag outside the band reads the zero tap after each channel
+        x_taps, y_taps = _separable_bank(degrees, freqs, sigma, half)
         slab = np.pad(data.take(padded_rows[top : r1 * bs + 2 * half], axis=0),
                       ((0, 0), (half, half + cols * bs - w)), mode="reflect")
         windows = sliding_window_view(slab, (span, span))[::bs, ::bs]  # [r, c] at (r bs, c bs)

@@ -113,15 +113,18 @@ def _walk_step(flat: np.ndarray, offsets: np.ndarray, cur: np.ndarray,
 
 def _branch_vectors(
     bits: np.ndarray, ys: np.ndarray, xs: np.ndarray
-) -> list[list[tuple[float, float]]]:
-    """Unit tangents of the branches leaving each ridge pixel (xs[k], ys[k]).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, dx, dy): the end offset (dx, dy) of each walk along a branch
+    leaving a ridge pixel (xs[owner], ys[owner]). Walks are grouped by
+    pixel, in the order of ys and xs.
 
     Each branch is walked from one ridge neighbor of the pixel, taken in
     _NEIGHBOR_OFFSETS order, for up to DIRECTION_WALK_STEPS moves, each to
     the first unvisited ridge neighbor; the pixel and all of its branch
     starts count as visited. A walk stops early at a dead end or where more
-    than one continuation is free. All walks of all pixels advance in
-    lockstep (_walk_step).
+    than one continuation is free, and never back on its pixel, so no
+    offset is (0, 0). All walks of all pixels advance in lockstep
+    (_walk_step).
     """
     pw = bits.shape[1] + 2
     flat = np.pad(bits, 1).ravel()  # out-of-image neighbors read as background
@@ -145,30 +148,53 @@ def _branch_vectors(
         visited[live, 9 + step] = cur[live]
 
     ey, ex = np.divmod(cur, pw)
-    vectors: list[list[tuple[float, float]]] = [[] for _ in range(len(ys))]
-    for k, dx, dy in zip(owner.tolist(), (ex - 1 - xs[owner]).tolist(),
-                         (ey - 1 - ys[owner]).tolist()):
-        norm = math.hypot(dx, dy)  # > 0: a walk never returns to its center
-        vectors[k].append((dx / norm, dy / norm))
-    return vectors
+    return owner, ex - 1 - xs[owner], ey - 1 - ys[owner]
 
 
-def _minutia_direction(vecs: list[tuple[float, float]], kind: str) -> float:
-    if not vecs:
-        return 0.0
-    if kind == ENDING or len(vecs) == 1:
-        vx, vy = vecs[0]
-        return math.atan2(vy, vx) % (2 * math.pi)
-    # bifurcation: the branch aligned with the other two's bisector (the stem)
-    best, best_score = vecs[0], -1.0
-    for i, (vx, vy) in enumerate(vecs[:3]):
-        sx = sum(v[0] for j, v in enumerate(vecs[:3]) if j != i)
-        sy = sum(v[1] for j, v in enumerate(vecs[:3]) if j != i)
-        norm = math.hypot(sx, sy)
-        score = abs(vx * sx + vy * sy) / norm if norm > 1e-9 else 0.0
-        if score > best_score:
-            best, best_score = (vx, vy), score
-    return math.atan2(best[1], best[0]) % (2 * math.pi)
+def _offset_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(unit, direction) of every walk end offset (dx, dy) within
+    R = DIRECTION_WALK_STEPS, at row (dy + R) (2R + 1) + dx + R: the unit
+    vector (dx, dy) / hypot(dx, dy) and its angle in [0, 2pi). The angle is
+    math.atan2's, which np.arctan2 does not always equal. (0, 0) gets 0s."""
+    reach = range(-DIRECTION_WALK_STEPS, DIRECTION_WALK_STEPS + 1)
+    unit, direction = np.zeros((len(reach) ** 2, 2)), np.zeros(len(reach) ** 2)
+    for k, (dy, dx) in enumerate((dy, dx) for dy in reach for dx in reach):
+        norm = math.hypot(dx, dy)
+        if norm:
+            unit[k] = dx / norm, dy / norm
+            direction[k] = math.atan2(dy / norm, dx / norm) % (2 * math.pi)
+    return unit, direction
+
+
+_UNIT, _DIRECTION = _offset_tables()
+
+
+def _minutia_directions(owner: np.ndarray, dx: np.ndarray, dy: np.ndarray,
+                        is_bif: np.ndarray) -> np.ndarray:
+    """The direction of each minutia k from the end offsets of its walks,
+    owner == k, as _branch_vectors gives them; every minutia has one. An
+    ending takes its first walk's, as does a bifurcation with one walk.
+    Another bifurcation takes its stem's: of its first three walks, the one
+    whose unit vector v best aligns with the sum s of the other one or two,
+    by |v . s| / |s| (0 where |s| <= 1e-9), the first on ties.
+    """
+    side = 2 * DIRECTION_WALK_STEPS + 1
+    cell = (dy + DIRECTION_WALK_STEPS) * side + dx + DIRECTION_WALK_STEPS
+    first = np.searchsorted(owner, np.arange(is_bif.size))
+    count = np.diff(first, append=owner.size)
+    bif = np.flatnonzero(is_bif & (count >= 2))
+    two = count[bif] == 2
+    # a pair's third walk may lie past the last one; its vector is zeroed
+    v = _UNIT[cell[np.minimum(first[bif, None] + np.arange(3), owner.size - 1)]]
+    v[two, 2] = 0.0  # so the two sums of a pair are its other vectors
+    s = np.stack((v[:, 1] + v[:, 2], v[:, 0] + v[:, 2], v[:, 0] + v[:, 1]), axis=1)
+    norm = np.hypot(s[..., 0], s[..., 1])
+    dot = np.abs(v[..., 0] * s[..., 0] + v[..., 1] * s[..., 1])
+    score = np.divide(dot, norm, out=np.zeros_like(norm), where=norm > 1e-9)
+    score[two, 2] = -1.0
+    pick = first.copy()
+    pick[bif] += score.argmax(axis=1)
+    return _DIRECTION[cell[pick]]
 
 
 def extract_minutiae(skel: Skeleton, image_id: str = "") -> MinutiaeSet:
@@ -177,7 +203,8 @@ def extract_minutiae(skel: Skeleton, image_id: str = "") -> MinutiaeSet:
     Clusters of 8-adjacent bifurcation-flagged pixels (thick junction
     artifacts) collapse to the member with the highest neighborhood count,
     ties broken row-major. Directions come from short walks along every
-    branch of every minutia, run in lockstep (_branch_vectors).
+    branch of every minutia, run in lockstep (_branch_vectors), and a table
+    of the angle of each walk end offset (_minutia_directions).
     """
     bits = skel.bits
     counts = _count_grid(bits)
@@ -192,13 +219,13 @@ def extract_minutiae(skel: Skeleton, image_id: str = "") -> MinutiaeSet:
 
     ys = np.concatenate([end_y, bif_y])
     xs = np.concatenate([end_x, bif_x])
-    kinds = [ENDING] * end_y.size + [BIFURCATION] * bif_y.size
     order = np.lexsort((xs, ys))
-    ys, xs = ys[order], xs[order]
-    vectors = _branch_vectors(bits, ys, xs)
+    ys, xs, is_bif = ys[order], xs[order], order >= end_y.size
+    directions = _minutia_directions(*_branch_vectors(bits, ys, xs), is_bif)
     minutiae = tuple(
-        Minutia(x, y, kinds[k], _minutia_direction(vecs, kinds[k]))
-        for x, y, k, vecs in zip(xs.tolist(), ys.tolist(), order.tolist(), vectors)
+        Minutia(x, y, BIFURCATION if bif else ENDING, direction)
+        for x, y, bif, direction in zip(xs.tolist(), ys.tolist(), is_bif.tolist(),
+                                        directions.tolist())
     )
     return MinutiaeSet(image_id, minutiae, RAW)
 
@@ -409,8 +436,9 @@ def read_minutiae(path: str | Path) -> tuple[MinutiaeSet, int, int]:
     """Read a minutiae file; returns (set, width, height).
 
     The image id is everything before the header's last two tokens, so it
-    may contain spaces. Coordinates and sizes must be integers and the
-    direction finite.
+    may contain spaces. Coordinates and sizes must be integers, the sizes at
+    least 1, every point inside the width x height frame and at its own
+    coordinates, and the direction finite.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -421,14 +449,22 @@ def read_minutiae(path: str | Path) -> tuple[MinutiaeSet, int, int]:
         width, height = int(width), int(height)
     except ValueError:
         raise ValueError(f"{path}: malformed header {lines[0]!r}") from None
-    minutiae = []
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: header {lines[0]!r}: width and height must be >= 1")
+    minutiae, seen = [], set()
     for ln in lines[1:]:
         try:
             x, y, code, degrees = ln.split()
-            direction = math.radians(float(degrees))
+            x, y, direction = int(x), int(y), math.radians(float(degrees))
             if code not in CODE_KIND or not math.isfinite(direction):
                 raise ValueError
-            minutiae.append(Minutia(int(x), int(y), CODE_KIND[code], direction))
         except ValueError:
             raise ValueError(f"{path}: malformed minutia line {ln!r}") from None
+        if not (0 <= x < width and 0 <= y < height):
+            raise ValueError(f"{path}: minutia line {ln!r} is outside the "
+                             f"{width}x{height} frame")
+        if (x, y) in seen:
+            raise ValueError(f"{path}: duplicate minutia coordinates in line {ln!r}")
+        seen.add((x, y))
+        minutiae.append(Minutia(x, y, CODE_KIND[code], direction))
     return MinutiaeSet(image_id.strip(), tuple(minutiae), POSTPROCESSED), width, height

@@ -84,8 +84,12 @@ def run_extract(image_path: str | Path, config: PipelineConfig, out_dir: str | P
     unreadable or rejected image leaves no directory behind.
     """
     image_path = Path(image_path)
-    img = load_pgm(image_path)
-    stem = image_path.stem
+    return _extract_and_write(load_pgm(image_path), image_path.stem, config, out_dir)
+
+
+def _extract_and_write(img: GrayImage, stem: str, config: PipelineConfig,
+                       out_dir: str | Path) -> ExtractOutcome:
+    """run_extract on a loaded image."""
     outcome = extract_from_image(img, stem, config)
     if outcome.rejected:
         return outcome
@@ -111,19 +115,22 @@ def _eval_one(image_path: str, truth_path: str, config: PipelineConfig, out_dir:
     """Worker body for one dataset image; must stay picklable.
 
     Returns (kind, stem, value): ("ok", stem, MatchResult), ("rejected",
-    stem, recoverable fraction) or ("error", stem, message). The truth is
-    checked before extraction, so an image that cannot be scored writes
-    no minutiae file.
+    stem, recoverable fraction) or ("error", stem, message). The truth,
+    and its width and height against the image's, are checked before
+    extraction, so an image that cannot be scored writes no minutiae file.
     """
     stem = Path(image_path).stem
     try:
         truth_path = Path(truth_path)
         if not truth_path.exists():
             raise ValueError(f"missing truth file {truth_path.name}")
-        truth, _, _ = read_minutiae(truth_path)
+        truth, width, height = read_minutiae(truth_path)
         if not truth.minutiae:
             raise ValueError("metrics undefined for empty ground truth")
-        outcome = run_extract(image_path, config, out_dir)
+        img = load_pgm(image_path)
+        if (width, height) != (img.width, img.height):
+            raise ValueError(f"truth is {width}x{height}, image is {img.width}x{img.height}")
+        outcome = _extract_and_write(img, stem, config, out_dir)
         if outcome.rejected:
             return ("rejected", stem, outcome.rejection.recoverable_fraction)
         truth = replace(truth, image_id=stem)

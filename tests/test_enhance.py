@@ -446,6 +446,34 @@ def test_gabor_separable_one_kernel_key_matches_dense_path():
     assert_matches_dense(norm, orient, freq, enh.RegionMask(16, np.ones(shape, bool)))
 
 
+def _complex_bank(degrees, freqs, sigma, half):
+    """_separable_bank's taps from the complex exp over all K taps, each
+    channel followed by a zero tap: the reference for its real half-kernels."""
+    across = np.radians(degrees) + np.pi / 2
+    t = np.arange(-half, half + 1, dtype=np.float64)
+    envelope = np.exp(-0.5 * t**2 / sigma**2)
+    phase = 2j * np.pi * freqs[:, None] * t
+    hx = envelope * np.exp(phase * np.cos(across)[:, None])
+    hy = envelope * np.exp(phase * np.sin(across)[:, None])
+    mean = (hx.sum(axis=1) * hy.sum(axis=1)).real / t.size**2
+    ones = np.ones_like(hx.real)
+    banks = (np.stack([hx.real, hx.imag, ones], axis=1),
+             np.stack([hy.real, -hy.imag, -mean[:, None] * ones], axis=1))
+    return tuple(np.pad(b, ((0, 0), (0, 0), (0, 1))).reshape(len(degrees), -1) for b in banks)
+
+
+@pytest.mark.parametrize("sigma", [enh.DEFAULT_SIGMA, 3.5, 1.0, 0.3, 7.25])
+def test_separable_bank_equals_complex_taps_bit_for_bit(sigma):
+    rng = np.random.default_rng(7)
+    degrees = np.concatenate([np.arange(180.0), rng.integers(0, 180, 2000).astype(float)])
+    freqs = np.array([round(f, 6) for f in rng.uniform(1 / 25, 1 / 3, degrees.size)])
+    half = math.ceil(3.0 * sigma)
+    got = enh._separable_bank(degrees, freqs, sigma, half)
+    for g, want in zip(got, _complex_bank(degrees, freqs, sigma, half)):
+        assert g.shape == want.shape == (degrees.size, 3 * (2 * half + 2))
+        assert np.array_equal(g, want)
+
+
 def test_gabor_enhance_matches_dense_path_on_corpus(corpus_enhance_inputs, monkeypatch):
     # the enhanced 8-bit images, pixel for pixel, with the dense kernels
     # put in place of the separable ones under the same rescaling

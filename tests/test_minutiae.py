@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,12 +20,14 @@ from ridgekit.minutiae import (
     write_minutiae,
 )
 from ridgekit.minutiae import (
+    _DIRECTION,
     _NEIGHBOR_OFFSETS,
+    _UNIT,
     _angle_between,
     _branch_vectors,
     _clusters,
     _count_grid,
-    _minutia_direction,
+    _minutia_directions,
     _segment_pixels,
 )
 from ridgekit.pipeline import extract_from_image
@@ -427,7 +430,14 @@ def test_minutiae_file_round_trips_an_id_with_spaces(tmp_path):
     ("# a 10 10\n1 2 E nan\n", "malformed minutia line '1 2 E nan'"),
     ("# a 10 10\n1 2 B inf\n", "malformed minutia line '1 2 B inf'"),
     ("# a 10 10\n1 2 E -inf\n", "malformed minutia line '1 2 E -inf'"),
-], ids=["width", "height", "no-id", "x", "y", "direction", "nan", "inf", "-inf"])
+    ("# a -3 0\n", "header '# a -3 0': width and height must be >= 1"),
+    ("# a 10 0\n", "header '# a 10 0': width and height must be >= 1"),
+    ("# a 10 10\n10 2 E 30\n", "minutia line '10 2 E 30' is outside the 10x10 frame"),
+    ("# a 10 10\n1 -1 E 30\n", "minutia line '1 -1 E 30' is outside the 10x10 frame"),
+    ("# a 10 10\n1 2 E 30\n3 4 B 0\n1 2 B 90\n",
+     "duplicate minutia coordinates in line '1 2 B 90'"),
+], ids=["width", "height", "no-id", "x", "y", "direction", "nan", "inf", "-inf",
+        "negative-size", "zero-height", "x-outside", "y-outside", "duplicate"])
 def test_read_minutiae_bad_value_names_file_and_line(tmp_path, text, message):
     bad = tmp_path / "bad.txt"
     bad.write_text(text)
@@ -475,6 +485,35 @@ def _reference_branch_vectors(bits, y, x):
         norm = math.hypot(ex - x, ey - y)
         if norm > 0:
             vectors.append(((ex - x) / norm, (ey - y) / norm))
+    return vectors
+
+
+def _minutia_direction(vecs, kind):
+    """The direction of one minutia from the unit vectors of its branches,
+    scored in Python: the reference for _minutia_directions."""
+    if not vecs:
+        return 0.0
+    if kind == ENDING or len(vecs) == 1:
+        vx, vy = vecs[0]
+        return math.atan2(vy, vx) % (2 * math.pi)
+    # bifurcation: the branch aligned with the other two's bisector (the stem)
+    best, best_score = vecs[0], -1.0
+    for i, (vx, vy) in enumerate(vecs[:3]):
+        sx = sum(v[0] for j, v in enumerate(vecs[:3]) if j != i)
+        sy = sum(v[1] for j, v in enumerate(vecs[:3]) if j != i)
+        norm = math.hypot(sx, sy)
+        score = abs(vx * sx + vy * sy) / norm if norm > 1e-9 else 0.0
+        if score > best_score:
+            best, best_score = (vx, vy), score
+    return math.atan2(best[1], best[0]) % (2 * math.pi)
+
+
+def _unit_vectors(owner, dx, dy, n):
+    """Per owner 0..n-1, the unit vectors of its walks' end offsets."""
+    vectors = [[] for _ in range(n)]
+    for k, ex, ey in zip(owner.tolist(), dx.tolist(), dy.tolist()):
+        norm = math.hypot(ex, ey)
+        vectors[k].append((ex / norm, ey / norm))
     return vectors
 
 
@@ -611,8 +650,69 @@ def test_branch_vectors_match_reference_on_every_ridge_pixel():
     for bits in ((rng.random((30, 37)) < 0.35).astype(np.uint8),
                  thin(BinaryImage(make_blob_image(rng, 64))).bits):
         ys, xs = np.nonzero(bits)
-        got = _branch_vectors(bits, ys, xs)
+        got = _unit_vectors(*_branch_vectors(bits, ys, xs), ys.size)
         assert got == [_reference_branch_vectors(bits, y, x) for y, x in zip(ys, xs)]
+
+
+# every walk end offset (dx, dy) but (0, 0), and its row in _UNIT and _DIRECTION
+_REACH = range(-DIRECTION_WALK_STEPS, DIRECTION_WALK_STEPS + 1)
+_OFFSETS = [(dx, dy) for dy in _REACH for dx in _REACH if (dx, dy) != (0, 0)]
+
+
+def _cell(dx, dy):
+    return (dy + DIRECTION_WALK_STEPS) * len(_REACH) + dx + DIRECTION_WALK_STEPS
+
+
+def test_direction_table_is_math_atan2_on_every_offset():
+    assert len(_OFFSETS) == 120
+    for dx, dy in _OFFSETS:
+        h = math.hypot(dx, dy)
+        assert tuple(_UNIT[_cell(dx, dy)].tolist()) == (dx / h, dy / h)
+        assert _DIRECTION[_cell(dx, dy)] == math.atan2(dy / h, dx / h) % (2 * math.pi)
+
+
+def test_np_hypot_equals_math_hypot_on_every_pair_sum():
+    # the stem score divides by np.hypot of a sum of two table vectors
+    ux, uy = (_UNIT[[_cell(dx, dy) for dx, dy in _OFFSETS], axis] for axis in (0, 1))
+    sx, sy = np.add.outer(ux, ux).ravel(), np.add.outer(uy, uy).ravel()
+    assert sx.size == 14_400
+    assert np.hypot(sx, sy).tolist() == [math.hypot(a, b) for a, b in zip(sx.tolist(), sy.tolist())]
+
+
+def _assert_directions_match_reference(walks, is_bif):
+    """walks: one list of (dx, dy) end offsets per minutia."""
+    owner = np.repeat(np.arange(len(walks)), [len(w) for w in walks])
+    dx, dy = np.array([d for w in walks for d in w]).T
+    got = _minutia_directions(owner, dx, dy, np.array(is_bif))
+    vectors = _unit_vectors(owner, dx, dy, len(walks))
+    assert got.tolist() == [_minutia_direction(v, BIFURCATION if b else ENDING)
+                            for v, b in zip(vectors, is_bif)]
+
+
+def test_stem_choice_matches_reference_on_every_pair():
+    pairs = list(itertools.product(_OFFSETS, repeat=2))
+    _assert_directions_match_reference(pairs, [True] * len(pairs))
+
+
+def test_stem_choice_matches_reference_on_random_triples():
+    rng = np.random.default_rng(16)
+    triples = [[_OFFSETS[k] for k in row] for row in rng.integers(0, 120, (24_000, 3)).tolist()]
+    _assert_directions_match_reference(triples, [True] * len(triples))
+    # a fourth walk is not scored, and an ending takes its first walk
+    fourth = rng.integers(0, 120, len(triples)).tolist()
+    walks = [t + [_OFFSETS[k]] for t, k in zip(triples, fourth)] + triples[:100] + [[(1, 0)]]
+    _assert_directions_match_reference(walks, [True] * len(triples) + [False] * 101)
+
+
+def test_extract_matches_reference_on_a_dense_grating():
+    # a thinned noisy period-6 grating at 512^2: hundreds of raw minutiae
+    rng = np.random.default_rng(6)
+    y, x = np.mgrid[:512, :512]
+    wave = np.cos(2 * np.pi * (0.8 * x + 0.6 * y) / 6) + rng.normal(0, 0.25, (512, 512))
+    skel = thin(BinaryImage((wave > 0).astype(np.uint8)))
+    raw = extract_minutiae(skel, "grating")
+    assert len(raw) >= 500 and sum(m.kind == BIFURCATION for m in raw.minutiae) >= 200
+    assert raw.minutiae == _reference_extract(skel, "grating").minutiae
 
 
 def test_extract_and_postprocess_match_reference_on_corpus(corpus_bitmaps):

@@ -395,7 +395,7 @@ def test_cli_eval_and_synth(tmp_path, capsys):
     assert "Mean" in report and "block_size" in report
 
 
-# --- one per-image path: eval extracts and writes through run_extract ---
+# --- one per-image path: eval extracts and writes as run_extract does ---
 
 DUMP_SUFFIXES = ("_enhanced.pgm", "_binary.pgm", "_skeleton.pgm",
                  "_orientation.txt", "_frequency.txt")
@@ -452,6 +452,22 @@ def test_run_eval_empty_truth_is_an_error_row(tmp_path, capsys):
     assert sorted(p.name for p in o1.iterdir()) == sorted(p.name for p in o2.iterdir())
     for f in o1.iterdir():
         assert f.read_bytes() == (o2 / f.name).read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_eval_truth_of_another_size_is_an_error_row(tmp_path, workers):
+    data, truthd = build_corpus(tmp_path, n=2)
+    bad = sorted(truthd.glob("*.txt"))[1]
+    header, *points = bad.read_text().splitlines()
+    image_id, width, height = header.rsplit(maxsplit=2)
+    bad.write_text("\n".join([f"{image_id} {width} {int(height) + 1}", *points]) + "\n")
+    out = tmp_path / "out"
+    run = run_eval(data, truthd, PipelineConfig(), out, workers)
+    message = f"truth is {width}x{int(height) + 1}, image is {width}x{height}"
+    assert run.report.n == 1
+    assert run.errors == ((bad.stem, message),)
+    assert f"  {bad.stem}  {message}" in (out / "report.txt").read_text().splitlines()
+    assert not (out / bad.name).exists()
 
 
 def test_cli_extract_missing_file_leaves_no_output_dir(tmp_path, capsys):
