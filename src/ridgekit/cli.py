@@ -86,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
             if outcome.rejected:
                 rej = outcome.rejection
                 print(
-                    f"rejected: recoverable fraction {rej.recoverable_fraction:.3f} "
+                    f"rejected: {rej.measure} {rej.recoverable_fraction:.3f} "
                     f"below threshold {rej.threshold:.3f}",
                     file=sys.stderr,
                 )

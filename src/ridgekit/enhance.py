@@ -22,6 +22,7 @@ DEFAULT_SIGMA = 4.0  # px, isotropic Gabor envelope (Hong et al. 1998)
 DEFAULT_COHERENCE_FLOOR = 0.3
 DEFAULT_VARIANCE_FLOOR = 10.0  # on the normalized intensity scale
 DEFAULT_REJECT_THRESHOLD = 0.25
+GATE_COHERENCE = 0.5  # a block counts as coherent for the image-level gate
 MIN_RIDGE_PERIOD = 3.0  # px, at 500 dpi
 MAX_RIDGE_PERIOD = 25.0
 FREQ_FILL_PASSES = 3
@@ -71,10 +72,13 @@ class RegionMask:
 
 @dataclass(frozen=True)
 class Rejection:
-    """Image rejected: too few recoverable blocks."""
+    """Image rejected: the share of blocks that ``measure`` names
+    ("coherent share" or "recoverable fraction") is below ``threshold``.
+    ``recoverable_fraction`` holds that share, whichever measure decided."""
 
     recoverable_fraction: float
     threshold: float
+    measure: str
 
 
 def _block_grid(height: int, width: int, block_size: int) -> tuple[int, int]:
@@ -351,6 +355,20 @@ def _fill_absent(freq: np.ndarray) -> np.ndarray:
     return freq
 
 
+def coherence_gate(
+    orient: OrientationField, reject_threshold: float = DEFAULT_REJECT_THRESHOLD
+) -> Rejection | None:
+    """The image-level quality gate, decided before frequency estimation: a
+    Rejection when the share of blocks with coherence >= GATE_COHERENCE is
+    below ``reject_threshold``, else None. Blank captures, partial touches
+    and blurred noise have few coherent blocks, prints nearly all (Bazen &
+    Gerez, TPAMI 2002)."""
+    share = np.count_nonzero(orient.coherence >= GATE_COHERENCE) / orient.coherence.size
+    if share < reject_threshold:
+        return Rejection(share, reject_threshold, "coherent share")
+    return None
+
+
 def compute_region_mask(
     img: NormalizedImage,
     orient: OrientationField,
@@ -376,7 +394,7 @@ def compute_region_mask(
     )
     mask = RegionMask(bs, labels)
     if mask.recoverable_fraction < reject_threshold:
-        return Rejection(mask.recoverable_fraction, reject_threshold)
+        return Rejection(mask.recoverable_fraction, reject_threshold, "recoverable fraction")
     return mask
 
 

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .enhance import Rejection
 from .minutiae import MinutiaeSet, close_pairs
 
 DEFAULT_TOLERANCE = 8.0  # px, ~0.4 mm at 500 dpi
@@ -131,7 +132,7 @@ def aggregate(per_image: Sequence[tuple[str, Metrics]]) -> AggregateReport:
 def format_report_text(
     report: AggregateReport | None,
     config_lines: Sequence[str],
-    rejected: Sequence[tuple[str, float]] = (),
+    rejected: Sequence[tuple[str, Rejection]] = (),
     errors: Sequence[tuple[str, str]] = (),
 ) -> str:
     """Human-readable report: per-image metrics plus a Mean/SD summary table.
@@ -144,7 +145,8 @@ def format_report_text(
     out += ["", f"images evaluated: {0 if report is None else report.n}"]
     if rejected:
         out.append("rejected (excluded from means):")
-        out += [f"  {image_id}  recoverable_fraction={frac:.3f}" for image_id, frac in rejected]
+        out += [f"  {image_id}  {rej.measure} {rej.recoverable_fraction:.3f}"
+                for image_id, rej in rejected]
     if errors:
         out.append("errors (skipped):")
         out += [f"  {image_id}  {msg}" for image_id, msg in errors]
@@ -168,7 +170,7 @@ def format_report_csv(
     report: AggregateReport | None,
     config_lines: Sequence[str],
     results: Sequence[MatchResult] = (),
-    rejected: Sequence[tuple[str, float]] = (),
+    rejected: Sequence[tuple[str, Rejection]] = (),
     errors: Sequence[tuple[str, str]] = (),
 ) -> str:
     """Machine-readable report: one row per image plus mean/sd summary rows
@@ -187,8 +189,8 @@ def format_report_csv(
             out.append(f"image,{image_id},{m.sen:.6f},{m.spe:.6f},{detail}")
         out.append(f"mean,,{report.mean_sen:.6f},{report.mean_spe:.6f},,,,")
         out.append(f"sd,,{report.sd_sen:.6f},{report.sd_spe:.6f},,,,")
-    for image_id, frac in rejected:
-        out.append(f"rejected,{image_id},,,,,,{frac:.6f}")
+    for image_id, rej in rejected:
+        out.append(f"rejected,{image_id},,,,,,{rej.recoverable_fraction:.6f}")
     for image_id, msg in errors:
         out.append(f"error,{image_id},{msg.replace(',', ';')},,,,,")
     return "\n".join(out) + "\n"

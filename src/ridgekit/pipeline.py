@@ -8,8 +8,10 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import enhance as enh
-from .binary import auto_threshold, binarize, thin
+from .binary import BinaryImage, auto_threshold, binarize, thin
 from .config import PipelineConfig
 from .evaluate import (
     AggregateReport,
@@ -40,10 +42,13 @@ class ExtractOutcome:
 def extract_from_image(img: GrayImage, image_id: str, config: PipelineConfig) -> ExtractOutcome:
     """Run the full extraction pipeline on an in-memory image.
 
-    Stages: normalize, orientation + frequency estimation, region mask
-    (possible rejection), Gabor enhancement, polarity inversion (ridges are
-    dark in scan polarity; thresholding wants ridge=1), binarization,
-    thinning, minutiae extraction, post-processing.
+    Stages: normalize, orientation estimation, the coherence gate
+    (possible rejection), frequency estimation, region mask (possible
+    rejection), Gabor enhancement, polarity inversion (ridges are dark in
+    scan polarity; thresholding wants ridge=1), binarization, thinning,
+    minutiae extraction, post-processing. An image with no recoverable
+    block (possible only at reject_threshold 0) has no ridge and so no
+    minutiae.
     """
     if img.width < 32 or img.height < 32:
         raise ValueError(
@@ -52,6 +57,9 @@ def extract_from_image(img: GrayImage, image_id: str, config: PipelineConfig) ->
         )
     norm = normalize(img, config.target_mean, config.target_variance)
     orient = enh.estimate_orientation(norm, config.block_size, config.smooth_sigma)
+    rejection = enh.coherence_gate(orient, config.reject_threshold)
+    if rejection is not None:
+        return ExtractOutcome(image_id, None, rejection)
     freq = enh.estimate_frequency(norm, orient, config.freq_window)
     mask = enh.compute_region_mask(
         norm, orient, freq,
@@ -64,7 +72,10 @@ def extract_from_image(img: GrayImage, image_id: str, config: PipelineConfig) ->
 
     enhanced = enh.gabor_enhance(norm, orient, freq, mask, config.sigma)
     work = invert(enhanced)  # ridges become bright so that ridge => 1
-    bin_img = binarize(work, auto_threshold(work, mask))
+    if mask.labels.any():
+        bin_img = binarize(work, auto_threshold(work, mask))
+    else:  # no recoverable pixel to choose a threshold from
+        bin_img = BinaryImage(np.zeros_like(work.pixels))
     skel = thin(bin_img)
     raw = extract_minutiae(skel, image_id)
     final, _ = postprocess(raw, skel, config)
@@ -115,13 +126,15 @@ def _eval_one(image_path: str, truth_path: str, config: PipelineConfig, out_dir:
     """Worker body for one dataset image; must stay picklable.
 
     Returns (kind, stem, value): ("ok", stem, MatchResult), ("rejected",
-    stem, recoverable fraction) or ("error", stem, message). The truth,
-    and its width and height against the image's, are checked before
-    extraction, so an image that cannot be scored writes no minutiae file.
+    stem, Rejection) or ("error", stem, message). The truth, and its width
+    and height against the image's, are checked before extraction, so an
+    image that cannot be scored writes no minutiae file. A message names
+    the truth file and the image by their file names, so the report does not
+    depend on where the directories live or how they were given.
     """
     stem = Path(image_path).stem
+    truth_path = Path(truth_path)
     try:
-        truth_path = Path(truth_path)
         if not truth_path.exists():
             raise ValueError(f"missing truth file {truth_path.name}")
         truth, width, height = read_minutiae(truth_path)
@@ -132,18 +145,21 @@ def _eval_one(image_path: str, truth_path: str, config: PipelineConfig, out_dir:
             raise ValueError(f"truth is {width}x{height}, image is {img.width}x{img.height}")
         outcome = _extract_and_write(img, stem, config, out_dir)
         if outcome.rejected:
-            return ("rejected", stem, outcome.rejection.recoverable_fraction)
+            return ("rejected", stem, outcome.rejection)
         truth = replace(truth, image_id=stem)
         return ("ok", stem, match_minutiae(outcome.minutiae, truth, config.tolerance))
     except Exception as exc:  # per-image failures must not sink the batch
-        return ("error", stem, str(exc))
+        message = str(exc)
+        for path in (truth_path, Path(image_path)):
+            message = message.replace(str(path), path.name)
+        return ("error", stem, message)
 
 
 @dataclass(frozen=True)
 class EvalRun:
     report: AggregateReport | None
     results: tuple[MatchResult, ...]
-    rejected: tuple[tuple[str, float], ...]
+    rejected: tuple[tuple[str, enh.Rejection], ...]
     errors: tuple[tuple[str, str], ...]
 
 

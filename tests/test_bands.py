@@ -143,10 +143,15 @@ def test_front_end_allocates_no_image_sized_temporary_at_512():
 _CONTENT = st.sampled_from(["blank", "saturated", "noise", "grating", "noisy_grating"])
 
 
+# reject_threshold 0 accepts every image, even one with no recoverable block
+_CONFIG = st.sampled_from([PipelineConfig(), PipelineConfig(reject_threshold=0.0)])
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(h=st.integers(32, 100), w=st.integers(32, 300), content=_CONTENT,
-       seed=st.integers(0, 2**16), angle=st.floats(0.0, 180.0), period=st.floats(4.0, 20.0))
-def test_extract_never_crashes_on_small_8bit_images(h, w, content, seed, angle, period):
+       seed=st.integers(0, 2**16), angle=st.floats(0.0, 180.0), period=st.floats(4.0, 20.0),
+       config=_CONFIG)
+def test_extract_never_crashes_on_small_8bit_images(h, w, content, seed, angle, period, config):
     rng = np.random.default_rng(seed)
     if content == "blank":
         pixels = np.full((h, w), rng.integers(0, 256), np.uint8)
@@ -160,5 +165,5 @@ def test_extract_never_crashes_on_small_8bit_images(h, w, content, seed, angle, 
                                     noise_amplitude=noise, seed=seed))[0].pixels
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        outcome = extract_from_image(GrayImage(pixels), "probe", PipelineConfig())
+        outcome = extract_from_image(GrayImage(pixels), "probe", config)
     assert outcome.rejected == (outcome.minutiae is None)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ridgekit.enhance import Rejection
 from ridgekit.evaluate import (
     MatchResult,
     Metrics,
@@ -246,14 +247,15 @@ def test_report_formats():
     results = [
         MatchResult("a", 8, 2, 1, 10, tuple((i, i, 1.0) for i in range(8))),
     ]
-    text = format_report_text(rep, ["tolerance = 8.0"], [("c", 0.1)], [("d", "boom")])
+    rejected = [("c", Rejection(0.1, 0.25, "coherent share"))]
+    text = format_report_text(rep, ["tolerance = 8.0"], rejected, [("d", "boom")])
     assert "Mean" in text and "SD" in text and "SEN" in text and "SPE" in text
-    assert "c" in text and "boom" in text
+    assert "\n  c  coherent share 0.100\n" in text and "boom" in text
     assert "negative specificity" in text
-    csv = format_report_csv(rep, ["tolerance = 8.0"], results, [("c", 0.1)], [("d", "boom")])
+    csv = format_report_csv(rep, ["tolerance = 8.0"], results, rejected, [("d", "boom")])
     lines = csv.splitlines()
     assert lines[0] == "# tolerance = 8.0"
     assert any(line.startswith("image,a,0.800000,0.900000,8,2,1,10") for line in lines)
     assert any(line.startswith("mean,,0.900000") for line in lines)
-    assert any(line.startswith("rejected,c") for line in lines)
+    assert "rejected,c,,,,,,0.100000" in lines
     assert any(line.startswith("error,d") for line in lines)

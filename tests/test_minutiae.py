@@ -6,8 +6,10 @@ import pytest
 from scipy import ndimage
 
 from conftest import _blurred_noise, classify_pixel, make_blob_image, neighborhood_count
-from ridgekit.binary import BinaryImage, Skeleton, thin
+from ridgekit import enhance as enh
+from ridgekit.binary import BinaryImage, Skeleton, auto_threshold, binarize, thin
 from ridgekit.config import PipelineConfig
+from ridgekit.image import invert, normalize
 from ridgekit.minutiae import (
     DIRECTION_WALK_STEPS,
     BIFURCATION,
@@ -30,7 +32,6 @@ from ridgekit.minutiae import (
     _minutia_directions,
     _segment_pixels,
 )
-from ridgekit.pipeline import extract_from_image
 
 EIGHT = np.ones((3, 3))
 
@@ -739,15 +740,19 @@ def test_postprocess_matches_reference_on_raw_noise(seed):
 
 @pytest.fixture(scope="module")
 def blurred_noise_skeletons():
-    """Skeletons of blurred-noise captures that the quality gate accepts:
-    hundreds of endings, and spurs close enough to each other that an
-    erased spur changes what a later spur walk reads."""
+    """Skeletons of blurred-noise captures, through the pipeline's stages
+    past the coherence gate (which rejects them) to thin: hundreds of
+    endings, and spurs close enough to each other that an erased spur
+    changes what a later spur walk reads."""
     out = []
     for seed in (1, 8):
-        outcome = extract_from_image(_blurred_noise(seed), f"blurred_noise_{seed}",
-                                     PipelineConfig())
-        assert not outcome.rejected
-        out.append((outcome.image_id, outcome.intermediates["skeleton"]))
+        norm = normalize(_blurred_noise(seed))
+        orient = enh.estimate_orientation(norm)
+        freq = enh.estimate_frequency(norm, orient)
+        mask = enh.compute_region_mask(norm, orient, freq)
+        assert isinstance(mask, enh.RegionMask)
+        work = invert(enh.gabor_enhance(norm, orient, freq, mask))
+        out.append((f"blurred_noise_{seed}", thin(binarize(work, auto_threshold(work, mask)))))
     return out
 
 

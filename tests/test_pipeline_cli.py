@@ -232,8 +232,8 @@ def test_run_eval_nothing_evaluated_report(tmp_path):
     text = (o1 / "report.txt").read_text()
     assert "\nimages evaluated: 0\nrejected (excluded from means):\n" in text
     assert text.endswith(
-        "  noise_a  recoverable_fraction=0.000\n"
-        "  noise_b  recoverable_fraction=0.000\n"
+        "  noise_a  coherent share 0.000\n"
+        "  noise_b  coherent share 0.000\n"
         "errors (skipped):\n"
         "  no_truth  missing truth file no_truth.txt\n"
     )
@@ -547,6 +547,67 @@ def test_cli_extract_rejected_leaves_no_output_dir(tmp_path, capsys):
     out = tmp_path / "D"
     assert main(["extract", str(path), "--out", str(out)]) == EXIT_REJECTED
     assert not out.exists()
+
+
+def _wide_stripes():
+    """Coherent everywhere, but a period of 40 px has no valid frequency, so
+    the coherence gate passes it and the recoverable fraction rejects it."""
+    xx = np.mgrid[0:128, 0:128][1]
+    return GrayImage(np.rint(127.5 + 100.0 * np.cos(2.0 * np.pi * xx / 40.0)).astype(np.uint8))
+
+
+@pytest.mark.parametrize("image, measure", [
+    (lambda: GrayImage(np.full((64, 64), 128, np.uint8)), "coherent share"),
+    (_wide_stripes, "recoverable fraction"),
+], ids=["coherent_share", "recoverable_fraction"])
+def test_extract_and_eval_rejection_name_its_measure(tmp_path, capsys, image, measure):
+    from ridgekit.minutiae import ENDING, Minutia, MinutiaeSet, write_minutiae
+
+    img, data = image(), tmp_path / "data"
+    data.mkdir()
+    save_pgm(img, data / "capture.pgm")
+    truth = MinutiaeSet("capture", (Minutia(10, 10, ENDING, 0.0),), "postprocessed")
+    write_minutiae(data / "capture.txt", truth, img.width, img.height)
+    code = main(["extract", str(data / "capture.pgm"), "--out", str(tmp_path / "D")])
+    assert code == EXIT_REJECTED
+    assert capsys.readouterr().err == f"rejected: {measure} 0.000 below threshold 0.250\n"
+    run_eval(data, data, PipelineConfig(), tmp_path / "eval")
+    text = (tmp_path / "eval" / "report.txt").read_text()
+    assert text.endswith(f"rejected (excluded from means):\n  capture  {measure} 0.000\n")
+    csv = (tmp_path / "eval" / "report.csv").read_text()
+    assert csv.endswith("record,image_id,sen,spe,matched,missed,false_count,ground_truth\n"
+                        "rejected,capture,,,,,,0.000000\n")
+
+
+def test_flat_image_with_nothing_recoverable_has_no_minutiae(tmp_path):
+    # at reject_threshold 0 nothing is rejected, and a flat image has no
+    # recoverable block to choose a binarization threshold from
+    config = PipelineConfig(reject_threshold=0.0, dump_intermediates=True)
+    path = tmp_path / "flat.pgm"
+    save_pgm(GrayImage(np.full((64, 64), 128, np.uint8)), path)
+    outcome = run_extract(path, config, tmp_path / "out")
+    assert not outcome.rejected and len(outcome.minutiae) == 0
+    assert not outcome.intermediates["binary"].bits.any()
+    assert read_minutiae(tmp_path / "out" / "flat.txt")[0].minutiae == ()
+
+
+def test_eval_report_names_a_bad_file_by_its_name(tmp_path, monkeypatch):
+    # one dataset and one truth directory, given once as relative and once
+    # as absolute paths: the error rows and so the reports are the same
+    data, truthd = build_corpus(tmp_path, n=2)
+    bad = sorted(truthd.glob("*.txt"))[1]
+    bad.write_text(bad.read_text() + "256 10 E 0.0\n")
+    (data / "zz_bad.pgm").write_bytes(b"P7\n1 1\n255\n")
+    (truthd / "zz_bad.txt").write_text("# zz_bad 1 1\n0 0 E 0.0\n")
+    monkeypatch.chdir(tmp_path)
+    relative = run_eval(Path("data"), Path("truth"), PipelineConfig(), tmp_path / "rel")
+    absolute = run_eval(data.resolve(), truthd.resolve(), PipelineConfig(), tmp_path / "abs")
+    assert relative.errors == absolute.errors == (
+        (bad.stem, f"{bad.name}: minutia line '256 10 E 0.0' is outside the 256x256 frame"),
+        ("zz_bad", "malformed header: not a P2/P5 PGM file: zz_bad.pgm"),
+    )
+    report = (tmp_path / "rel" / "report.txt").read_bytes()
+    assert report == (tmp_path / "abs" / "report.txt").read_bytes()
 
 
 @pytest.mark.parametrize("line, kind", [("block_size = 8.0", "int"), ("tolerance = x", "float"),
