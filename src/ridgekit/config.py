@@ -36,10 +36,11 @@ class PipelineConfig:
                 raise ValueError(f"{f.name}: must be finite")
         if self.block_size < 4:
             raise ValueError("block_size must be >= 4")
+        if self.smooth_sigma < 0:
+            raise ValueError("smooth_sigma must be >= 0")
         if self.freq_window < 1:
             raise ValueError("freq_window must be >= 1")
-        if not 0.0 <= self.reject_threshold <= 1.0:
-            raise ValueError("reject_threshold must lie in [0, 1]")
+        enhance._check_reject_threshold(self.reject_threshold)
         if self.target_variance <= 0:
             raise ValueError("target_variance must be positive")
         if self.sigma <= 0:

@@ -119,20 +119,22 @@ def _sobel(data: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _gaussian(data: np.ndarray, sigma: float) -> np.ndarray:
-    """ndimage.gaussian_filter(data, sigma, mode="nearest") bit for bit: per
-    axis (0, then 1), in*w0 plus the tap pairs from the outermost inward."""
+    """ndimage.gaussian_filter(data, sigma, mode="nearest") bit for bit on
+    each 2-D grid over the last two axes, so a stack of grids is filtered in
+    one pass per axis: per axis (rows, then columns), in*w0 plus the tap
+    pairs from the outermost inward, reading clamped edge indices."""
     r = int(4.0 * sigma + 0.5)
     if r == 0:  # one tap of weight 1 (scipy skips sigma <= 1e-15 outright)
         return data
     phi = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
     taps = (phi / phi.sum())[r:]
-    for _ in (0, 1):  # axis 0, then axis 0 of the transpose
-        n = data.shape[0]
-        p = np.pad(data, ((r, r), (0, 0)), mode="edge")
-        out = p[r : r + n] * taps[0]
+    for _ in (0, 1):  # rows, then rows of the grids transposed
+        n = data.shape[-2]
+        p = data.take(np.clip(np.arange(-r, n + r), 0, n - 1), axis=-2)
+        out = p[..., r : r + n, :] * taps[0]
         for j in range(r, 0, -1):
-            out += (p[r - j : r - j + n] + p[r + j : r + j + n]) * taps[j]
-        data = out.T
+            out += (p[..., r - j : r - j + n, :] + p[..., r + j : r + j + n, :]) * taps[j]
+        data = out.swapaxes(-1, -2)
     return data
 
 
@@ -140,8 +142,10 @@ def estimate_orientation(
     img: NormalizedImage,
     block_size: int = DEFAULT_BLOCK_SIZE,
     smooth_sigma: float = DEFAULT_SMOOTH_SIGMA,
-) -> OrientationField:
-    """Block-wise dominant ridge direction from gradient covariance.
+    reject_threshold: float = 0.0,
+) -> OrientationField | Rejection:
+    """Block-wise dominant ridge direction from gradient covariance, or a
+    Rejection by the coherent-block gate (coherence_gate's rule).
 
     Uses 3x3 Sobel gradients; per block,
     theta = atan2(sum 2*Gx*Gy, sum Gx^2 - Gy^2) / 2 + pi/2, i.e. the
@@ -149,10 +153,15 @@ def estimate_orientation(
     The field is then smoothed with a Gaussian (sigma in block units) on the
     doubled-angle unit vectors so antipodal angles average correctly.
     Gradients and block sums are taken per band of block rows (_bands), each
-    band's Sobel reading one halo row above and below it.
+    band's Sobel reading one halo row above and below it. The gate reads
+    only the coherence, so it decides straight after the gradient sums,
+    before theta is formed; the default threshold of 0 never rejects.
     """
     if block_size < 4:
         raise ValueError("block_size must be >= 4")
+    if not 0.0 <= smooth_sigma < math.inf:
+        raise ValueError("smooth_sigma must be >= 0 and finite")
+    _check_reject_threshold(reject_threshold)
     data = img.pixels
     h, w = data.shape
     if h < block_size or w < block_size:
@@ -172,13 +181,14 @@ def estimate_orientation(
         sum_total[blocks] = _block_sum(gx, block_size)
         del gx, gy, work  # before the next band's arrays
 
-    theta = 0.5 * np.arctan2(sum_cross, sum_diff) + np.pi / 2.0
     coherence = np.hypot(sum_diff, sum_cross) / np.maximum(sum_total, 1e-12)
-
+    rejection = _coherent_share_gate(coherence, reject_threshold)
+    if rejection is not None:
+        return rejection
+    theta = 0.5 * np.arctan2(sum_cross, sum_diff) + np.pi / 2.0
     if smooth_sigma > 0:
         doubled = 2.0 * theta
-        cos2 = _gaussian(np.cos(doubled), smooth_sigma)
-        sin2 = _gaussian(np.sin(doubled), smooth_sigma)
+        cos2, sin2 = _gaussian(np.stack((np.cos(doubled), np.sin(doubled))), smooth_sigma)
         theta = 0.5 * np.arctan2(sin2, cos2)
     theta = np.mod(theta, np.pi)
     return OrientationField(block_size, theta, coherence)
@@ -355,6 +365,19 @@ def _fill_absent(freq: np.ndarray) -> np.ndarray:
     return freq
 
 
+def _check_reject_threshold(reject_threshold: float) -> None:
+    if not 0.0 <= reject_threshold <= 1.0:
+        raise ValueError("reject_threshold must lie in [0, 1]")
+
+
+def _coherent_share_gate(coherence: np.ndarray, reject_threshold: float) -> Rejection | None:
+    """coherence_gate on the coherence grid, the threshold already checked."""
+    share = np.count_nonzero(coherence >= GATE_COHERENCE) / coherence.size
+    if share < reject_threshold:
+        return Rejection(share, reject_threshold, "coherent share")
+    return None
+
+
 def coherence_gate(
     orient: OrientationField, reject_threshold: float = DEFAULT_REJECT_THRESHOLD
 ) -> Rejection | None:
@@ -362,11 +385,10 @@ def coherence_gate(
     Rejection when the share of blocks with coherence >= GATE_COHERENCE is
     below ``reject_threshold``, else None. Blank captures, partial touches
     and blurred noise have few coherent blocks, prints nearly all (Bazen &
-    Gerez, TPAMI 2002)."""
-    share = np.count_nonzero(orient.coherence >= GATE_COHERENCE) / orient.coherence.size
-    if share < reject_threshold:
-        return Rejection(share, reject_threshold, "coherent share")
-    return None
+    Gerez, TPAMI 2002). estimate_orientation applies the same rule before
+    it forms theta."""
+    _check_reject_threshold(reject_threshold)
+    return _coherent_share_gate(orient.coherence, reject_threshold)
 
 
 def compute_region_mask(
@@ -384,8 +406,7 @@ def compute_region_mask(
     recoverable fraction falls below ``reject_threshold`` a Rejection is
     returned instead of a mask.
     """
-    if not 0.0 <= reject_threshold <= 1.0:
-        raise ValueError("reject_threshold must lie in [0, 1]")
+    _check_reject_threshold(reject_threshold)
     bs = orient.block_size
     labels = (
         (_block_variance(img.pixels, bs) >= variance_floor)

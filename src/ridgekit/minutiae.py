@@ -107,7 +107,9 @@ def _walk_step(flat: np.ndarray, offsets: np.ndarray, cur: np.ndarray,
     of `visited`), in _NEIGHBOR_OFFSETS order, and its number of free
     neighbors. Each caller applies its own stop rule."""
     nxt = cur[:, None] + offsets
-    free = (flat[nxt] == 1) & ~(nxt[:, :, None] == visited[:, None, :]).any(axis=2)
+    free = flat[nxt] == 1
+    for column in visited.T:
+        free &= nxt != column[:, None]
     return nxt[np.arange(cur.size), free.argmax(axis=1)], free.sum(axis=1)
 
 

@@ -42,13 +42,14 @@ class ExtractOutcome:
 def extract_from_image(img: GrayImage, image_id: str, config: PipelineConfig) -> ExtractOutcome:
     """Run the full extraction pipeline on an in-memory image.
 
-    Stages: normalize, orientation estimation, the coherence gate
-    (possible rejection), frequency estimation, region mask (possible
-    rejection), Gabor enhancement, polarity inversion (ridges are dark in
-    scan polarity; thresholding wants ridge=1), binarization, thinning,
-    minutiae extraction, post-processing. An image with no recoverable
-    block (possible only at reject_threshold 0) has no ridge and so no
-    minutiae.
+    Stages: normalize, orientation estimation (possible rejection by the
+    coherence gate, straight after the per-block gradient sums, before the
+    orientation field is formed), frequency estimation, region mask
+    (possible rejection), Gabor enhancement, polarity inversion (ridges are
+    dark in scan polarity; thresholding wants ridge=1), binarization,
+    thinning, minutiae extraction, post-processing. An image with no
+    recoverable block (possible only at reject_threshold 0) has no ridge and
+    so no minutiae.
     """
     if img.width < 32 or img.height < 32:
         raise ValueError(
@@ -56,10 +57,11 @@ def extract_from_image(img: GrayImage, image_id: str, config: PipelineConfig) ->
             "estimators need at least 32x32"
         )
     norm = normalize(img, config.target_mean, config.target_variance)
-    orient = enh.estimate_orientation(norm, config.block_size, config.smooth_sigma)
-    rejection = enh.coherence_gate(orient, config.reject_threshold)
-    if rejection is not None:
-        return ExtractOutcome(image_id, None, rejection)
+    orient = enh.estimate_orientation(
+        norm, config.block_size, config.smooth_sigma, config.reject_threshold
+    )
+    if isinstance(orient, enh.Rejection):
+        return ExtractOutcome(image_id, None, orient)
     freq = enh.estimate_frequency(norm, orient, config.freq_window)
     mask = enh.compute_region_mask(
         norm, orient, freq,

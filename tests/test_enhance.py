@@ -74,6 +74,13 @@ def test_orientation_rejects_small_image():
         enh.estimate_orientation(normalize(img), block_size=16)
 
 
+@pytest.mark.parametrize("sigma", [-2.0, -1e-300, math.inf, math.nan])
+def test_orientation_refuses_negative_or_non_finite_smoothing(sigma):
+    norm = normalize(oriented_image(90.0, size=64))
+    with pytest.raises(ValueError, match=r"^smooth_sigma must be >= 0 and finite$"):
+        enh.estimate_orientation(norm, smooth_sigma=sigma)
+
+
 @pytest.mark.parametrize("period", [4, 6, 8, 10, 12])
 def test_frequency_recovery(period):
     img = oriented_image(30.0, period=float(period))
@@ -590,6 +597,25 @@ def test_gaussian_matches_scipy(name, sigma):
     data = FILTER_GRIDS[name]()
     want = ndimage.gaussian_filter(data, sigma, mode="nearest")
     assert_same_bits(enh._gaussian(data, sigma), want)
+
+
+def _doubled_angle_stack(shape, seed):
+    """cos 2 theta and sin 2 theta stacked, theta = 0 on the first row, pi
+    on the last (a sin of 0 and of ~-2e-16) and uniform in [0, pi] between."""
+    theta = np.random.default_rng(seed).uniform(0.0, math.pi, shape)
+    theta[0], theta[-1] = 0.0, math.pi
+    doubled = 2.0 * theta
+    return np.stack((np.cos(doubled), np.sin(doubled)))
+
+
+@pytest.mark.parametrize("sigma", [0.1, 1.0, 2.5])  # radius 0, 4 and 10
+@pytest.mark.parametrize("shape", [(16, 16), (5, 3), (1, 9)])
+def test_stacked_gaussian_matches_scipy_on_each_grid(shape, sigma):
+    signed_zeros = _rounded_noise((2, *shape), 7) * 0.0  # -0.0 where negative
+    for stack in (_doubled_angle_stack(shape, 8), signed_zeros):
+        got = enh._gaussian(stack, sigma)
+        for grid, want in zip(got, stack):
+            assert_same_bits(grid, ndimage.gaussian_filter(want, sigma, mode="nearest"))
 
 
 @pytest.mark.parametrize("shape", [(40, 61), (1, 7), (7, 1), (2, 2)])

@@ -1,6 +1,7 @@
 """The image-level quality gate: captures that hold no print are rejected
-straight after orientation estimation, before frequency estimation, and
-prints, clean or degraded, pass it."""
+inside orientation estimation, straight after the per-block gradient sums
+and before the orientation field is formed, and prints, clean or degraded,
+pass it."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import _blurred_noise, corpus_spec
 from test_enhance import _gate_blank, _gate_partial_touch
 from ridgekit import enhance as enh
 from ridgekit.config import PipelineConfig
-from ridgekit.image import GrayImage
+from ridgekit.image import GrayImage, normalize
 from ridgekit.pipeline import extract_from_image
 from ridgekit.synth import generate
 
@@ -62,6 +63,47 @@ def test_coherence_gate_rejects_before_frequency_estimation(monkeypatch):
     monkeypatch.setattr(enh, "estimate_frequency", fail)
     outcome = extract_from_image(_blurred_noise(1), "blurred_noise_1", PipelineConfig())
     assert outcome.rejected and outcome.rejection.measure == "coherent share"
+
+
+def test_coherence_gate_rejects_before_the_orientation_field_is_smoothed(monkeypatch):
+    shares = {}
+    for name in sorted(CAPTURES):
+        orient = enh.estimate_orientation(normalize(CAPTURES[name]()))
+        shares[name] = enh.coherence_gate(orient).recoverable_fraction
+
+    def fail(*args, **kwargs):
+        raise AssertionError("orientation field smoothed for a rejected capture")
+
+    monkeypatch.setattr(enh, "_gaussian", fail)
+    for name in sorted(CAPTURES):
+        outcome = extract_from_image(CAPTURES[name](), name, PipelineConfig())
+        assert outcome.rejection == enh.Rejection(
+            shares[name], PipelineConfig().reject_threshold, "coherent share")
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.25, 0.5, 1.0])
+@pytest.mark.parametrize("name", ["blurred_noise_0", "partial_touch_0", "clean_00"])
+def test_estimate_orientation_gates_as_coherence_gate_does(name, threshold):
+    norm = normalize({**CAPTURES, **PRINTS}[name]())
+    field = enh.estimate_orientation(norm)  # the default threshold of 0 never rejects
+    assert isinstance(field, enh.OrientationField)
+    gated = enh.estimate_orientation(norm, reject_threshold=threshold)
+    want = enh.coherence_gate(field, threshold)
+    if want is None:
+        assert np.array_equal(gated.theta, field.theta)
+        assert np.array_equal(gated.coherence, field.coherence)
+    else:
+        assert gated == want
+
+
+@pytest.mark.parametrize("threshold", [1.5, -0.5, float("nan")])
+def test_gate_thresholds_outside_zero_one_are_refused(threshold):
+    norm = normalize(_blurred_noise(0))
+    orient = enh.estimate_orientation(norm)
+    with pytest.raises(ValueError, match=r"^reject_threshold must lie in \[0, 1\]$"):
+        enh.coherence_gate(orient, threshold)
+    with pytest.raises(ValueError, match=r"^reject_threshold must lie in \[0, 1\]$"):
+        enh.estimate_orientation(norm, reject_threshold=threshold)
 
 
 @pytest.mark.parametrize("name", sorted(PRINTS))

@@ -46,6 +46,15 @@ def test_config_validation():
         assert getattr(PipelineConfig(**{name: 0}), name) == 0
 
 
+def test_config_refuses_negative_smooth_sigma():
+    # estimate_orientation smooths only for sigma > 0, so a negative one would
+    # silently give the unsmoothed field of sigma = 0
+    for value in (-2.0, -1e-300):
+        with pytest.raises(ValueError, match=r"^smooth_sigma must be >= 0$"):
+            PipelineConfig(smooth_sigma=value)
+    assert PipelineConfig(smooth_sigma=0.0).smooth_sigma == 0.0
+
+
 def test_load_config_file_and_overrides(tmp_path):
     f = tmp_path / "cfg.txt"
     f.write_text("block_size = 8\ntolerance = 12\ndump_intermediates = true\n")
@@ -675,6 +684,7 @@ def test_cli_extract_then_eval_round_trips_an_id_with_spaces(tmp_path, capsys):
     ("border_distance = -3", "border_distance must be >= 0"),
     ("sigma = 0", "sigma must be positive"),
     ("tolerance = -1", "tolerance must be positive"),
+    ("smooth_sigma = -2", "smooth_sigma must be >= 0"),
 ])
 def test_cli_config_file_range_error_names_file_and_key(tmp_path, capsys, line, message):
     path, _, _ = write_synth_fixture(tmp_path)
