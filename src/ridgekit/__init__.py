@@ -22,7 +22,7 @@ from .evaluate import (
     compute_metrics,
     match_minutiae,
 )
-from .image import GrayImage, NormalizedImage, PgmError, invert, load_pgm, normalize, save_pgm
+from .image import GrayImage, PgmError, invert, load_pgm, save_pgm
 from .minutiae import (
     BIFURCATION,
     ENDING,

@@ -9,7 +9,6 @@ from pathlib import Path
 
 from . import enhance
 from .evaluate import DEFAULT_TOLERANCE
-from .image import DEFAULT_TARGET_MEAN, DEFAULT_TARGET_VARIANCE
 
 
 @dataclass(frozen=True)
@@ -21,8 +20,7 @@ class PipelineConfig:
     reject_threshold: float = enhance.DEFAULT_REJECT_THRESHOLD
     coherence_floor: float = enhance.DEFAULT_COHERENCE_FLOOR
     variance_floor: float = enhance.DEFAULT_VARIANCE_FLOOR
-    target_mean: float = DEFAULT_TARGET_MEAN
-    target_variance: float = DEFAULT_TARGET_VARIANCE
+    target_variance: float = enhance.DEFAULT_TARGET_VARIANCE
     adjacency_window: int = 6
     border_distance: int = 10
     reconnect_gap: int = 6

@@ -13,14 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .image import GrayImage, NormalizedImage, _bands
+from .image import GrayImage, _bands
 
 DEFAULT_BLOCK_SIZE = 16
 DEFAULT_SMOOTH_SIGMA = 1.0  # in blocks
 DEFAULT_FREQ_WINDOW = 32
 DEFAULT_SIGMA = 4.0  # px, isotropic Gabor envelope (Hong et al. 1998)
 DEFAULT_COHERENCE_FLOOR = 0.3
-DEFAULT_VARIANCE_FLOOR = 10.0  # on the normalized intensity scale
+DEFAULT_VARIANCE_FLOOR = 10.0  # block variance x target_variance / capture variance
+DEFAULT_TARGET_VARIANCE = 100.0
 DEFAULT_REJECT_THRESHOLD = 0.25
 GATE_COHERENCE = 0.5  # a block counts as coherent for the image-level gate
 MIN_RIDGE_PERIOD = 3.0  # px, at 500 dpi
@@ -33,7 +34,8 @@ BACKGROUND_INTENSITY = 255  # masked-out pixels in the enhanced image
 class OrientationField:
     """Per-block ridge direction in [0, pi) plus gradient coherence.
 
-    Coherence is the normalized magnitude of the doubled-angle gradient sum;
+    Coherence is the magnitude of the doubled-angle gradient sum over the
+    summed gradient energy;
     it is ~1 for clean parallel ridges and ~0 for isotropic noise or flat
     blocks, and feeds the recoverable-region decision.
     """
@@ -86,36 +88,45 @@ def _block_grid(height: int, width: int, block_size: int) -> tuple[int, int]:
 
 
 def _block_sum(arr: np.ndarray, block_size: int) -> np.ndarray:
-    rows = np.arange(0, arr.shape[0], block_size)
-    cols = np.arange(0, arr.shape[1], block_size)
-    return np.add.reduceat(np.add.reduceat(arr, rows, axis=0), cols, axis=1)
+    """int64 sums of the block_size x block_size blocks of an integer array
+    that holds a whole number of blocks."""
+    rows, cols = arr.shape[0] // block_size, arr.shape[1] // block_size
+    by_rows = arr.reshape(rows, block_size, -1).sum(axis=1, dtype=np.int64)
+    return by_rows.reshape(rows, cols, block_size).sum(axis=2)
 
 
-def _neighbor_op(op, src: np.ndarray, axis: int, out: np.ndarray) -> None:
-    """out[i] = op(src[i-1], src[i+1]) along axis, the index clamped to the
-    edge (mode "nearest"), by slices (of transposed views for axis 1); on
-    C-contiguous rows one flat pass, whose wrapped row ends are overwritten."""
-    s, o = (src, out) if axis == 0 else (src.T, out.T)
-    one = len(s) == 1
-    flat = axis == 1 and src.flags.c_contiguous and out.flags.c_contiguous
-    a, b = (src.ravel(), out.ravel()) if flat else (s, o)
-    op(a[:-2], a[2:], out=b[1:-1])
-    op(s[:1], s if one else s[1:2], out=o[:1])
-    op(s if one else s[-2:-1], s[-1:], out=o[-1:])
+def _block_bands(height: int, width: int, block_size: int):
+    """The bands of block rows (_bands) as (y0, y1, blocks, buf): blocks is
+    the slice of block rows, buf an int32 buffer of those whole blocks,
+    shared between bands and zero but for the pixels a caller writes, its
+    [:y1 - y0, :width], so _block_sum(buf) sums a partial block's pixels."""
+    bs = block_size
+    bands = list(_bands(height, width, bs))
+    buf = np.zeros((-(-bands[0][1] // bs) * bs, _block_grid(height, width, bs)[1] * bs), np.int32)
+    for y0, y1 in bands:
+        blocks = slice(y0 // bs, -(-y1 // bs))
+        whole = buf[: (blocks.stop - blocks.start) * bs]
+        whole[y1 - y0 :] = 0  # the rows past a partial last block row
+        yield y0, y1, blocks, whole
 
 
-def _sobel(data: np.ndarray, axis: int) -> np.ndarray:
-    """ndimage.sobel(data, axis, mode="nearest") bit for bit, in its order of
-    operations: in[0]*0 + (in[-1] - in[+1])*-1 along axis, then
-    d*2 + (d[-1] + d[+1]) across it; two image-sized arrays, no padding."""
-    d, out = np.empty_like(data), np.empty_like(data)
-    _neighbor_op(np.subtract, data, axis, d)
-    d *= -1.0
-    d += np.multiply(data, 0.0, out=out)
-    _neighbor_op(np.add, d, 1 - axis, out)
-    d *= 2.0
-    out += d
-    return out
+def _gradients(data: np.ndarray, y0: int, y1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sobel gradients (gx, gy) of rows y0:y1 of 8-bit pixels, read with one
+    halo row on each side and the edges replicated: the values that
+    ndimage.sobel(mode="nearest") gives along axis 1 and 0 on them as
+    floats, as int16 (|g| <= 4 * 255)."""
+    h, w = data.shape
+    p = np.empty((y1 - y0 + 2, w + 2), np.int16)
+    p[1:-1, 1:-1] = data[y0:y1]
+    p[0, 1:-1], p[-1, 1:-1] = data[max(y0 - 1, 0)], data[min(y1, h - 1)]
+    p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
+    across = p[:-2] + p[2:]  # [1, 2, 1] down the columns, then the x difference
+    across += p[1:-1]
+    across += p[1:-1]
+    down = p[:, :-2] + p[:, 2:]  # [1, 2, 1] along the rows, then the y difference
+    down += p[:, 1:-1]
+    down += p[:, 1:-1]
+    return across[:, 2:] - across[:, :-2], down[2:] - down[:-2]
 
 
 def _gaussian(data: np.ndarray, sigma: float) -> np.ndarray:
@@ -139,7 +150,7 @@ def _gaussian(data: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def estimate_orientation(
-    img: NormalizedImage,
+    img: GrayImage,
     block_size: int = DEFAULT_BLOCK_SIZE,
     smooth_sigma: float = DEFAULT_SMOOTH_SIGMA,
     reject_threshold: float = 0.0,
@@ -152,10 +163,11 @@ def estimate_orientation(
     direction orthogonal to the dominant gradient, folded into [0, pi).
     The field is then smoothed with a Gaussian (sigma in block units) on the
     doubled-angle unit vectors so antipodal angles average correctly.
-    Gradients and block sums are taken per band of block rows (_bands), each
-    band's Sobel reading one halo row above and below it. The gate reads
-    only the coherence, so it decides straight after the gradient sums,
-    before theta is formed; the default threshold of 0 never rejects.
+    The gradients of the 8-bit pixels are int16, their products int32 and
+    the block sums int64, taken per band of block rows (_bands), so the
+    sums are exact. The gate reads only the coherence, so it decides
+    straight after the gradient sums, before theta is formed; the default
+    threshold of 0 never rejects.
     """
     if block_size < 4:
         raise ValueError("block_size must be >= 4")
@@ -166,22 +178,15 @@ def estimate_orientation(
     h, w = data.shape
     if h < block_size or w < block_size:
         raise ValueError(f"image {w}x{h} smaller than one {block_size}px block")
-    sum_cross, sum_diff, sum_total = np.empty((3, *_block_grid(h, w, block_size)))
-    for y0, y1, lo, hi in _bands(h, w, block_size, halo=1):
-        gx, gy = (_sobel(data[lo:hi], axis)[y0 - lo : y1 - lo] for axis in (1, 0))
-        blocks = slice(y0 // block_size, -(-y1 // block_size))
-        # products in place; doubling is exact: 2 sum(gx gy) == sum(2 gx gy)
-        work = gx * gy
-        sum_cross[blocks] = 2.0 * _block_sum(work, block_size)
-        gx *= gx
-        gy *= gy
-        np.subtract(gx, gy, out=work)
-        sum_diff[blocks] = _block_sum(work, block_size)
-        gx += gy
-        sum_total[blocks] = _block_sum(gx, block_size)
-        del gx, gy, work  # before the next band's arrays
-
-    coherence = np.hypot(sum_diff, sum_cross) / np.maximum(sum_total, 1e-12)
+    sums = np.empty((3, *_block_grid(h, w, block_size)), np.int64)
+    for y0, y1, blocks, buf in _block_bands(h, w, block_size):
+        gx, gy = _gradients(data, y0, y1)
+        for i, (a, b) in enumerate(((gx, gy), (gx, gx), (gy, gy))):
+            np.multiply(a, b, out=buf[: y1 - y0, :w], dtype=np.int32)
+            sums[i, blocks] = _block_sum(buf, block_size)
+    xy, xx, yy = sums
+    sum_cross, sum_diff = 2 * xy, xx - yy
+    coherence = np.hypot(sum_diff, sum_cross) / np.maximum(xx + yy, 1e-12)
     rejection = _coherent_share_gate(coherence, reject_threshold)
     if rejection is not None:
         return rejection
@@ -195,7 +200,7 @@ def estimate_orientation(
 
 
 def estimate_frequency(
-    img: NormalizedImage,
+    img: GrayImage,
     orient: OrientationField,
     window: int = DEFAULT_FREQ_WINDOW,
 ) -> FrequencyMap:
@@ -220,7 +225,7 @@ def estimate_frequency(
     if window < 1:
         raise ValueError("window must be >= 1")
     freq = np.full((rows, cols), np.nan)
-    for top, bottom, _, _ in _bands(h, w, bs):
+    for top, bottom in _bands(h, w, bs):
         blocks = slice(top // bs, -(-bottom // bs))
         sig, has_sig = _projection_signatures(img.pixels, orient, window, blocks)
         freq[blocks][has_sig] = _signature_frequency(sig[has_sig])
@@ -257,85 +262,86 @@ def _projection_signatures(
     Samples are scipy's map_coordinates (order 1, mode "constant") bit for
     bit, (a wy0) wx0 + (b wy0) wx1 + (c wy1) wx0 + (e wy1) wx1 with
     w1 = 1 - w0, and the signature is their np.nanmean over the inside
-    samples. Per block row, the rows its samples can reach are copied into
-    a slab: a 1-px edge-replicated ring (a sample on the last row or column
+    samples. The rows the samples can reach are copied once into a float
+    slab: a 1-px edge-replicated ring (a sample on the last row or column
     reads it at weight 0, as scipy's clamped tap does) in a zero margin
     wide enough for the farthest sample, so the taps are the flat indices
     i, i+1, i+pw, i+pw+1, shifted by the slab's first row. Blocks are
-    sampled in groups of at most BAND_PIXELS / 4 samples, into buffers
-    allocated once; outside samples are multiplied by 0.
+    sampled in row-major groups of at most BAND_PIXELS / 4 samples, into
+    buffers allocated once; outside samples are multiplied by 0.
     """
     h, w = data.shape
     bs = orient.block_size
-    theta = orient.theta[blocks]
-    rows, cols = theta.shape
+    rows, cols = orient.theta[blocks].shape
+    theta = orient.theta[blocks].ravel()
     margin = math.ceil(math.hypot(window, bs) / 2.0) + 1
     off = margin + 1  # image column x is slab column x + off
-    slab = np.zeros((2 * margin + 1, w + 2 * off))  # rows floor(cy) -+ margin
+    y0 = np.arange(blocks.start, blocks.start + rows) * bs
+    cy = (y0 + np.minimum(y0 + bs, h) - 1) / 2.0
+    top = math.floor(cy[0]) - margin  # image row y is slab row y - top
+    slab = np.zeros((math.floor(cy[-1]) + margin + 1 - top, w + 2 * off))
     pw, flat = slab.shape[1], slab.ravel()
+    a, z = max(top, 0), min(top + len(slab), h)
+    slab[a - top : z - top, off : off + w] = data[a:z]
+    if top < 0:  # the ring rows above and below the image
+        slab[-1 - top, off : off + w] = data[0]
+    if z - top < len(slab):
+        slab[h - top, off : off + w] = data[h - 1]
+    slab[:, margin], slab[:, off + w] = slab[:, off], slab[:, off + w - 1]
 
-    # sample offsets across (k) and along (d) the ridge
+    # sample offsets across (k) and along (d) the ridge, per block
     k = (np.arange(window) - (window - 1) / 2.0)[None, :, None]
     d = (np.arange(bs) - (bs - 1) / 2.0)[None, None, :]
     x0 = np.arange(cols) * bs
-    cx = ((x0 + np.minimum(x0 + bs, w) - 1) / 2.0)[:, None, None]
-    ux, uy, vx, vy = (f(a)[..., None, None] for a in (theta + np.pi / 2, theta)
+    cx = np.tile((x0 + np.minimum(x0 + bs, w) - 1) / 2.0, rows)[:, None, None]
+    cy = np.repeat(cy, cols)[:, None, None]
+    ux, uy, vx, vy = (f(a)[:, None, None] for a in (theta + np.pi / 2, theta)
                       for f in (np.cos, np.sin))
-    groups = list(_bands(cols, 4 * window * bs))  # 7 buffers: 1.75 BAND_PIXELS values
+    groups = list(_bands(rows * cols, 4 * window * bs))  # 6 buffers: 1.5 BAND_PIXELS values
     shape = (groups[0][1], window, bs)
-    buffers = [np.empty(shape, t) for t in [float] * 6 + [np.intp, bool, bool]]
-    sig, ones = np.zeros((rows, cols, window)), np.ones(bs)
-    has_sig = np.zeros((rows, cols), dtype=bool)
-    for r, y0 in enumerate(range(blocks.start * bs, blocks.stop * bs, bs)):
-        cy = (y0 + min(y0 + bs, h) - 1) / 2.0
-        top = math.floor(cy) - margin  # image row y is slab row y - top
-        a, z = max(top, 0), min(top + len(slab), h)
-        slab[a - top : z - top, off : off + w] = data[a:z]
-        slab[: max(-1 - top, 0)] = slab[h + 1 - top :] = 0  # beyond the ring
-        if top < 0:  # the ring rows above and below the image
-            slab[-1 - top, off : off + w] = data[0]
-        if z - top < len(slab):
-            slab[h - top, off : off + w] = data[h - 1]
-        slab[:, margin], slab[:, off + w] = slab[:, off], slab[:, off + w - 1]
-        for c0, c1, _, _ in groups:
-            ys, xs, wy1, wx1, val, tap, idx, inside, edge = (b[: c1 - c0] for b in buffers)
-            g = slice(c0, c1)
-            np.add(cx[g] + k * ux[r, g], d * vx[r, g], out=xs)
-            np.add(cy + k * uy[r, g], d * vy[r, g], out=ys)
-            np.greater_equal(ys, 0, out=inside)
-            inside &= np.less_equal(ys, h - 1, out=edge)
-            inside &= np.greater_equal(xs, 0, out=edge)
-            inside &= np.less_equal(xs, w - 1, out=edge)
-            # the floors give the top-left tap's flat index, then
-            # w0 = 1 - (t - floor t) replaces t, and w1 = 1 - w0
-            np.floor(ys, out=wy1)
-            np.floor(xs, out=wx1)
-            ys -= wy1
-            xs -= wx1
-            wy1 *= pw
-            wy1 += wx1
-            wy1 += off - top * pw
-            np.copyto(idx, wy1, casting="unsafe")
-            for t, w1 in ((ys, wy1), (xs, wx1)):
-                np.subtract(1.0, t, out=t)
-                np.subtract(1.0, t, out=w1)
-            # mode "wrap" (every index is in bounds) takes into out= without
-            # the copy that the default "raise" makes
-            flat.take(idx, out=val, mode="wrap")
-            val *= ys
-            val *= xs
-            for shifted, wy, wx in ((flat[1:], ys, wx1), (flat[pw:], wy1, xs),
-                                    (flat[pw + 1 :], wy1, wx1)):
-                shifted.take(idx, out=tap, mode="wrap")
-                tap *= wy
-                tap *= wx
-                val += tap
-            np.copyto(tap, inside)  # 0/1 weights
-            val *= tap
-            counts = tap @ ones  # sums of 0s and 1s: exact in any order
-            ok = has_sig[r, g] = (counts >= bs // 2).all(axis=1)
-            sig[r, g][ok] = val.sum(axis=2)[ok] / counts[ok]  # nanmean's sum, in its order
-    return sig, has_sig
+    buffers = [np.empty(shape, t) for t in [float] * 5 + [np.intp, bool, bool]]
+    sig, ones = np.zeros((rows * cols, window)), np.ones(bs)
+    has_sig = np.zeros(rows * cols, dtype=bool)
+    for c0, c1 in groups:
+        wy, wx0, wx1, val, tap, idx, inside, edge = (b[: c1 - c0] for b in buffers)
+        g = slice(c0, c1)
+        np.add(cx[g] + k * ux[g], d * vx[g], out=wx0)
+        np.add(cy[g] + k * uy[g], d * vy[g], out=wy)
+        np.greater_equal(wy, 0, out=inside)
+        inside &= np.less_equal(wy, h - 1, out=edge)
+        inside &= np.greater_equal(wx0, 0, out=edge)
+        inside &= np.less_equal(wx0, w - 1, out=edge)
+        # the floors give the top-left tap's flat index, then
+        # w0 = 1 - (t - floor t) replaces t, and w1 = 1 - w0
+        np.floor(wy, out=tap)
+        np.floor(wx0, out=wx1)
+        wy -= tap
+        wx0 -= wx1
+        tap *= pw
+        tap += wx1
+        tap += off - top * pw
+        np.copyto(idx, tap, casting="unsafe")
+        np.subtract(1.0, wy, out=wy)
+        np.subtract(1.0, wx0, out=wx0)
+        np.subtract(1.0, wx0, out=wx1)
+        # mode "wrap" (every index is in bounds) takes into out= without
+        # the copy that the default "raise" makes
+        flat.take(idx, out=val, mode="wrap")
+        val *= wy
+        val *= wx0
+        for shift, wx in ((1, wx1), (pw, wx0), (pw + 1, wx1)):
+            if shift == pw:  # the lower taps: wy0 becomes wy1 in place
+                np.subtract(1.0, wy, out=wy)
+            flat[shift:].take(idx, out=tap, mode="wrap")
+            tap *= wy
+            tap *= wx
+            val += tap
+        np.copyto(tap, inside)  # 0/1 weights
+        val *= tap
+        counts = tap @ ones  # sums of 0s and 1s: exact in any order
+        ok = has_sig[g] = (counts >= bs // 2).all(axis=1)
+        sig[g][ok] = val.sum(axis=2)[ok] / counts[ok]  # nanmean's sum, in its order
+    return sig.reshape(rows, cols, window), has_sig.reshape(rows, cols)
 
 
 def _fill_absent(freq: np.ndarray) -> np.ndarray:
@@ -392,46 +398,55 @@ def coherence_gate(
 
 
 def compute_region_mask(
-    img: NormalizedImage,
+    img: GrayImage,
     orient: OrientationField,
     freq: FrequencyMap,
     reject_threshold: float = DEFAULT_REJECT_THRESHOLD,
     coherence_floor: float = DEFAULT_COHERENCE_FLOOR,
     variance_floor: float = DEFAULT_VARIANCE_FLOOR,
+    target_variance: float = DEFAULT_TARGET_VARIANCE,
 ) -> RegionMask | Rejection:
     """Label blocks recoverable/unrecoverable; reject low-quality images.
 
-    A block is recoverable iff its intensity variance and orientation
-    coherence clear their floors and a ridge frequency is present. When the
-    recoverable fraction falls below ``reject_threshold`` a Rejection is
-    returned instead of a mask.
+    A block is recoverable iff its orientation coherence clears
+    ``coherence_floor``, a ridge frequency is present, and its intensity
+    variance, scaled as normalization to ``target_variance`` would scale
+    it, clears ``variance_floor``: block variance x target_variance /
+    capture variance >= variance_floor. A constant capture has no variance
+    to scale, so none of its blocks is recoverable. When the recoverable
+    fraction falls below ``reject_threshold`` a Rejection is returned
+    instead of a mask.
     """
     _check_reject_threshold(reject_threshold)
     bs = orient.block_size
-    labels = (
-        (_block_variance(img.pixels, bs) >= variance_floor)
-        & (orient.coherence >= coherence_floor)
-        & np.isfinite(freq.freq)
-    )
+    variance, capture = _block_variance(img.pixels, bs)
+    varied = variance * target_variance / capture >= variance_floor if capture else False
+    labels = varied & (orient.coherence >= coherence_floor) & np.isfinite(freq.freq)
     mask = RegionMask(bs, labels)
     if mask.recoverable_fraction < reject_threshold:
         return Rejection(mask.recoverable_fraction, reject_threshold, "recoverable fraction")
     return mask
 
 
-def _block_variance(data: np.ndarray, block_size: int) -> np.ndarray:
-    """Population intensity variance of each block, E[I^2] - E[I]^2; the
-    pixel count of a block comes from its extent (partial at the edges).
-    The sums are taken per band of block rows (_bands)."""
-    extent = [np.diff(np.minimum(np.arange(0, n + block_size, block_size), n))
-              for n in data.shape]
+def _block_variance(data: np.ndarray, block_size: int) -> tuple[np.ndarray, float]:
+    """Population intensity variance of each block of 8-bit pixels, and of
+    the whole capture, each (n sum I^2 - (sum I)^2) / n^2 from exact
+    integer sums; n, a block's pixel count, comes from its extent (partial
+    at the edges). The sums are taken per band of block rows (_bands)."""
+    h, w = data.shape
+    extent = [np.diff(np.minimum(np.arange(0, n + block_size, block_size), n)) for n in (h, w)]
     counts = np.multiply.outer(*extent)
-    sums, sqsums = np.empty((2, *counts.shape))
-    for y0, y1, _, _ in _bands(*data.shape, block_size):
-        band, blocks = data[y0:y1], slice(y0 // block_size, -(-y1 // block_size))
-        sums[blocks] = _block_sum(band, block_size)
-        sqsums[blocks] = _block_sum(band * band, block_size)
-    return sqsums / counts - (sums / counts) ** 2
+    sums, sqsums = np.empty((2, *counts.shape), np.int64)
+    for y0, y1, blocks, buf in _block_bands(h, w, block_size):
+        band, pixels = data[y0:y1], buf[: y1 - y0, :w]
+        np.copyto(pixels, band)
+        sums[blocks] = _block_sum(buf, block_size)
+        np.multiply(band, band, out=pixels, dtype=np.int32)
+        sqsums[blocks] = _block_sum(buf, block_size)
+    # the capture's in Python ints: n sum I^2 outgrows int64 near 4096^2 pixels
+    n, total, sqtotal = h * w, int(sums.sum()), int(sqsums.sum())
+    capture = (n * sqtotal - total * total) / (n * n)
+    return (counts * sqsums - sums * sums) / (counts * counts), capture
 
 
 def _kernel_keys(theta: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -481,7 +496,7 @@ def _separable_bank(
 
 
 def gabor_response(
-    img: NormalizedImage,
+    img: GrayImage,
     orient: OrientationField,
     freq: FrequencyMap,
     mask: RegionMask,
@@ -531,7 +546,7 @@ def gabor_response(
 
     response = np.zeros((rows * bs, cols * bs))
     blocks = response.reshape(rows, bs, cols, bs).swapaxes(1, 2)
-    for top, bottom, _, _ in _bands(h, w, bs):
+    for top, bottom in _bands(h, w, bs):
         r0, r1 = top // bs, -(-bottom // bs)
         labels = mask.labels[r0:r1]
         # one filter pair per recoverable block, in row-major block order
@@ -541,11 +556,11 @@ def gabor_response(
         # every lag outside the band reads the zero tap after each channel
         x_taps, y_taps = _separable_bank(degrees, freqs, sigma, half)
         slab = np.pad(data.take(padded_rows[top : r1 * bs + 2 * half], axis=0),
-                      ((0, 0), (half, half + cols * bs - w)), mode="reflect")
+                      ((0, 0), (half, half + cols * bs - w)), mode="reflect").astype(np.float64)
         windows = sliding_window_view(slab, (span, span))[::bs, ::bs]  # [r, c] at (r bs, c bs)
         rs, cs = np.nonzero(labels)  # row-major, the order of the filter pairs
         # in groups of blocks whose windows hold at most BAND_PIXELS / 2 pixels
-        for a, b, _, _ in _bands(len(rs), 2 * span * span):
+        for a, b in _bands(len(rs), 2 * span * span):
             xs = windows[rs[a:b], cs[a:b]] @ x_taps[a:b].take(x_lag, axis=1)
             blocks[r0 + rs[a:b], cs[a:b]] = y_taps[a:b].take(y_lag, axis=1) @ xs.reshape(-1, 3 * span, bs)
         del x_taps, y_taps, slab, windows, xs  # before the next band's arrays
@@ -553,7 +568,7 @@ def gabor_response(
 
 
 def gabor_enhance(
-    img: NormalizedImage,
+    img: GrayImage,
     orient: OrientationField,
     freq: FrequencyMap,
     mask: RegionMask,

@@ -1,4 +1,5 @@
-"""Grayscale image containers, PGM file I/O and intensity normalization."""
+"""The 8-bit grayscale image, PGM file I/O and the row bands the front end
+works in."""
 
 from __future__ import annotations
 
@@ -8,8 +9,6 @@ from pathlib import Path
 
 import numpy as np
 
-DEFAULT_TARGET_MEAN = 100.0
-DEFAULT_TARGET_VARIANCE = 100.0
 BAND_PIXELS = 32 * 1024  # the front end's working set: 2 bands of a 256^2 print, 8 of 512^2
 
 
@@ -41,16 +40,6 @@ class GrayImage:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-
-@dataclass(frozen=True)
-class NormalizedImage:
-    """Real-valued image with prescribed mean and variance."""
-
-    pixels: np.ndarray  # (height, width), float64
-
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.float64))
 
 
 def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
@@ -142,52 +131,13 @@ def save_pgm(img, path: str | Path) -> None:
     path.write_bytes(header + arr.astype(np.uint8).tobytes())
 
 
-def _bands(length: int, unit_pixels: int, unit: int = 1, halo: int = 0):
-    """Bands (start, stop, lo, hi) covering range(length): as many whole
-    `unit`s as fit in BAND_PIXELS (at least one; the last may be partial)
-    at unit_pixels per index; lo:hi widens a band by `halo`, clipped."""
+def _bands(length: int, unit_pixels: int, unit: int = 1):
+    """Bands (start, stop) covering range(length): as many whole `unit`s as
+    fit in BAND_PIXELS (at least one; the last may be partial) at
+    unit_pixels per index."""
     step = max(1, BAND_PIXELS // (unit_pixels * unit)) * unit
     for start in range(0, length, step):
-        stop = min(start + step, length)
-        yield start, stop, max(start - halo, 0), min(stop + halo, length)
-
-
-def normalize(
-    img: GrayImage,
-    target_mean: float = DEFAULT_TARGET_MEAN,
-    target_variance: float = DEFAULT_TARGET_VARIANCE,
-) -> NormalizedImage:
-    """Fix the image mean and variance to the given targets.
-
-    Each pixel moves to target_mean +/- sqrt(target_variance * (I-m)^2 / v),
-    keeping the sign of (I - m); m, v are the input mean and (population)
-    variance. Constant images map to target_mean everywhere.
-
-    The formula is evaluated once per grey level and the 256-entry table
-    indexed with the pixels; v sums the per-pixel (I - m)^2 (from a table
-    too) in numpy's order, so the output equals the per-pixel formula's
-    bit for bit, and one image-sized float array is written. The tables are
-    indexed by row bands (_bands), so no whole-image index array is made.
-    """
-    if target_variance <= 0:
-        raise ValueError("target_variance must be positive")
-    pixels = img.pixels
-    mean = pixels.sum(dtype=np.float64) / pixels.size  # an exact integer sum
-    levels = np.arange(256, dtype=np.float64)
-    sq = (levels - mean) ** 2
-    out = np.empty_like(pixels, dtype=np.float64)  # var sums in memory order
-    bands = [slice(y0, y1) for y0, y1, _, _ in _bands(*pixels.shape)]
-    for b in bands:  # indices in range; "raise" would copy out
-        sq.take(pixels[b], out=out[b], mode="wrap")
-    var = out.sum() / pixels.size
-    if var == 0.0:
-        out.fill(target_mean)
-        return NormalizedImage(out)
-    dev = np.sqrt(target_variance * sq / var)
-    table = np.where(levels > mean, target_mean + dev, target_mean - dev)
-    for b in bands:
-        table.take(pixels[b], out=out[b], mode="wrap")
-    return NormalizedImage(out)
+        yield start, min(start + step, length)
 
 
 def invert(img: GrayImage) -> GrayImage:

@@ -22,7 +22,7 @@ from .evaluate import (
     format_report_text,
     match_minutiae,
 )
-from .image import GrayImage, invert, load_pgm, normalize, save_pgm
+from .image import GrayImage, invert, load_pgm, save_pgm
 from .minutiae import MinutiaeSet, extract_minutiae, postprocess, read_minutiae, write_minutiae
 from .synth import generate, parse_synth_spec
 
@@ -42,37 +42,37 @@ class ExtractOutcome:
 def extract_from_image(img: GrayImage, image_id: str, config: PipelineConfig) -> ExtractOutcome:
     """Run the full extraction pipeline on an in-memory image.
 
-    Stages: normalize, orientation estimation (possible rejection by the
-    coherence gate, straight after the per-block gradient sums, before the
-    orientation field is formed), frequency estimation, region mask
-    (possible rejection), Gabor enhancement, polarity inversion (ridges are
-    dark in scan polarity; thresholding wants ridge=1), binarization,
-    thinning, minutiae extraction, post-processing. An image with no
-    recoverable block (possible only at reject_threshold 0) has no ridge and
-    so no minutiae.
+    Stages: orientation estimation (possible rejection by the coherence
+    gate, straight after the per-block gradient sums, before the orientation
+    field is formed), frequency estimation, region mask (possible
+    rejection), Gabor enhancement, polarity inversion (ridges are dark in
+    scan polarity; thresholding wants ridge=1), binarization, thinning,
+    minutiae extraction, post-processing. The front end reads the 8-bit
+    capture itself. An image with no recoverable block (possible only at
+    reject_threshold 0) has no ridge and so no minutiae.
     """
     if img.width < 32 or img.height < 32:
         raise ValueError(
             f"image {img.width}x{img.height} too small; the block-wise "
             "estimators need at least 32x32"
         )
-    norm = normalize(img, config.target_mean, config.target_variance)
     orient = enh.estimate_orientation(
-        norm, config.block_size, config.smooth_sigma, config.reject_threshold
+        img, config.block_size, config.smooth_sigma, config.reject_threshold
     )
     if isinstance(orient, enh.Rejection):
         return ExtractOutcome(image_id, None, orient)
-    freq = enh.estimate_frequency(norm, orient, config.freq_window)
+    freq = enh.estimate_frequency(img, orient, config.freq_window)
     mask = enh.compute_region_mask(
-        norm, orient, freq,
+        img, orient, freq,
         reject_threshold=config.reject_threshold,
         coherence_floor=config.coherence_floor,
         variance_floor=config.variance_floor,
+        target_variance=config.target_variance,
     )
     if isinstance(mask, enh.Rejection):
         return ExtractOutcome(image_id, None, mask)
 
-    enhanced = enh.gabor_enhance(norm, orient, freq, mask, config.sigma)
+    enhanced = enh.gabor_enhance(img, orient, freq, mask, config.sigma)
     work = invert(enhanced)  # ridges become bright so that ridge => 1
     if mask.labels.any():
         bin_img = binarize(work, auto_threshold(work, mask))

@@ -58,18 +58,6 @@ def classify_pixel(skel, x: int, y: int) -> str | None:
     return None  # count 3: plain ridge pixel; count 1: isolated dot
 
 
-def reference_normalize(img, target_mean=100.0, target_variance=100.0) -> np.ndarray:
-    """Reference for `normalize`: the per-pixel formula on the float image,
-    with numpy's mean and variance."""
-    data = img.pixels.astype(np.float64)
-    mean = data.mean()
-    var = data.var()
-    if var == 0.0:
-        return np.full_like(data, target_mean)
-    dev = np.sqrt(target_variance * (data - mean) ** 2 / var)
-    return np.where(data > mean, target_mean + dev, target_mean - dev)
-
-
 GRID_10 = (
     (48, 48, "ending"), (48, 120, "bifurcation"), (48, 192, "ending"),
     (120, 48, "bifurcation"), (120, 120, "ending"), (120, 192, "bifurcation"),
@@ -118,18 +106,16 @@ def corpus_bitmaps():
 
 @pytest.fixture(scope="session")
 def corpus_enhance_inputs():
-    """(image_id, normalized image, orientation, frequency, mask) of each
+    """(image_id, image, orientation, frequency, mask) of each
     acceptance-corpus print, from the default estimators."""
     from ridgekit import enhance as enh
-    from ridgekit.image import normalize
 
     out = []
     for k in range(20):
         img, truth = generate(corpus_spec(k))
-        norm = normalize(img)
-        orient = enh.estimate_orientation(norm)
-        freq = enh.estimate_frequency(norm, orient)
-        mask = enh.compute_region_mask(norm, orient, freq)
+        orient = enh.estimate_orientation(img)
+        freq = enh.estimate_frequency(img, orient)
+        mask = enh.compute_region_mask(img, orient, freq)
         assert isinstance(mask, enh.RegionMask), truth.image_id
-        out.append((truth.image_id, norm, orient, freq, mask))
+        out.append((truth.image_id, img, orient, freq, mask))
     return out

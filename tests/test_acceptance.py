@@ -19,7 +19,7 @@ from ridgekit.enhance import (
     compute_region_mask,
 )
 from ridgekit.evaluate import MatchResult, aggregate, compute_metrics, match_minutiae
-from ridgekit.image import GrayImage, normalize
+from ridgekit.image import GrayImage
 from ridgekit.minutiae import (
     BIFURCATION,
     ENDING,
@@ -83,7 +83,7 @@ def test_criterion_3_orientation_recovery():
         img, _ = generate(
             SynthSpec(256, 256, ParallelPattern(math.radians(deg)), 8.0)
         )
-        orient = estimate_orientation(normalize(img))
+        orient = estimate_orientation(img)
         theta = orient.theta[2:-2, 2:-2]
         want = math.radians(deg) % math.pi
         err = np.abs(theta - want)
@@ -100,8 +100,7 @@ def test_criterion_4_frequency_recovery():
         img, _ = generate(
             SynthSpec(256, 256, ParallelPattern(math.radians(30)), float(period))
         )
-        norm = normalize(img)
-        freq = estimate_frequency(norm, estimate_orientation(norm))
+        freq = estimate_frequency(img, estimate_orientation(img))
         f = freq.freq[2:-2, 2:-2]
         present = np.isfinite(f)
         rel_ok = np.abs(f[present] * period - 1.0) <= 0.10
@@ -114,16 +113,15 @@ def test_criterion_4_frequency_recovery():
 def test_criterion_5_gabor_selectivity_and_denoising():
     t0 = time.perf_counter()
     clean, _ = generate(SynthSpec(256, 256, ParallelPattern(math.radians(30)), 8.0))
-    norm = normalize(clean)
-    orient = estimate_orientation(norm)
-    freq = estimate_frequency(norm, orient)
-    mask = compute_region_mask(norm, orient, freq, 0.25)
+    orient = estimate_orientation(clean)
+    freq = estimate_frequency(clean, orient)
+    mask = compute_region_mask(clean, orient, freq, 0.25)
     sl = (slice(32, -32), slice(32, -32))
-    matched = gabor_response(norm, orient, freq, mask)[sl].std()
+    matched = gabor_response(clean, orient, freq, mask)[sl].std()
     rotated = OrientationField(
         orient.block_size, np.mod(orient.theta + np.pi / 2, np.pi), orient.coherence
     )
-    crossed = gabor_response(norm, rotated, freq, mask)[sl].std()
+    crossed = gabor_response(clean, rotated, freq, mask)[sl].std()
     assert matched >= 5.0 * crossed
 
     ref = clean.pixels[sl].astype(float).ravel()
@@ -132,11 +130,10 @@ def test_criterion_5_gabor_selectivity_and_denoising():
             SynthSpec(256, 256, ParallelPattern(math.radians(30)), 8.0,
                       noise_amplitude=30.0, seed=200 + seed)
         )
-        n_norm = normalize(noisy)
-        n_orient = estimate_orientation(n_norm)
-        n_freq = estimate_frequency(n_norm, n_orient)
-        n_mask = compute_region_mask(n_norm, n_orient, n_freq, 0.25)
-        out = gabor_enhance(n_norm, n_orient, n_freq, n_mask)
+        n_orient = estimate_orientation(noisy)
+        n_freq = estimate_frequency(noisy, n_orient)
+        n_mask = compute_region_mask(noisy, n_orient, n_freq, 0.25)
+        out = gabor_enhance(noisy, n_orient, n_freq, n_mask)
         c_noisy = np.corrcoef(noisy.pixels[sl].astype(float).ravel(), ref)[0, 1]
         c_enh = np.corrcoef(out.pixels[sl].astype(float).ravel(), ref)[0, 1]
         assert c_enh > c_noisy, f"seed {seed}"

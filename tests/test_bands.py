@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_normalize
+from conftest import _blurred_noise
 from test_enhance import (
     _dense_reference,
     _reference_block_variance,
@@ -21,7 +21,7 @@ from test_enhance import (
 from ridgekit import enhance as enh
 from ridgekit.binary import auto_threshold
 from ridgekit.config import PipelineConfig
-from ridgekit.image import BAND_PIXELS, GrayImage, _bands, invert, normalize
+from ridgekit.image import BAND_PIXELS, GrayImage, _bands, invert
 from ridgekit.pipeline import extract_from_image
 from ridgekit.synth import ConcentricPattern, ParallelPattern, SynthSpec, generate
 
@@ -53,51 +53,52 @@ def test_bands_split_the_front_end_bit_identically(name, monkeypatch):
     h, w = img.pixels.shape
     bands = list(_bands(h, w, enh.DEFAULT_BLOCK_SIZE))
     assert len(bands) > 1 and bands[-1][1] == h
-    norm = normalize(img)
-    assert_same_bits(norm.pixels, reference_normalize(img))
+    data = img.pixels.astype(np.float64)
 
-    orient = enh.estimate_orientation(norm)
-    theta, coherence = _reference_orientation(norm.pixels)
+    orient = enh.estimate_orientation(img)
+    theta, coherence = _reference_orientation(data)
     assert_same_bits(orient.theta, theta)
     assert_same_bits(orient.coherence, coherence)
 
     rows = orient.theta.shape[0]
-    sig, has_sig = enh._projection_signatures(norm.pixels, orient, 32, slice(0, rows))
-    want_sig, want_has = _reference_signatures(norm.pixels, orient, 32)
+    sig, has_sig = enh._projection_signatures(img.pixels, orient, 32, slice(0, rows))
+    want_sig, want_has = _reference_signatures(data, orient, 32)
     assert_same_bits(sig, want_sig)
     assert np.array_equal(has_sig, want_has)
-    freq = enh.estimate_frequency(norm, orient)
+    freq = enh.estimate_frequency(img, orient)
     with monkeypatch.context() as m:
         m.setattr(enh, "_projection_signatures", _reference_signatures)
-        assert_same_bits(freq.freq, enh.estimate_frequency(norm, orient).freq)
+        assert_same_bits(freq.freq, enh.estimate_frequency(img, orient).freq)
 
-    variance = _reference_block_variance(norm.pixels, orient.block_size)
-    assert_same_bits(enh._block_variance(norm.pixels, orient.block_size), variance)
-    mask = enh.compute_region_mask(norm, orient, freq, 0.0)
-    assert np.array_equal(mask.labels, (variance >= enh.DEFAULT_VARIANCE_FLOOR)
+    variance = _reference_block_variance(data, orient.block_size)
+    got_variance, capture = enh._block_variance(img.pixels, orient.block_size)
+    assert_same_bits(got_variance, variance)
+    mask = enh.compute_region_mask(img, orient, freq, 0.0)
+    scaled = variance * enh.DEFAULT_TARGET_VARIANCE / capture
+    assert np.array_equal(mask.labels, (scaled >= enh.DEFAULT_VARIANCE_FLOOR)
                           & (coherence >= enh.DEFAULT_COHERENCE_FLOOR)
                           & np.isfinite(freq.freq))
     # unrecoverable blocks inside every band, runs of 1 to 3 blocks
     labels = mask.labels & (np.indices(mask.labels.shape).sum(axis=0) % 4 != 1)
     mask = enh.RegionMask(orient.block_size, labels)
-    enhanced = enh.gabor_enhance(norm, orient, freq, mask)
-    response = enh.gabor_response(norm, orient, freq, mask)
+    enhanced = enh.gabor_enhance(img, orient, freq, mask)
+    response = enh.gabor_response(img, orient, freq, mask)
     sel = mask.pixel_mask(h, w)
     assert np.array_equal(enhanced.pixels, _parent_enhance(response, sel))
     with monkeypatch.context() as m:
         m.setattr(enh, "gabor_response", _dense_reference)
-        assert np.array_equal(enhanced.pixels, enh.gabor_enhance(norm, orient, freq, mask).pixels)
+        assert np.array_equal(enhanced.pixels, enh.gabor_enhance(img, orient, freq, mask).pixels)
 
     work = invert(enhanced)
     want = int(np.rint(work.pixels[sel].astype(np.float64).mean()))
     assert auto_threshold(work, mask) == want
 
 
-def test_bands_cover_in_order_with_halos():
-    assert [b[:2] for b in _bands(517, 300, 16, halo=1)] == [
+def test_bands_cover_in_order():
+    assert list(_bands(517, 300, 16)) == [
         (0, 96), (96, 192), (192, 288), (288, 384), (384, 480), (480, 517)]
-    assert list(_bands(40, 1100, 16, halo=2))[1] == (16, 32, 14, 34)
-    assert list(_bands(5, 10 * BAND_PIXELS)) == [(i, i + 1, i, i + 1) for i in range(5)]
+    assert list(_bands(40, 1100, 16))[1] == (16, 32)
+    assert list(_bands(5, 10 * BAND_PIXELS)) == [(i, i + 1) for i in range(5)]
     assert len(list(_bands(256, 256, 16))) == 2 and len(list(_bands(512, 512, 16))) == 8
 
 
@@ -117,27 +118,34 @@ def _peak(fn):
 
 
 def test_front_end_allocates_no_image_sized_temporary_at_512():
-    # each stage may allocate its output once (normalized image, Gabor
-    # response, enhanced image) and at most 1 MiB besides
+    # each stage may allocate its output once (Gabor response, enhanced
+    # image) and at most 1 MiB besides
     img = BAND_IMAGES["512x512"]()
-    norm = normalize(img)
-    orient = enh.estimate_orientation(norm)
-    freq = enh.estimate_frequency(norm, orient)
-    mask = enh.compute_region_mask(norm, orient, freq)
+    orient = enh.estimate_orientation(img)
+    freq = enh.estimate_frequency(img, orient)
+    mask = enh.compute_region_mask(img, orient, freq)
     assert isinstance(mask, enh.RegionMask) and mask.labels.all()
-    work = invert(enh.gabor_enhance(norm, orient, freq, mask))
+    work = invert(enh.gabor_enhance(img, orient, freq, mask))
     image_bytes = 512 * 512 * 8
     stages = {
-        "normalize": (lambda: normalize(img), 0),
-        "estimate_orientation": (lambda: enh.estimate_orientation(norm), 0),
-        "estimate_frequency": (lambda: enh.estimate_frequency(norm, orient), 0),
-        "compute_region_mask": (lambda: enh.compute_region_mask(norm, orient, freq), 0),
-        "gabor_enhance": (lambda: enh.gabor_enhance(norm, orient, freq, mask), image_bytes),
+        "estimate_orientation": (lambda: enh.estimate_orientation(img), 0),
+        "estimate_frequency": (lambda: enh.estimate_frequency(img, orient), 0),
+        "compute_region_mask": (lambda: enh.compute_region_mask(img, orient, freq), 0),
+        "gabor_enhance": (lambda: enh.gabor_enhance(img, orient, freq, mask), image_bytes),
         "auto_threshold": (lambda: auto_threshold(work, mask), 0),
     }
     for name, (fn, response) in stages.items():
         result, peak = _peak(fn)
         assert peak <= _nbytes(result) + response + 2**20, (name, peak)
+
+
+def test_rejected_512_capture_allocates_no_image_sized_float_array():
+    # the gate reads int16 gradients of one band at a time: a 512^2 capture
+    # it rejects never holds a float64 array of the image's size
+    img = _blurred_noise(0, size=512)
+    outcome, peak = _peak(lambda: extract_from_image(img, "blurred_noise", PipelineConfig()))
+    assert outcome.rejected and outcome.rejection.measure == "coherent share"
+    assert peak < 512 * 512 * 8, peak
 
 
 _CONTENT = st.sampled_from(["blank", "saturated", "noise", "grating", "noisy_grating"])

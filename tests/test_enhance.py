@@ -1,13 +1,14 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from conftest import _blurred_noise, corpus_spec, reference_normalize
+from conftest import _blurred_noise, corpus_spec
 from ridgekit import enhance as enh
-from ridgekit.image import GrayImage, NormalizedImage, normalize
+from ridgekit.image import GrayImage
 from ridgekit.synth import ParallelPattern, SynthSpec, generate
 
 
@@ -27,21 +28,21 @@ def oriented_image(deg, period=8.0, size=256, noise=0.0, seed=0):
 def test_orientation_vertical_stripes():
     # intensity varies with x only -> ridge direction is vertical (pi/2)
     img = oriented_image(90.0)
-    orient = enh.estimate_orientation(normalize(img))
+    orient = enh.estimate_orientation(img)
     err = angle_error(orient.theta[2:-2, 2:-2], math.pi / 2)
     assert err.max() <= 0.05
 
 
 def test_orientation_rotated_30():
     img = oriented_image(60.0)  # 90 - 30
-    orient = enh.estimate_orientation(normalize(img))
+    orient = enh.estimate_orientation(img)
     err = angle_error(orient.theta[2:-2, 2:-2], math.pi / 2 - math.radians(30))
     assert np.quantile(err, 0.95) <= 0.09
 
 
 def test_orientation_constant_image_flagged_low_coherence():
     img = GrayImage(np.full((64, 64), 50, np.uint8))
-    orient = enh.estimate_orientation(normalize(img))
+    orient = enh.estimate_orientation(img)
     assert np.isfinite(orient.theta).all()
     assert (orient.coherence < 0.3).all()
 
@@ -50,7 +51,7 @@ def test_orientation_range_invariant():
     for seed in range(4):
         rng = np.random.default_rng(seed)
         img = GrayImage(rng.integers(0, 256, (96, 96)).astype(np.uint8))
-        orient = enh.estimate_orientation(normalize(img))
+        orient = enh.estimate_orientation(img)
         assert (orient.theta >= 0).all() and (orient.theta < np.pi).all()
 
 
@@ -62,7 +63,7 @@ def test_orientation_rotation_equivariance(phi):
         base.pixels.astype(float), phi, reshape=False, order=1, mode="nearest"
     )
     img = GrayImage(np.clip(np.rint(rotated), 0, 255).astype(np.uint8))
-    orient = enh.estimate_orientation(normalize(img))
+    orient = enh.estimate_orientation(img)
     want = (math.pi / 2 - math.radians(phi)) % math.pi
     err = angle_error(orient.theta[3:-3, 3:-3], want)
     assert np.quantile(err, 0.9) <= 0.09
@@ -71,22 +72,21 @@ def test_orientation_rotation_equivariance(phi):
 def test_orientation_rejects_small_image():
     img = GrayImage(np.zeros((8, 8), np.uint8))
     with pytest.raises(ValueError):
-        enh.estimate_orientation(normalize(img), block_size=16)
+        enh.estimate_orientation(img, block_size=16)
 
 
 @pytest.mark.parametrize("sigma", [-2.0, -1e-300, math.inf, math.nan])
 def test_orientation_refuses_negative_or_non_finite_smoothing(sigma):
-    norm = normalize(oriented_image(90.0, size=64))
+    img = oriented_image(90.0, size=64)
     with pytest.raises(ValueError, match=r"^smooth_sigma must be >= 0 and finite$"):
-        enh.estimate_orientation(norm, smooth_sigma=sigma)
+        enh.estimate_orientation(img, smooth_sigma=sigma)
 
 
 @pytest.mark.parametrize("period", [4, 6, 8, 10, 12])
 def test_frequency_recovery(period):
     img = oriented_image(30.0, period=float(period))
-    norm = normalize(img)
-    orient = enh.estimate_orientation(norm)
-    freq = enh.estimate_frequency(norm, orient)
+    orient = enh.estimate_orientation(img)
+    freq = enh.estimate_frequency(img, orient)
     f = freq.freq[2:-2, 2:-2]
     present = np.isfinite(f)
     assert present.mean() >= 0.9
@@ -99,22 +99,19 @@ def test_frequency_period_30_out_of_band():
     img = GrayImage(
         np.clip(np.rint(127.5 - 100 * np.cos(2 * np.pi * xs / 30.0)), 0, 255).astype(np.uint8)
     )
-    norm = normalize(img)
-    freq = enh.estimate_frequency(norm, enh.estimate_orientation(norm))
+    freq = enh.estimate_frequency(img, enh.estimate_orientation(img))
     assert not np.isfinite(freq.freq).any()
 
 
 def test_frequency_constant_image_absent():
     img = GrayImage(np.full((64, 64), 90, np.uint8))
-    norm = normalize(img)
-    freq = enh.estimate_frequency(norm, enh.estimate_orientation(norm))
+    freq = enh.estimate_frequency(img, enh.estimate_orientation(img))
     assert not np.isfinite(freq.freq).any()
 
 
 def test_frequency_band_invariant():
     img = oriented_image(75.0, period=6.0, noise=25.0, seed=2)
-    norm = normalize(img)
-    freq = enh.estimate_frequency(norm, enh.estimate_orientation(norm))
+    freq = enh.estimate_frequency(img, enh.estimate_orientation(img))
     present = freq.freq[np.isfinite(freq.freq)]
     assert (present >= 1.0 / 25.0).all() and (present <= 1.0 / 3.0).all()
 
@@ -165,8 +162,8 @@ def _period_from_signature(sig):
     return period
 
 
-def _reference_frequency(norm, orient, window=enh.DEFAULT_FREQ_WINDOW):
-    data = norm.pixels
+def _reference_frequency(img, orient, window=enh.DEFAULT_FREQ_WINDOW):
+    data = img.pixels.astype(np.float64)
     h, w = data.shape
     bs = orient.block_size
     freq = np.full(orient.theta.shape, np.nan)
@@ -196,10 +193,10 @@ PIN_IMAGES = {
 
 @pytest.mark.parametrize("name", sorted(PIN_IMAGES))
 def test_frequency_matches_per_block_reference(name):
-    norm = normalize(PIN_IMAGES[name]())
-    orient = enh.estimate_orientation(norm)
-    got = enh.estimate_frequency(norm, orient).freq
-    want = _reference_frequency(norm, orient)
+    img = PIN_IMAGES[name]()
+    orient = enh.estimate_orientation(img)
+    got = enh.estimate_frequency(img, orient).freq
+    want = _reference_frequency(img, orient)
     assert np.isfinite(want).any()
     assert (np.isnan(got) == np.isnan(want)).all()
     present = np.isfinite(want)
@@ -208,32 +205,32 @@ def test_frequency_matches_per_block_reference(name):
 
 def test_region_mask_clean_accepted(clean_stripes):
     img, _ = clean_stripes
-    norm = normalize(img)
-    orient = enh.estimate_orientation(norm)
-    freq = enh.estimate_frequency(norm, orient)
-    mask = enh.compute_region_mask(norm, orient, freq, 0.3)
+    orient = enh.estimate_orientation(img)
+    freq = enh.estimate_frequency(img, orient)
+    mask = enh.compute_region_mask(img, orient, freq, 0.3)
     assert isinstance(mask, enh.RegionMask)
     assert mask.recoverable_fraction >= 0.9
-    # independent per-block re-check of the mask definition
+    # independent per-block re-check of the mask definition: the block
+    # variance scaled as normalizing the capture to the target variance would
     want = (
         np.isfinite(freq.freq)
         & (orient.coherence >= enh.DEFAULT_COHERENCE_FLOOR)
     )
     bs = orient.block_size
+    scale = enh.DEFAULT_TARGET_VARIANCE / img.pixels.var()
     for r in range(orient.theta.shape[0]):
         for c in range(orient.theta.shape[1]):
-            block = norm.pixels[r * bs : (r + 1) * bs, c * bs : (c + 1) * bs]
-            want[r, c] &= block.var() >= enh.DEFAULT_VARIANCE_FLOOR
+            block = img.pixels[r * bs : (r + 1) * bs, c * bs : (c + 1) * bs]
+            want[r, c] &= block.var() * scale >= enh.DEFAULT_VARIANCE_FLOOR
     assert (mask.labels == want).all()
 
 
 def test_region_mask_noise_rejected():
     rng = np.random.default_rng(9)
     img = GrayImage(rng.integers(0, 256, (256, 256)).astype(np.uint8))
-    norm = normalize(img)
-    orient = enh.estimate_orientation(norm)
-    freq = enh.estimate_frequency(norm, orient)
-    out = enh.compute_region_mask(norm, orient, freq, 0.3)
+    orient = enh.estimate_orientation(img)
+    freq = enh.estimate_frequency(img, orient)
+    out = enh.compute_region_mask(img, orient, freq, 0.3)
     assert isinstance(out, enh.Rejection)
     assert out.recoverable_fraction < 0.3
 
@@ -241,20 +238,18 @@ def test_region_mask_noise_rejected():
 def test_region_mask_threshold_zero_never_rejects():
     rng = np.random.default_rng(10)
     img = GrayImage(rng.integers(0, 256, (64, 64)).astype(np.uint8))
-    norm = normalize(img)
-    orient = enh.estimate_orientation(norm)
-    freq = enh.estimate_frequency(norm, orient)
-    assert isinstance(enh.compute_region_mask(norm, orient, freq, 0.0), enh.RegionMask)
+    orient = enh.estimate_orientation(img)
+    freq = enh.estimate_frequency(img, orient)
+    assert isinstance(enh.compute_region_mask(img, orient, freq, 0.0), enh.RegionMask)
 
 
 def test_region_mask_monotone_in_threshold(clean_stripes):
     img, _ = clean_stripes
-    norm = normalize(img)
-    orient = enh.estimate_orientation(norm)
-    freq = enh.estimate_frequency(norm, orient)
+    orient = enh.estimate_orientation(img)
+    freq = enh.estimate_frequency(img, orient)
     accepted_at = [
         t for t in (0.0, 0.25, 0.5, 0.75, 1.0)
-        if isinstance(enh.compute_region_mask(norm, orient, freq, t), enh.RegionMask)
+        if isinstance(enh.compute_region_mask(img, orient, freq, t), enh.RegionMask)
     ]
     # if accepted at t, accepted at every t' <= t
     if accepted_at:
@@ -265,18 +260,17 @@ def test_region_mask_monotone_in_threshold(clean_stripes):
 
 
 def _enhance_setup(img):
-    norm = normalize(img)
-    orient = enh.estimate_orientation(norm)
-    freq = enh.estimate_frequency(norm, orient)
-    mask = enh.compute_region_mask(norm, orient, freq, 0.25)
+    orient = enh.estimate_orientation(img)
+    freq = enh.estimate_frequency(img, orient)
+    mask = enh.compute_region_mask(img, orient, freq, 0.25)
     assert isinstance(mask, enh.RegionMask)
-    return norm, orient, freq, mask
+    return img, orient, freq, mask
 
 
 def test_gabor_matched_correlation(clean_stripes):
     img, _ = clean_stripes
-    norm, orient, freq, mask = _enhance_setup(img)
-    out = enh.gabor_enhance(norm, orient, freq, mask)
+    img, orient, freq, mask = _enhance_setup(img)
+    out = enh.gabor_enhance(img, orient, freq, mask)
     sl = (slice(32, -32), slice(32, -32))
     cc = np.corrcoef(
         out.pixels[sl].astype(float).ravel(), img.pixels[sl].astype(float).ravel()
@@ -286,23 +280,22 @@ def test_gabor_matched_correlation(clean_stripes):
 
 def test_gabor_orientation_selectivity(clean_stripes):
     img, _ = clean_stripes
-    norm, orient, freq, mask = _enhance_setup(img)
-    matched = enh.gabor_response(norm, orient, freq, mask)
+    img, orient, freq, mask = _enhance_setup(img)
+    matched = enh.gabor_response(img, orient, freq, mask)
     rotated = enh.OrientationField(
         orient.block_size, np.mod(orient.theta + np.pi / 2, np.pi), orient.coherence
     )
-    crossed = enh.gabor_response(norm, rotated, freq, mask)
+    crossed = enh.gabor_response(img, rotated, freq, mask)
     sl = (slice(32, -32), slice(32, -32))
     assert crossed[sl].std() < 0.2 * matched[sl].std()
 
 
 def test_gabor_constant_input_mid_gray():
     img = GrayImage(np.full((64, 64), 50, np.uint8))
-    norm = normalize(img)
     orient = enh.OrientationField(16, np.zeros((4, 4)), np.ones((4, 4)))
     freq = enh.FrequencyMap(16, np.full((4, 4), 0.125))
     mask = enh.RegionMask(16, np.ones((4, 4), bool))
-    out = enh.gabor_enhance(norm, orient, freq, mask)
+    out = enh.gabor_enhance(img, orient, freq, mask)
     assert (out.pixels == 128).all()
 
 
@@ -311,8 +304,8 @@ def test_gabor_denoising_property():
     sl = (slice(32, -32), slice(32, -32))
     ref = clean.pixels[sl].astype(float).ravel()
     noisy = oriented_image(30.0, noise=30.0, seed=4)
-    norm, orient, freq, mask = _enhance_setup(noisy)
-    out = enh.gabor_enhance(norm, orient, freq, mask)
+    img, orient, freq, mask = _enhance_setup(noisy)
+    out = enh.gabor_enhance(img, orient, freq, mask)
     c_noisy = np.corrcoef(noisy.pixels[sl].astype(float).ravel(), ref)[0, 1]
     c_enh = np.corrcoef(out.pixels[sl].astype(float).ravel(), ref)[0, 1]
     assert c_enh > c_noisy
@@ -320,14 +313,13 @@ def test_gabor_denoising_property():
 
 def test_gabor_missing_frequency_in_recoverable_block_reports_block():
     img = GrayImage(np.full((64, 64), 50, np.uint8))
-    norm = normalize(img)
     orient = enh.OrientationField(16, np.zeros((4, 4)), np.ones((4, 4)))
     f = np.full((4, 4), 0.125)
     f[1, 2] = np.nan
     freq = enh.FrequencyMap(16, f)
     mask = enh.RegionMask(16, np.ones((4, 4), bool))
     with pytest.raises(ValueError, match=r"\(1, 2\)"):
-        enh.gabor_response(norm, orient, freq, mask)
+        enh.gabor_response(img, orient, freq, mask)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -341,8 +333,8 @@ def test_gabor_missing_frequency_in_recoverable_block_reports_block():
     ("gabor_response", {"sigma": 0.0}, "sigma must be positive and finite"),
 ], ids=["window-0", "window-neg", "sigma-0", "sigma-neg", "sigma-nan", "sigma-inf", "response-sigma-0"])
 def test_stage_refuses_bad_parameter(stage, kwargs, message):
-    norm, orient, freq, mask = _enhance_setup(oriented_image(30.0, size=64))
-    args = (norm, orient) if stage == "estimate_frequency" else (norm, orient, freq, mask)
+    img, orient, freq, mask = _enhance_setup(oriented_image(30.0, size=64))
+    args = (img, orient) if stage == "estimate_frequency" else (img, orient, freq, mask)
     with pytest.raises(ValueError, match=f"^{message}$"):
         getattr(enh, stage)(*args, **kwargs)
 
@@ -350,13 +342,13 @@ def test_stage_refuses_bad_parameter(stage, kwargs, message):
 @pytest.mark.parametrize("gaps", [False, True])
 @pytest.mark.parametrize("name", sorted(PIN_IMAGES))
 def test_gabor_separable_matches_dense_path(name, gaps):
-    norm = normalize(PIN_IMAGES[name]())
-    orient = enh.estimate_orientation(norm)
-    freq = enh.estimate_frequency(norm, orient)
+    img = PIN_IMAGES[name]()
+    orient = enh.estimate_orientation(img)
+    freq = enh.estimate_frequency(img, orient)
     labels = np.isfinite(freq.freq)
     if gaps:  # unrecoverable blocks inside block rows, runs of 1 to 3 blocks
         labels &= np.indices(labels.shape).sum(axis=0) % 4 != 1
-    assert_matches_dense(norm, orient, freq, enh.RegionMask(orient.block_size, labels))
+    assert_matches_dense(img, orient, freq, enh.RegionMask(orient.block_size, labels))
 
 
 def _kernel_key(theta, freq):
@@ -379,7 +371,7 @@ def _gabor_kernel(theta, freq, sigma, half):
 def _dense_reference(img, orient, freq, mask, sigma=enh.DEFAULT_SIGMA):
     """gabor_response by one dense K x K kernel per recoverable block: the
     reference the separable realization is pinned against."""
-    data = img.pixels
+    data = img.pixels.astype(np.float64)
     half = math.ceil(3.0 * sigma)
     h, w = data.shape
     bs = orient.block_size
@@ -401,9 +393,9 @@ def _dense_reference(img, orient, freq, mask, sigma=enh.DEFAULT_SIGMA):
     return response
 
 
-def assert_matches_dense(norm, orient, freq, mask):
-    got = enh.gabor_response(norm, orient, freq, mask)
-    want = _dense_reference(norm, orient, freq, mask)
+def assert_matches_dense(img, orient, freq, mask):
+    got = enh.gabor_response(img, orient, freq, mask)
+    want = _dense_reference(img, orient, freq, mask)
     scale = np.abs(want).max()
     assert scale > 0
     assert got.shape == want.shape
@@ -437,20 +429,20 @@ def _last_row_and_column(labels):
     ("40x61", _last_row_and_column),
 ])
 def test_gabor_separable_block_geometry_matches_dense_path(name, labels_of):
-    norm = normalize(PIN_IMAGES[name]())
-    orient = enh.estimate_orientation(norm)
-    freq = enh.estimate_frequency(norm, orient)
+    img = PIN_IMAGES[name]()
+    orient = enh.estimate_orientation(img)
+    freq = enh.estimate_frequency(img, orient)
     labels = np.empty(orient.theta.shape, bool)
     labels_of(labels)
-    assert_matches_dense(norm, orient, freq, enh.RegionMask(orient.block_size, labels))
+    assert_matches_dense(img, orient, freq, enh.RegionMask(orient.block_size, labels))
 
 
 def test_gabor_separable_one_kernel_key_matches_dense_path():
-    norm = normalize(PIN_IMAGES["250x237"]())
-    shape = enh.estimate_orientation(norm).theta.shape
+    img = PIN_IMAGES["250x237"]()
+    shape = enh.estimate_orientation(img).theta.shape
     orient = enh.OrientationField(16, np.full(shape, math.radians(70.0)), np.ones(shape))
     freq = enh.FrequencyMap(16, np.full(shape, 1.0 / 7.0))
-    assert_matches_dense(norm, orient, freq, enh.RegionMask(16, np.ones(shape, bool)))
+    assert_matches_dense(img, orient, freq, enh.RegionMask(16, np.ones(shape, bool)))
 
 
 def _complex_bank(degrees, freqs, sigma, half):
@@ -524,21 +516,19 @@ def test_kernel_keys_equal_kernel_key(corpus_enhance_inputs):
 
 def test_unrecoverable_pixels_are_background():
     img = oriented_image(30.0, size=64)
-    norm = normalize(img)
-    orient = enh.estimate_orientation(norm)
-    freq = enh.estimate_frequency(norm, orient)
+    orient = enh.estimate_orientation(img)
+    freq = enh.estimate_frequency(img, orient)
     labels = np.ones((4, 4), bool)
     labels[0, 0] = False
     mask = enh.RegionMask(16, labels)
-    out = enh.gabor_enhance(norm, orient, freq, mask)
+    out = enh.gabor_enhance(img, orient, freq, mask)
     assert (out.pixels[:16, :16] == enh.BACKGROUND_INTENSITY).all()
 
 
 def test_debug_dumps_shapes(clean_stripes):
     img, _ = clean_stripes
-    norm = normalize(img)
-    orient = enh.estimate_orientation(norm)
-    freq = enh.estimate_frequency(norm, orient)
+    orient = enh.estimate_orientation(img)
+    freq = enh.estimate_frequency(img, orient)
     assert len(enh.orientation_to_text(orient).splitlines()) == orient.theta.shape[0]
     assert len(enh.frequency_to_text(freq).splitlines()) == freq.freq.shape[0]
 
@@ -558,7 +548,7 @@ def _block_grid_of_32x32():
     smaller than the Gaussian's radius of 4."""
     img = generate(SynthSpec(32, 32, ParallelPattern(math.radians(40.0)), 7.0,
                              noise_amplitude=30.0, seed=9))[0]
-    theta = enh.estimate_orientation(normalize(img), smooth_sigma=0).theta
+    theta = enh.estimate_orientation(img, smooth_sigma=0).theta
     assert theta.shape == (2, 2)
     return np.cos(2.0 * theta)
 
@@ -570,11 +560,12 @@ def _rounded_noise(shape, seed):
 
 
 FILTER_GRIDS = {
-    "256x256": lambda: normalize(oriented_image(30.0, noise=20.0, seed=5)).pixels,
-    "250x237": lambda: normalize(PIN_IMAGES["250x237"]()).pixels,
-    "40x61": lambda: normalize(PIN_IMAGES["40x61"]()).pixels,
+    # 8-bit images over 7: full-precision values, where the order of
+    # additions shows
+    "256x256": lambda: oriented_image(30.0, noise=20.0, seed=5).pixels / 7.0,
+    "250x237": lambda: PIN_IMAGES["250x237"]().pixels / 7.0,
+    "40x61": lambda: PIN_IMAGES["40x61"]().pixels / 7.0,
     "rounded_40x61": lambda: _rounded_noise((40, 61), 1),
-    # full-precision values, where the order of additions shows
     "normal_40x61": lambda: np.random.default_rng(6).normal(0.0, 1.0, (40, 61)),
     "grid_2x2": _block_grid_of_32x32,
     "1x1": lambda: _rounded_noise((1, 1), 2),
@@ -584,11 +575,50 @@ FILTER_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FILTER_GRIDS))
+def _levels(shape, seed, levels):
+    return GrayImage(np.random.default_rng(seed).choice(np.array(levels, np.uint8), shape))
+
+
+# 8-bit captures for the integer Sobel gradients, most holding the 0/255
+# extremes, where |g| reaches 4 * 255
+SOBEL_GRIDS = {
+    "256x256": lambda: oriented_image(30.0, noise=20.0, seed=5),
+    "250x237": PIN_IMAGES["250x237"],
+    "40x61": PIN_IMAGES["40x61"],
+    "rounded_40x61": lambda: _levels((40, 61), 1, [0, 127, 128, 255]),  # many equal neighbours
+    "normal_40x61": lambda: GrayImage(np.clip(np.rint(
+        np.random.default_rng(6).normal(128.0, 90.0, (40, 61))), 0, 255).astype(np.uint8)),
+    "grid_2x2": lambda: GrayImage(np.array([[0, 255], [255, 0]], np.uint8)),
+    "1x1": lambda: _levels((1, 1), 2, [0, 255]),
+    "1x9": lambda: _levels((1, 9), 3, [0, 255]),
+    "9x1": lambda: _levels((9, 1), 4, [0, 255]),
+    "2x2": lambda: _levels((2, 2), 5, range(256)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOBEL_GRIDS))
 @pytest.mark.parametrize("axis", [0, 1])
 def test_sobel_matches_scipy(name, axis):
-    data = FILTER_GRIDS[name]()
-    assert_same_bits(enh._sobel(data, axis), ndimage.sobel(data, axis=axis, mode="nearest"))
+    # the int16 gradients of every band of rows, read with its halo rows,
+    # equal scipy's float Sobel of the whole capture
+    pixels = SOBEL_GRIDS[name]().pixels
+    h = len(pixels)
+    want = ndimage.sobel(pixels.astype(np.float64), axis=axis, mode="nearest")
+    assert np.abs(want).max() <= 4 * 255
+    for y0, y1 in {(0, h), (0, 1), (h - 1, h), (h // 3, max(h // 2, h // 3 + 1))}:
+        got = enh._gradients(pixels, y0, y1)[1 - axis]
+        assert got.dtype == np.int16
+        assert np.array_equal(got, want[y0:y1])
+
+
+def test_sobel_reaches_the_extremes_of_int16_gradients():
+    # a 0 | 255 step, across and along: |g| = 4 * 255 on both sides of it
+    pixels = np.zeros((6, 6), np.uint8)
+    pixels[:, 3:] = 255
+    for data, g in ((pixels, 0), (pixels.T, 1), (255 - pixels, 0), (255 - pixels.T, 1)):
+        grad = enh._gradients(np.ascontiguousarray(data), 0, 6)[g]
+        want = ndimage.sobel(data.astype(np.float64), axis=1 - g, mode="nearest")
+        assert np.array_equal(grad, want) and np.abs(grad).max() == 4 * 255
 
 
 @pytest.mark.parametrize("sigma", [enh.DEFAULT_SMOOTH_SIGMA, 0.6, 2.3, 0.1, 1e-200])
@@ -646,8 +676,9 @@ def test_bilinear_matches_scipy(shape):
 # References for the front end: the bodies of estimate_orientation,
 # estimate_frequency's sampling and compute_region_mask before they worked
 # in place, with scipy's filters for the NumPy ones (bit-equal, as pinned
-# above), and reference_normalize (conftest) for normalize. The rewritten
-# stages must reproduce them bit for bit, signed zeros and NaN included.
+# above), on the capture as float64. Its Sobel gradients, their products
+# and all block sums are integers there, so exact. The rewritten stages
+# must reproduce them bit for bit, signed zeros and NaN included.
 
 
 def _bilinear(data, ys, xs):
@@ -671,13 +702,18 @@ def _bilinear(data, ys, xs):
     return t
 
 
+def _reference_block_sum(arr, bs):
+    rows, cols = np.arange(0, arr.shape[0], bs), np.arange(0, arr.shape[1], bs)
+    return np.add.reduceat(np.add.reduceat(arr, rows, axis=0), cols, axis=1)
+
+
 def _reference_orientation(data, block_size=enh.DEFAULT_BLOCK_SIZE,
                            smooth_sigma=enh.DEFAULT_SMOOTH_SIGMA):
     gx = ndimage.sobel(data, axis=1, mode="nearest")
     gy = ndimage.sobel(data, axis=0, mode="nearest")
-    sum_cross = enh._block_sum(2.0 * gx * gy, block_size)
-    sum_diff = enh._block_sum(gx * gx - gy * gy, block_size)
-    sum_total = enh._block_sum(gx * gx + gy * gy, block_size)
+    sum_cross = _reference_block_sum(2.0 * gx * gy, block_size)
+    sum_diff = _reference_block_sum(gx * gx - gy * gy, block_size)
+    sum_total = _reference_block_sum(gx * gx + gy * gy, block_size)
     theta = 0.5 * np.arctan2(sum_cross, sum_diff) + np.pi / 2.0
     coherence = np.hypot(sum_diff, sum_cross) / np.maximum(sum_total, 1e-12)
     if smooth_sigma > 0:
@@ -704,6 +740,7 @@ def _sample_points(h, w, orient, window, r):
 
 
 def _reference_signatures(data, orient, window, blocks=slice(None)):
+    data = data.astype(np.float64)
     h, w = data.shape
     bs = orient.block_size
     rows = range(*blocks.indices(orient.theta.shape[0]))
@@ -717,42 +754,49 @@ def _reference_signatures(data, orient, window, blocks=slice(None)):
 
 
 def _reference_block_variance(data, bs):
-    counts = enh._block_sum(np.ones_like(data), bs)
-    sums = enh._block_sum(data, bs)
-    sqsums = enh._block_sum(data * data, bs)
-    return sqsums / counts - (sums / counts) ** 2
+    """Each block's variance, (n sum I^2 - (sum I)^2) / n^2 in float64 on
+    integers, exact up to the one rounding of the division."""
+    counts = _reference_block_sum(np.ones_like(data), bs)
+    sums = _reference_block_sum(data, bs)
+    sqsums = _reference_block_sum(data * data, bs)
+    return (counts * sqsums - sums * sums) / (counts * counts)
 
 
-def assert_frequency_matches_reference(norm, orient, monkeypatch):
+def assert_frequency_matches_reference(img, orient, monkeypatch):
     """Signatures, their presence mask and the frequency map equal the
     reference sampling's; returns the frequency map."""
     window = enh.DEFAULT_FREQ_WINDOW
     everything = slice(0, orient.theta.shape[0])
-    sig, has_sig = enh._projection_signatures(norm.pixels, orient, window, everything)
-    want_sig, want_has = _reference_signatures(norm.pixels, orient, window)
+    sig, has_sig = enh._projection_signatures(img.pixels, orient, window, everything)
+    want_sig, want_has = _reference_signatures(img.pixels.astype(np.float64), orient, window)
     assert_same_bits(sig, want_sig)
     assert np.array_equal(has_sig, want_has)
-    freq = enh.estimate_frequency(norm, orient)
+    freq = enh.estimate_frequency(img, orient)
     with monkeypatch.context() as m:
         m.setattr(enh, "_projection_signatures", _reference_signatures)
-        assert_same_bits(freq.freq, enh.estimate_frequency(norm, orient).freq)
+        assert_same_bits(freq.freq, enh.estimate_frequency(img, orient).freq)
     return freq
 
 
-def assert_front_end_matches_reference(norm, monkeypatch):
-    """theta, coherence, frequency and mask of norm equal the references'."""
-    orient = enh.estimate_orientation(norm)
-    theta, coherence = _reference_orientation(norm.pixels)
+def assert_front_end_matches_reference(img, monkeypatch):
+    """theta, coherence, frequency and mask of img equal the references'."""
+    data = img.pixels.astype(np.float64)
+    orient = enh.estimate_orientation(img)
+    theta, coherence = _reference_orientation(data)
     assert_same_bits(orient.theta, theta)
     assert_same_bits(orient.coherence, coherence)
-    freq = assert_frequency_matches_reference(norm, orient, monkeypatch)
-    variance = _reference_block_variance(norm.pixels, orient.block_size)
-    assert_same_bits(enh._block_variance(norm.pixels, orient.block_size), variance)
-    mask = enh.compute_region_mask(norm, orient, freq, 0.0)
-    assert np.array_equal(mask.labels, (variance >= enh.DEFAULT_VARIANCE_FLOOR)
+    freq = assert_frequency_matches_reference(img, orient, monkeypatch)
+    variance = _reference_block_variance(data, orient.block_size)
+    capture = statistics.pvariance(img.pixels.ravel().tolist())  # exact, then rounded once
+    got_variance, got_capture = enh._block_variance(img.pixels, orient.block_size)
+    assert_same_bits(got_variance, variance)
+    assert got_capture == capture > 0
+    mask = enh.compute_region_mask(img, orient, freq, 0.0)
+    scaled = variance * enh.DEFAULT_TARGET_VARIANCE / capture
+    assert np.array_equal(mask.labels, (scaled >= enh.DEFAULT_VARIANCE_FLOOR)
                           & (coherence >= enh.DEFAULT_COHERENCE_FLOOR)
                           & np.isfinite(freq.freq))
-    gated = enh.compute_region_mask(norm, orient, freq)
+    gated = enh.compute_region_mask(img, orient, freq)
     assert isinstance(gated, enh.Rejection) == (mask.recoverable_fraction
                                                 < enh.DEFAULT_REJECT_THRESHOLD)
 
@@ -784,27 +828,50 @@ FRONT_END_IMAGES = {
 
 @pytest.mark.parametrize("name", sorted(FRONT_END_IMAGES))
 def test_front_end_bit_identical_to_reference(name, monkeypatch):
-    img = FRONT_END_IMAGES[name]()
-    norm = normalize(img)
-    assert_same_bits(norm.pixels, reference_normalize(img))
-    assert_front_end_matches_reference(norm, monkeypatch)
+    assert_front_end_matches_reference(FRONT_END_IMAGES[name](), monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["256x256", "250x237", "40x61", "rounded_40x61",
                                   "normal_40x61"])  # the grids of one block or more
 def test_front_end_bit_identical_to_reference_on_filter_grids(name, monkeypatch):
-    assert_front_end_matches_reference(NormalizedImage(FILTER_GRIDS[name]()), monkeypatch)
+    assert_front_end_matches_reference(SOBEL_GRIDS[name](), monkeypatch)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (40, 61)])
+def test_block_variance_of_the_8bit_extremes_is_exact(shape):
+    # 0/255 stripes, whose squares wrap in uint8; the partial blocks of
+    # 40 x 61 hold 7 of 13 columns at 255
+    pixels = np.zeros(shape, np.uint8)
+    pixels[:, ::2] = 255
+    variance, capture = enh._block_variance(pixels, 16)
+    blocks = [[pixels[r : r + 16, c : c + 16] for c in range(0, shape[1], 16)]
+              for r in range(0, shape[0], 16)]
+    want = [[statistics.pvariance(b.ravel().tolist()) for b in row] for row in blocks]
+    assert variance.tolist() == want and variance[0, 0] == 255 * 255 / 4
+    assert capture == statistics.pvariance(pixels.ravel().tolist())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("variance_floor", [enh.DEFAULT_VARIANCE_FLOOR, 0.0])
+def test_constant_capture_has_no_recoverable_block(variance_floor):
+    # no capture variance to scale a block's by: every block is low-variance
+    img = GrayImage(np.full((64, 80), 77, np.uint8))
+    assert enh._block_variance(img.pixels, 16)[1] == 0.0
+    orient = enh.OrientationField(16, np.zeros((4, 5)), np.ones((4, 5)))
+    freq = enh.FrequencyMap(16, np.full((4, 5), 0.125))
+    mask = enh.compute_region_mask(img, orient, freq, 0.0, variance_floor=variance_floor)
+    assert isinstance(mask, enh.RegionMask) and not mask.labels.any()
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2])
 @pytest.mark.parametrize("name", ["256x256", "250x237", "40x61"])
 def test_frequency_bit_identical_to_reference_at_edge_exact_angles(name, theta, monkeypatch):
-    norm = normalize(PIN_IMAGES[name]())
-    h, w = norm.pixels.shape
-    shape = enh.estimate_orientation(norm).theta.shape
+    img = PIN_IMAGES[name]()
+    h, w = img.pixels.shape
+    shape = enh.estimate_orientation(img).theta.shape
     orient = enh.OrientationField(16, np.full(shape, theta), np.ones(shape))
     # some samples fall exactly on the last row or column, where the +1 tap
     # lies outside the image at weight 0
     points = [_sample_points(h, w, orient, enh.DEFAULT_FREQ_WINDOW, r) for r in range(shape[0])]
     assert any((ys == h - 1).any() or (xs == w - 1).any() for ys, xs in points)
-    assert_frequency_matches_reference(norm, orient, monkeypatch)
+    assert_frequency_matches_reference(img, orient, monkeypatch)

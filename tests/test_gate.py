@@ -11,7 +11,7 @@ from conftest import _blurred_noise, corpus_spec
 from test_enhance import _gate_blank, _gate_partial_touch
 from ridgekit import enhance as enh
 from ridgekit.config import PipelineConfig
-from ridgekit.image import GrayImage, normalize
+from ridgekit.image import GrayImage
 from ridgekit.pipeline import extract_from_image
 from ridgekit.synth import generate
 
@@ -68,7 +68,7 @@ def test_coherence_gate_rejects_before_frequency_estimation(monkeypatch):
 def test_coherence_gate_rejects_before_the_orientation_field_is_smoothed(monkeypatch):
     shares = {}
     for name in sorted(CAPTURES):
-        orient = enh.estimate_orientation(normalize(CAPTURES[name]()))
+        orient = enh.estimate_orientation(CAPTURES[name]())
         shares[name] = enh.coherence_gate(orient).recoverable_fraction
 
     def fail(*args, **kwargs):
@@ -84,10 +84,10 @@ def test_coherence_gate_rejects_before_the_orientation_field_is_smoothed(monkeyp
 @pytest.mark.parametrize("threshold", [0.0, 0.25, 0.5, 1.0])
 @pytest.mark.parametrize("name", ["blurred_noise_0", "partial_touch_0", "clean_00"])
 def test_estimate_orientation_gates_as_coherence_gate_does(name, threshold):
-    norm = normalize({**CAPTURES, **PRINTS}[name]())
-    field = enh.estimate_orientation(norm)  # the default threshold of 0 never rejects
+    img = {**CAPTURES, **PRINTS}[name]()
+    field = enh.estimate_orientation(img)  # the default threshold of 0 never rejects
     assert isinstance(field, enh.OrientationField)
-    gated = enh.estimate_orientation(norm, reject_threshold=threshold)
+    gated = enh.estimate_orientation(img, reject_threshold=threshold)
     want = enh.coherence_gate(field, threshold)
     if want is None:
         assert np.array_equal(gated.theta, field.theta)
@@ -98,12 +98,12 @@ def test_estimate_orientation_gates_as_coherence_gate_does(name, threshold):
 
 @pytest.mark.parametrize("threshold", [1.5, -0.5, float("nan")])
 def test_gate_thresholds_outside_zero_one_are_refused(threshold):
-    norm = normalize(_blurred_noise(0))
-    orient = enh.estimate_orientation(norm)
+    img = _blurred_noise(0)
+    orient = enh.estimate_orientation(img)
     with pytest.raises(ValueError, match=r"^reject_threshold must lie in \[0, 1\]$"):
         enh.coherence_gate(orient, threshold)
     with pytest.raises(ValueError, match=r"^reject_threshold must lie in \[0, 1\]$"):
-        enh.estimate_orientation(norm, reject_threshold=threshold)
+        enh.estimate_orientation(img, reject_threshold=threshold)
 
 
 @pytest.mark.parametrize("name", sorted(PRINTS))

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import reference_normalize
 from ridgekit.binary import BinaryImage, Skeleton
 from ridgekit.image import (
     GrayImage,
     PgmError,
     invert,
     load_pgm,
-    normalize,
     save_pgm,
 )
 
@@ -141,88 +139,6 @@ def test_gray_image_rejects_bad_values():
         GrayImage(np.full((4, 4), 300))
     with pytest.raises(ValueError):
         GrayImage(np.zeros(16))
-
-
-def test_normalize_constant_image():
-    img = GrayImage(np.full((8, 8), 77, np.uint8))
-    out = normalize(img, 100.0, 100.0)
-    assert (out.pixels == 100.0).all()
-
-
-def test_normalize_two_level_hand_computed():
-    # half 0s, half 200s: mean 100, variance 10000
-    # deviation = sqrt(100 * 100^2 / 10000) = 10 -> {90, 110}
-    data = np.zeros((2, 4), np.uint8)
-    data[:, 2:] = 200
-    out = normalize(GrayImage(data), 100.0, 100.0)
-    assert set(np.unique(out.pixels)) == {90.0, 110.0}
-
-
-def test_normalize_idempotent():
-    rng = np.random.default_rng(1)
-    img = GrayImage(rng.integers(0, 256, (32, 32)).astype(np.uint8))
-    once = normalize(img, 100.0, 100.0)
-    twice_input = once.pixels
-    m, v = twice_input.mean(), twice_input.var()
-    dev = np.sqrt(100.0 * (twice_input - m) ** 2 / v)
-    again = np.where(twice_input > m, 100.0 + dev, 100.0 - dev)
-    assert np.allclose(again, once.pixels, atol=1e-9)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_normalize_hits_targets(seed):
-    rng = np.random.default_rng(seed)
-    img = GrayImage(rng.integers(0, 256, (40, 40)).astype(np.uint8))
-    tm, tv = 100.0 + seed, 100.0 + 10 * seed
-    out = normalize(img, tm, tv)
-    assert abs(out.pixels.mean() - tm) <= 0.5
-    assert abs(out.pixels.var() - tv) <= 0.02 * tv
-
-
-@pytest.mark.parametrize("a,b", [(2, 30), (1, 55), (2, 0)])
-def test_normalize_affine_invariant(a, b):
-    rng = np.random.default_rng(3)
-    base = rng.integers(0, 100, (24, 24))
-    img = GrayImage(base.astype(np.uint8))
-    scaled = GrayImage((a * base + b).astype(np.uint8))
-    n1 = normalize(img, 100.0, 100.0)
-    n2 = normalize(scaled, 100.0, 100.0)
-    assert np.allclose(n1.pixels, n2.pixels, atol=1e-6)
-
-
-def _levels(values, counts, shape):
-    return np.repeat(np.array(values, np.uint8), counts).reshape(shape)
-
-
-# 10/20/30 in equal numbers: the mean, 20, is a grey level of the image
-NORMALIZE_PINS = {
-    "constant": lambda: np.full((9, 7), 77, np.uint8),
-    "two_level": lambda: _levels((0, 200), (4, 4), (2, 4)),
-    "mean_on_level": lambda: _levels((10, 20, 30), (12, 12, 12), (6, 6)),
-    "all_levels": lambda: np.arange(256, dtype=np.uint8).reshape(16, 16),
-    "noise_40x61": lambda: np.random.default_rng(4).integers(0, 256, (40, 61)).astype(np.uint8),
-    "narrow_1x9": lambda: np.random.default_rng(5).integers(90, 99, (1, 9)).astype(np.uint8),
-    # a column-major view: numpy sums the float image in its memory order
-    "transposed_37x100": lambda: np.random.default_rng(1).integers(0, 256, (100, 37)).astype(np.uint8).T,
-}
-
-
-# at target mean -0.0, a pixel on the mean maps to -0.0 - 0.0 = -0.0
-@pytest.mark.parametrize("targets", [(100.0, 100.0), (0.0, 1.0), (-3.5, 1e4), (-0.0, 25.0)])
-@pytest.mark.parametrize("name", sorted(NORMALIZE_PINS))
-def test_normalize_matches_per_pixel_formula_bit_for_bit(name, targets):
-    img = GrayImage(NORMALIZE_PINS[name]())
-    got = normalize(img, *targets).pixels
-    want = reference_normalize(img, *targets)
-    assert got.dtype == np.float64 and got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-def test_normalize_requires_positive_variance():
-    img = GrayImage(np.zeros((4, 4), np.uint8))
-    with pytest.raises(ValueError):
-        normalize(img, 100.0, 0.0)
 
 
 def test_invert():

@@ -209,7 +209,6 @@ EMPTY_RUN_CSV = """\
 # sigma = 4.0
 # smooth_sigma = 1.0
 # spur_length = 6
-# target_mean = 100.0
 # target_variance = 100.0
 # tolerance = 8.0
 # variance_floor = 10.0
@@ -642,6 +641,18 @@ def test_cli_threshold_config_key_is_an_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_target_mean_config_key_is_an_input_error(tmp_path, capsys):
+    # the front end reads the capture itself, so no key sets a target mean
+    path, _, _ = write_synth_fixture(tmp_path)
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("target_mean = 100.0\n")
+    out = tmp_path / "out"
+    code = main(["extract", str(path), "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {cfg}: unknown config key 'target_mean'\n"
+    assert not out.exists()
+
+
 def test_cli_threshold_flag_is_a_usage_error(tmp_path, capsys):
     path, _, _ = write_synth_fixture(tmp_path)
     out = tmp_path / "out"
@@ -731,7 +742,7 @@ def test_config_refuses_non_finite_floats():
     float_keys = [f.name for f in fields(PipelineConfig) if isinstance(f.default, float)]
     assert sorted(float_keys) == [
         "coherence_floor", "reject_threshold", "sigma", "smooth_sigma",
-        "target_mean", "target_variance", "tolerance", "variance_floor",
+        "target_variance", "tolerance", "variance_floor",
     ]
     for key in float_keys:
         for value in (math.inf, -math.inf, math.nan):
@@ -740,7 +751,7 @@ def test_config_refuses_non_finite_floats():
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
-@pytest.mark.parametrize("key", ["smooth_sigma", "sigma", "variance_floor", "target_mean",
+@pytest.mark.parametrize("key", ["smooth_sigma", "sigma", "variance_floor", "target_variance",
                                  "tolerance"])
 def test_cli_non_finite_config_value_is_an_input_error(tmp_path, capsys, key, value):
     path, _, _ = write_synth_fixture(tmp_path)
