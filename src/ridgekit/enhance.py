@@ -418,14 +418,30 @@ def compute_region_mask(
     instead of a mask.
     """
     _check_reject_threshold(reject_threshold)
-    bs = orient.block_size
-    variance, capture = _block_variance(img.pixels, bs)
-    varied = variance * target_variance / capture >= variance_floor if capture else False
+    varied = scaled_block_variance(img, orient.block_size, target_variance) >= variance_floor
     labels = varied & (orient.coherence >= coherence_floor) & np.isfinite(freq.freq)
-    mask = RegionMask(bs, labels)
+    mask = RegionMask(orient.block_size, labels)
     if mask.recoverable_fraction < reject_threshold:
         return Rejection(mask.recoverable_fraction, reject_threshold, "recoverable fraction")
     return mask
+
+
+def scaled_block_variance(
+    img: GrayImage,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    target_variance: float = DEFAULT_TARGET_VARIANCE,
+) -> np.ndarray:
+    """Each block's intensity variance as Hong's normalization to
+    ``target_variance`` would leave it: block variance x target_variance /
+    capture variance, the variances from exact integer sums. The target
+    mean shifts no variance, so it has no part here. A constant capture has
+    no variance to scale: its blocks are NaN, which clears no floor."""
+    if target_variance <= 0:
+        raise ValueError("target_variance must be positive")
+    variance, capture = _block_variance(img.pixels, block_size)
+    if not capture:
+        return np.full_like(variance, np.nan)
+    return variance * target_variance / capture
 
 
 def _block_variance(data: np.ndarray, block_size: int) -> tuple[np.ndarray, float]:
