@@ -7,7 +7,6 @@ from .enhance import (
     OrientationField,
     RegionMask,
     Rejection,
-    coherence_gate,
     compute_region_mask,
     estimate_frequency,
     estimate_orientation,

@@ -20,7 +20,6 @@ class PipelineConfig:
     reject_threshold: float = enhance.DEFAULT_REJECT_THRESHOLD
     coherence_floor: float = enhance.DEFAULT_COHERENCE_FLOOR
     variance_floor: float = enhance.DEFAULT_VARIANCE_FLOOR
-    target_variance: float = enhance.DEFAULT_TARGET_VARIANCE
     adjacency_window: int = 6
     border_distance: int = 10
     reconnect_gap: int = 6
@@ -39,8 +38,6 @@ class PipelineConfig:
         if self.freq_window < 1:
             raise ValueError("freq_window must be >= 1")
         enhance._check_reject_threshold(self.reject_threshold)
-        if self.target_variance <= 0:
-            raise ValueError("target_variance must be positive")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.tolerance <= 0:
@@ -88,8 +85,6 @@ def load_config(path: str | Path | None = None, **overrides) -> PipelineConfig:
     values: dict[str, object] = {}
     if path is not None:
         for key, text in read_key_values(path):
-            if key in ("sigma_x", "sigma_y"):
-                raise ValueError(f"{path}: config key {key} is now 'sigma', one isotropic envelope")
             values[key] = coerce(PipelineConfig, "config", path, key, text)
     for key, val in overrides.items():
         if val is not None:

@@ -20,8 +20,8 @@ DEFAULT_SMOOTH_SIGMA = 1.0  # in blocks
 DEFAULT_FREQ_WINDOW = 32
 DEFAULT_SIGMA = 4.0  # px, isotropic Gabor envelope (Hong et al. 1998)
 DEFAULT_COHERENCE_FLOOR = 0.3
-DEFAULT_VARIANCE_FLOOR = 10.0  # block variance x target_variance / capture variance
-DEFAULT_TARGET_VARIANCE = 100.0
+DEFAULT_VARIANCE_FLOOR = 10.0  # block variance x NORMALIZED_VARIANCE / capture variance
+NORMALIZED_VARIANCE = 100.0  # Hong et al.'s target variance, the variance floor's scale
 DEFAULT_REJECT_THRESHOLD = 0.25
 GATE_COHERENCE = 0.5  # a block counts as coherent for the image-level gate
 MIN_RIDGE_PERIOD = 3.0  # px, at 500 dpi
@@ -156,7 +156,7 @@ def estimate_orientation(
     reject_threshold: float = 0.0,
 ) -> OrientationField | Rejection:
     """Block-wise dominant ridge direction from gradient covariance, or a
-    Rejection by the coherent-block gate (coherence_gate's rule).
+    Rejection by the coherent-block gate (_coherent_share_gate).
 
     Uses 3x3 Sobel gradients; per block,
     theta = atan2(sum 2*Gx*Gy, sum Gx^2 - Gy^2) / 2 + pi/2, i.e. the
@@ -215,7 +215,10 @@ def estimate_frequency(
     ridge period. Blocks with fewer than two peaks or no period in
     [3, 25] px are marked absent, then filled with the mean of their present
     3x3 neighbors (up to 3 passes). Each band of block rows (_bands) is
-    sampled and searched for peaks before the next.
+    sampled and searched for peaks before the next. A signature needs
+    samples inside the image at both ends of its window, window - 1 px
+    apart, so a window longer than the image diagonal leaves every block
+    absent, and nothing is sampled.
     """
     bs = orient.block_size
     h, w = img.pixels.shape
@@ -225,6 +228,8 @@ def estimate_frequency(
     if window < 1:
         raise ValueError("window must be >= 1")
     freq = np.full((rows, cols), np.nan)
+    if window - 1 > math.hypot(w - 1, h - 1):
+        return FrequencyMap(bs, freq)
     for top, bottom in _bands(h, w, bs):
         blocks = slice(top // bs, -(-bottom // bs))
         sig, has_sig = _projection_signatures(img.pixels, orient, window, blocks)
@@ -377,24 +382,15 @@ def _check_reject_threshold(reject_threshold: float) -> None:
 
 
 def _coherent_share_gate(coherence: np.ndarray, reject_threshold: float) -> Rejection | None:
-    """coherence_gate on the coherence grid, the threshold already checked."""
+    """The image-level quality gate on the coherence grid, the threshold
+    already checked: a Rejection when the share of blocks with coherence
+    >= GATE_COHERENCE is below ``reject_threshold``, else None. Blank
+    captures, partial touches and blurred noise have few coherent blocks,
+    prints nearly all (Bazen & Gerez, TPAMI 2002)."""
     share = np.count_nonzero(coherence >= GATE_COHERENCE) / coherence.size
     if share < reject_threshold:
         return Rejection(share, reject_threshold, "coherent share")
     return None
-
-
-def coherence_gate(
-    orient: OrientationField, reject_threshold: float = DEFAULT_REJECT_THRESHOLD
-) -> Rejection | None:
-    """The image-level quality gate, decided before frequency estimation: a
-    Rejection when the share of blocks with coherence >= GATE_COHERENCE is
-    below ``reject_threshold``, else None. Blank captures, partial touches
-    and blurred noise have few coherent blocks, prints nearly all (Bazen &
-    Gerez, TPAMI 2002). estimate_orientation applies the same rule before
-    it forms theta."""
-    _check_reject_threshold(reject_threshold)
-    return _coherent_share_gate(orient.coherence, reject_threshold)
 
 
 def compute_region_mask(
@@ -404,44 +400,26 @@ def compute_region_mask(
     reject_threshold: float = DEFAULT_REJECT_THRESHOLD,
     coherence_floor: float = DEFAULT_COHERENCE_FLOOR,
     variance_floor: float = DEFAULT_VARIANCE_FLOOR,
-    target_variance: float = DEFAULT_TARGET_VARIANCE,
 ) -> RegionMask | Rejection:
     """Label blocks recoverable/unrecoverable; reject low-quality images.
 
     A block is recoverable iff its orientation coherence clears
     ``coherence_floor``, a ridge frequency is present, and its intensity
-    variance, scaled as normalization to ``target_variance`` would scale
-    it, clears ``variance_floor``: block variance x target_variance /
-    capture variance >= variance_floor. A constant capture has no variance
-    to scale, so none of its blocks is recoverable. When the recoverable
-    fraction falls below ``reject_threshold`` a Rejection is returned
-    instead of a mask.
+    variance, scaled as Hong's normalization to NORMALIZED_VARIANCE would
+    scale it, clears ``variance_floor``: block variance x
+    NORMALIZED_VARIANCE / capture variance >= variance_floor. A constant
+    capture has no variance to scale, so none of its blocks is recoverable.
+    When the recoverable fraction falls below ``reject_threshold`` a
+    Rejection is returned instead of a mask.
     """
     _check_reject_threshold(reject_threshold)
-    varied = scaled_block_variance(img, orient.block_size, target_variance) >= variance_floor
+    variance, capture = _block_variance(img.pixels, orient.block_size)
+    varied = variance * NORMALIZED_VARIANCE / capture >= variance_floor if capture else False
     labels = varied & (orient.coherence >= coherence_floor) & np.isfinite(freq.freq)
     mask = RegionMask(orient.block_size, labels)
     if mask.recoverable_fraction < reject_threshold:
         return Rejection(mask.recoverable_fraction, reject_threshold, "recoverable fraction")
     return mask
-
-
-def scaled_block_variance(
-    img: GrayImage,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    target_variance: float = DEFAULT_TARGET_VARIANCE,
-) -> np.ndarray:
-    """Each block's intensity variance as Hong's normalization to
-    ``target_variance`` would leave it: block variance x target_variance /
-    capture variance, the variances from exact integer sums. The target
-    mean shifts no variance, so it has no part here. A constant capture has
-    no variance to scale: its blocks are NaN, which clears no floor."""
-    if target_variance <= 0:
-        raise ValueError("target_variance must be positive")
-    variance, capture = _block_variance(img.pixels, block_size)
-    if not capture:
-        return np.full_like(variance, np.nan)
-    return variance * target_variance / capture
 
 
 def _block_variance(data: np.ndarray, block_size: int) -> tuple[np.ndarray, float]:

@@ -3,8 +3,6 @@ synthetic corpus generation."""
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -67,7 +65,6 @@ def extract_from_image(img: GrayImage, image_id: str, config: PipelineConfig) ->
         reject_threshold=config.reject_threshold,
         coherence_floor=config.coherence_floor,
         variance_floor=config.variance_floor,
-        target_variance=config.target_variance,
     )
     if isinstance(mask, enh.Rejection):
         return ExtractOutcome(image_id, None, mask)
@@ -199,6 +196,9 @@ def run_eval(
         [str(out_dir)] * n,
     )
     if workers > 1 and n > 1:
+        # imported here: multiprocessing is needed only by a pool
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         raw = []
         try:
             # ProcessPoolExecutor may start all max_workers processes up front

@@ -74,7 +74,7 @@ def test_bands_split_the_front_end_bit_identically(name, monkeypatch):
     got_variance, capture = enh._block_variance(img.pixels, orient.block_size)
     assert_same_bits(got_variance, variance)
     mask = enh.compute_region_mask(img, orient, freq, 0.0)
-    scaled = variance * enh.DEFAULT_TARGET_VARIANCE / capture
+    scaled = variance * enh.NORMALIZED_VARIANCE / capture
     assert np.array_equal(mask.labels, (scaled >= enh.DEFAULT_VARIANCE_FLOOR)
                           & (coherence >= enh.DEFAULT_COHERENCE_FLOOR)
                           & np.isfinite(freq.freq))

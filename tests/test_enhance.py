@@ -211,13 +211,13 @@ def test_region_mask_clean_accepted(clean_stripes):
     assert isinstance(mask, enh.RegionMask)
     assert mask.recoverable_fraction >= 0.9
     # independent per-block re-check of the mask definition: the block
-    # variance scaled as normalizing the capture to the target variance would
+    # variance scaled as normalizing the capture to NORMALIZED_VARIANCE would
     want = (
         np.isfinite(freq.freq)
         & (orient.coherence >= enh.DEFAULT_COHERENCE_FLOOR)
     )
     bs = orient.block_size
-    scale = enh.DEFAULT_TARGET_VARIANCE / img.pixels.var()
+    scale = enh.NORMALIZED_VARIANCE / img.pixels.var()
     for r in range(orient.theta.shape[0]):
         for c in range(orient.theta.shape[1]):
             block = img.pixels[r * bs : (r + 1) * bs, c * bs : (c + 1) * bs]
@@ -792,7 +792,7 @@ def assert_front_end_matches_reference(img, monkeypatch):
     assert_same_bits(got_variance, variance)
     assert got_capture == capture > 0
     mask = enh.compute_region_mask(img, orient, freq, 0.0)
-    scaled = variance * enh.DEFAULT_TARGET_VARIANCE / capture
+    scaled = variance * enh.NORMALIZED_VARIANCE / capture
     assert np.array_equal(mask.labels, (scaled >= enh.DEFAULT_VARIANCE_FLOOR)
                           & (coherence >= enh.DEFAULT_COHERENCE_FLOOR)
                           & np.isfinite(freq.freq))
@@ -861,6 +861,129 @@ def test_constant_capture_has_no_recoverable_block(variance_floor):
     freq = enh.FrequencyMap(16, np.full((4, 5), 0.125))
     mask = enh.compute_region_mask(img, orient, freq, 0.0, variance_floor=variance_floor)
     assert isinstance(mask, enh.RegionMask) and not mask.labels.any()
+
+
+# What is left of Hong's normalization is its scale on the block variances
+# that the region mask holds against the variance floor.
+
+
+def _floor_variances(img, bs):
+    """Each block's variance x NORMALIZED_VARIANCE / capture variance, NaN
+    for a constant capture, once compute_region_mask is seen to hold exactly
+    these against the variance floor: at a floor equal to any of them, and
+    at the next float above it, each block is labelled as its own value
+    compares with the floor."""
+    variance, capture = enh._block_variance(img.pixels, bs)
+    scaled = variance * enh.NORMALIZED_VARIANCE / capture if capture else np.full_like(variance, np.nan)
+    orient = enh.OrientationField(bs, np.zeros(scaled.shape), np.ones(scaled.shape))
+    freq = enh.FrequencyMap(bs, np.full(scaled.shape, 0.125))
+    values = np.unique(scaled[np.isfinite(scaled)])
+    for floor in (-math.inf, 0.0, *values, *np.nextafter(values, math.inf)):
+        mask = enh.compute_region_mask(img, orient, freq, 0.0, variance_floor=floor)
+        assert np.array_equal(mask.labels, scaled >= floor)
+    return scaled
+
+
+def _hong_normalize(pixels, target_mean, target_variance):
+    """Hong's per-pixel formula on the float image, numpy's mean and variance."""
+    data = pixels.astype(np.float64)
+    mean, var = data.mean(), data.var()
+    dev = np.sqrt(target_variance * (data - mean) ** 2 / var)
+    return np.where(data > mean, target_mean + dev, target_mean - dev)
+
+
+def _blocks(pixels, bs):
+    return [[pixels[r : r + bs, c : c + bs] for c in range(0, pixels.shape[1], bs)]
+            for r in range(0, pixels.shape[0], bs)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_variance_floor_scales_no_block_of_a_constant_capture():
+    # no capture variance to scale by: no block clears any floor
+    img = GrayImage(np.full((8, 8), 77, np.uint8))
+    out = _floor_variances(img, 4)
+    assert out.shape == (2, 2) and np.isnan(out).all()
+
+
+def test_variance_floor_scale_of_two_levels_hand_computed():
+    # half 0s, half 200s: capture variance 10000, so a block's scales by
+    # 100 / 10000; the 3-column block {0, 0, 200} has variance 200^2 * 2/9
+    data = np.zeros((2, 4), np.uint8)
+    data[:, 2:] = 200
+    img = GrayImage(data)
+    assert _floor_variances(img, 4).tolist() == [[100.0]]
+    out = _floor_variances(img, 3)
+    assert out[0, 0] == pytest.approx(800 / 9, rel=1e-15) and out[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_variance_floor_reads_block_variances_of_hong_normalization(seed):
+    rng = np.random.default_rng(seed)
+    img = GrayImage(rng.integers(0, 256, (40, 40)).astype(np.uint8))
+    tv = enh.NORMALIZED_VARIANCE
+    # one block holding the whole capture scales to the normalized variance
+    assert _floor_variances(img, 40)[0, 0] == pytest.approx(tv, rel=1e-15)
+    # and each block's equals its variance in the normalized image, whatever the target mean
+    hong = _hong_normalize(img.pixels, 100.0 + seed, tv)
+    want = [[b.var() for b in row] for row in _blocks(hong, 16)]
+    assert np.allclose(_floor_variances(img, 16), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("a,b", [(2, 30), (1, 55), (2, 0)])
+def test_mask_labels_unchanged_under_affine_intensity_map(a, b):
+    rng = np.random.default_rng(3)
+    base = rng.integers(0, 100, (24, 24))
+    img = GrayImage(base.astype(np.uint8))
+    scaled = GrayImage((a * base + b).astype(np.uint8))
+    assert np.array_equal(_floor_variances(img, 16), _floor_variances(scaled, 16))
+
+
+def _level_runs(values, counts, shape):
+    return np.repeat(np.array(values, np.uint8), counts).reshape(shape)
+
+
+# 10/20/30 in equal numbers: the mean, 20, is a grey level of the image
+VARIANCE_PINS = {
+    "constant": lambda: np.full((9, 7), 77, np.uint8),
+    "two_level": lambda: _level_runs((0, 200), (4, 4), (2, 4)),
+    "mean_on_level": lambda: _level_runs((10, 20, 30), (12, 12, 12), (6, 6)),
+    "all_levels": lambda: np.arange(256, dtype=np.uint8).reshape(16, 16),
+    "noise_40x61": lambda: np.random.default_rng(4).integers(0, 256, (40, 61)).astype(np.uint8),
+    "narrow_1x9": lambda: np.random.default_rng(5).integers(90, 99, (1, 9)).astype(np.uint8),
+    # a column-major view of the capture
+    "transposed_37x100": lambda: np.random.default_rng(1).integers(0, 256, (100, 37)).astype(np.uint8).T,
+}
+
+
+@pytest.mark.parametrize("name", sorted(VARIANCE_PINS))
+def test_variance_floor_scale_matches_pvariance_bit_for_bit(name):
+    # each variance is the exact population variance rounded once, then
+    # scaled as block variance * NORMALIZED_VARIANCE / capture variance
+    pixels = VARIANCE_PINS[name]()
+    got = _floor_variances(GrayImage(pixels), 4)
+    capture = float(statistics.pvariance(pixels.ravel().tolist()))
+    want = np.array([[float(statistics.pvariance(b.ravel().tolist())) * enh.NORMALIZED_VARIANCE
+                      / capture if capture else np.nan for b in row] for row in _blocks(pixels, 4)])
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_frequency_window_longer_than_the_diagonal_is_absent_unsampled(monkeypatch):
+    img = oriented_image(30.0, size=64)
+    orient = enh.estimate_orientation(img)
+    rows = slice(0, orient.theta.shape[0])
+    # the diagonal is 63 sqrt 2 = 89.1 px; a 91-px window's end columns lie 90 px apart
+    assert not enh._projection_signatures(img.pixels, orient, 91, rows)[1].any()
+
+    def fail(*args):
+        raise AssertionError("window sampled")
+
+    monkeypatch.setattr(enh, "_projection_signatures", fail)
+    for window in (91, 100000):
+        freq = enh.estimate_frequency(img, orient, window)
+        assert freq.freq.shape == orient.theta.shape and np.isnan(freq.freq).all()
+    with pytest.raises(AssertionError, match="^window sampled$"):  # 89 px apart: sampled
+        enh.estimate_frequency(img, orient, 90)
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2])

@@ -69,7 +69,8 @@ def test_coherence_gate_rejects_before_the_orientation_field_is_smoothed(monkeyp
     shares = {}
     for name in sorted(CAPTURES):
         orient = enh.estimate_orientation(CAPTURES[name]())
-        shares[name] = enh.coherence_gate(orient).recoverable_fraction
+        shares[name] = enh._coherent_share_gate(
+            orient.coherence, PipelineConfig().reject_threshold).recoverable_fraction
 
     def fail(*args, **kwargs):
         raise AssertionError("orientation field smoothed for a rejected capture")
@@ -88,7 +89,7 @@ def test_estimate_orientation_gates_as_coherence_gate_does(name, threshold):
     field = enh.estimate_orientation(img)  # the default threshold of 0 never rejects
     assert isinstance(field, enh.OrientationField)
     gated = enh.estimate_orientation(img, reject_threshold=threshold)
-    want = enh.coherence_gate(field, threshold)
+    want = enh._coherent_share_gate(field.coherence, threshold)
     if want is None:
         assert np.array_equal(gated.theta, field.theta)
         assert np.array_equal(gated.coherence, field.coherence)
@@ -99,9 +100,6 @@ def test_estimate_orientation_gates_as_coherence_gate_does(name, threshold):
 @pytest.mark.parametrize("threshold", [1.5, -0.5, float("nan")])
 def test_gate_thresholds_outside_zero_one_are_refused(threshold):
     img = _blurred_noise(0)
-    orient = enh.estimate_orientation(img)
-    with pytest.raises(ValueError, match=r"^reject_threshold must lie in \[0, 1\]$"):
-        enh.coherence_gate(orient, threshold)
     with pytest.raises(ValueError, match=r"^reject_threshold must lie in \[0, 1\]$"):
         enh.estimate_orientation(img, reject_threshold=threshold)
 
@@ -117,7 +115,6 @@ def test_coherence_gate_counts_blocks_at_the_coherence_floor():
     # rejected only by a threshold above it
     coherence = np.full((4, 4), np.nextafter(enh.GATE_COHERENCE, 0.0))
     coherence[0] = enh.GATE_COHERENCE
-    orient = enh.OrientationField(16, np.zeros((4, 4)), coherence)
-    assert enh.coherence_gate(orient, 0.25) is None
-    rejection = enh.coherence_gate(orient, 0.2501)
+    assert enh._coherent_share_gate(coherence, 0.25) is None
+    rejection = enh._coherent_share_gate(coherence, 0.2501)
     assert rejection == enh.Rejection(0.25, 0.2501, "coherent share")

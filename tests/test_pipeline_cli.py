@@ -1,8 +1,8 @@
+import concurrent.futures.process
 import math
 import os
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
 
@@ -209,7 +209,6 @@ EMPTY_RUN_CSV = """\
 # sigma = 4.0
 # smooth_sigma = 1.0
 # spur_length = 6
-# target_variance = 100.0
 # tolerance = 8.0
 # variance_floor = 10.0
 record,image_id,sen,spe,matched,missed,false_count,ground_truth
@@ -286,7 +285,7 @@ def test_run_eval_pool_no_larger_than_job_count(tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", SerialPool)
     data, truthd = build_corpus(tmp_path, n=3)
     run = run_eval(data, truthd, PipelineConfig(), tmp_path / "out", workers=500)
     assert SerialPool.sizes == [3]
@@ -653,6 +652,34 @@ def test_cli_target_mean_config_key_is_an_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_target_variance_config_key_is_an_input_error(tmp_path, capsys):
+    # the variance floor alone sets the mask's variance rule
+    path, _, _ = write_synth_fixture(tmp_path)
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("target_variance = 100.0\n")
+    out = tmp_path / "out"
+    code = main(["extract", str(path), "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {cfg}: unknown config key 'target_variance'\n"
+    assert not out.exists()
+
+
+def test_cli_freq_window_longer_than_the_image_is_a_rejection(tmp_path, capsys, monkeypatch):
+    # no block can have a signature, so none is sampled and the mask rejects
+    def fail(*args):
+        raise AssertionError("window sampled")
+
+    monkeypatch.setattr(enh, "_projection_signatures", fail)
+    path, _, _ = write_synth_fixture(tmp_path)
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text("freq_window = 100000\n")
+    out = tmp_path / "out"
+    code = main(["extract", str(path), "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_REJECTED
+    assert capsys.readouterr().err == "rejected: recoverable fraction 0.000 below threshold 0.250\n"
+    assert not out.exists()
+
+
 def test_cli_threshold_flag_is_a_usage_error(tmp_path, capsys):
     path, _, _ = write_synth_fixture(tmp_path)
     out = tmp_path / "out"
@@ -719,8 +746,7 @@ def test_cli_config_sigma_x_or_y_names_sigma(tmp_path, capsys, key):
     out = tmp_path / "out"
     code = main(["extract", str(path), "--config", str(cfg), "--out", str(out)])
     assert code == EXIT_INPUT_ERROR
-    assert capsys.readouterr().err == (
-        f"error: {cfg}: config key {key} is now 'sigma', one isotropic envelope\n")
+    assert capsys.readouterr().err == f"error: {cfg}: unknown config key '{key}'\n"
     assert not out.exists()
 
 
@@ -742,7 +768,7 @@ def test_config_refuses_non_finite_floats():
     float_keys = [f.name for f in fields(PipelineConfig) if isinstance(f.default, float)]
     assert sorted(float_keys) == [
         "coherence_floor", "reject_threshold", "sigma", "smooth_sigma",
-        "target_variance", "tolerance", "variance_floor",
+        "tolerance", "variance_floor",
     ]
     for key in float_keys:
         for value in (math.inf, -math.inf, math.nan):
@@ -751,8 +777,7 @@ def test_config_refuses_non_finite_floats():
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
-@pytest.mark.parametrize("key", ["smooth_sigma", "sigma", "variance_floor", "target_variance",
-                                 "tolerance"])
+@pytest.mark.parametrize("key", ["smooth_sigma", "sigma", "variance_floor", "tolerance"])
 def test_cli_non_finite_config_value_is_an_input_error(tmp_path, capsys, key, value):
     path, _, _ = write_synth_fixture(tmp_path)
     cfg = tmp_path / "bad.cfg"
@@ -788,12 +813,12 @@ def test_run_eval_worker_death_becomes_error_rows(tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             for k, args in enumerate(zip(*iterables)):
                 if k == 2:
-                    raise BrokenProcessPool("a process in the pool was terminated abruptly")
+                    raise concurrent.futures.process.BrokenProcessPool("a process in the pool was terminated abruptly")
                 yield fn(*args)
 
     data, truthd = build_corpus(tmp_path, n=4)
     serial = run_eval(data, truthd, PipelineConfig(), tmp_path / "serial")
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", DyingPool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", DyingPool)
     run = run_eval(data, truthd, PipelineConfig(), tmp_path / "out", workers=2)
     stems = sorted(p.stem for p in data.glob("*.pgm"))
     assert run.results == serial.results[:2]
@@ -821,3 +846,14 @@ def test_runtime_never_imports_scipy():
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    """A fresh interpreter's import ridgekit loads no multiprocessing module:
+    only run_eval's process pool needs it, and imports it there."""
+    probe = "import sys, ridgekit\nprint('multiprocessing' in sys.modules)\n"
+    src = str(Path(ridgekit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
