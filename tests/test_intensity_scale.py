@@ -19,19 +19,23 @@ from ridgekit.pipeline import extract_from_image
 from ridgekit.synth import ConcentricPattern, SynthSpec, generate
 
 
-def _dense_print():
+def _dense_spec():
     """A 512^2 print of period 6 in 8 row bands, with a 5 x 5 lattice of
     alternating endings and bifurcations."""
     lattice = [(x, y, (ENDING, BIFURCATION)[(i + j) % 2])
                for i, x in enumerate(range(64, 512, 96)) for j, y in enumerate(range(64, 512, 96))]
-    return generate(SynthSpec(512, 512, ConcentricPattern(-100.0, -100.0), 6.0,
-                              injected=tuple(lattice), noise_amplitude=30.0, seed=3))[0]
+    return SynthSpec(512, 512, ConcentricPattern(-100.0, -100.0), 6.0,
+                     injected=tuple(lattice), noise_amplitude=30.0, seed=3)
 
+
+PRINT_SPECS = {
+    **{f"corpus_{k:02d}": corpus_spec(k) for k in range(20)},
+    "dense_512x512": _dense_spec(),
+}
 
 IMAGES = {
-    **{f"corpus_{k:02d}": (lambda k=k: generate(corpus_spec(k))[0]) for k in range(20)},
+    **{name: (lambda spec=spec: generate(spec)[0]) for name, spec in PRINT_SPECS.items()},
     **CAPTURES,
-    "dense_512x512": _dense_print,
 }
 
 
