@@ -13,14 +13,7 @@ from .enhance import (
     gabor_enhance,
     gabor_response,
 )
-from .evaluate import (
-    AggregateReport,
-    MatchResult,
-    Metrics,
-    aggregate,
-    compute_metrics,
-    match_minutiae,
-)
+from .evaluate import AggregateReport, EvalRun, MatchResult, aggregate, match_minutiae
 from .image import GrayImage, PgmError, invert, load_pgm, save_pgm
 from .minutiae import (
     BIFURCATION,

@@ -40,6 +40,10 @@ class PipelineConfig:
         enhance._check_reject_threshold(self.reject_threshold)
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        # a Gaussian kernel spans 6 sigma: bound what a config can allocate
+        for name, bound in (("sigma", enhance.MAX_RIDGE_PERIOD), ("smooth_sigma", 16.0)):
+            if getattr(self, name) > bound:
+                raise ValueError(f"{name} must be <= {bound:g}")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         for name in ("adjacency_window", "border_distance", "reconnect_gap", "spur_length"):

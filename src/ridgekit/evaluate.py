@@ -1,5 +1,5 @@
 """Scoring of detected minutiae against ground truth: per-image matching,
-sensitivity/specificity, and dataset aggregation."""
+sensitivity/specificity, dataset aggregation and the two report formats."""
 
 from __future__ import annotations
 
@@ -15,34 +15,64 @@ DEFAULT_TOLERANCE = 8.0  # px, ~0.4 mm at 500 dpi
 
 @dataclass(frozen=True)
 class MatchResult:
+    """One image's score. The counts and SEN/SPE derive from the pairs and
+    the two set sizes, so they cannot disagree."""
+
     image_id: str
-    matched: int
-    missed: int
-    false_count: int
-    ground_truth_count: int
     pairs: tuple[tuple[int, int, float], ...]  # (detected idx, truth idx, distance)
+    detected_count: int
+    ground_truth_count: int
 
-    def __post_init__(self):
-        if self.matched + self.missed != self.ground_truth_count:
-            raise ValueError("matched + missed must equal ground_truth_count")
-        if self.matched != len(self.pairs):
-            raise ValueError("matched must equal the number of pairs")
+    @property
+    def matched(self) -> int:
+        return len(self.pairs)
 
+    @property
+    def missed(self) -> int:
+        return self.ground_truth_count - self.matched
 
-@dataclass(frozen=True)
-class Metrics:
-    sen: float  # 1 - missed / ground truth
-    spe: float  # 1 - false / ground truth; negative when false > ground truth
+    @property
+    def false_count(self) -> int:
+        return self.detected_count - self.matched
+
+    @property
+    def sen(self) -> float:
+        """1 - missed / ground truth."""
+        return 1.0 - self.missed / self._ground_truth()
+
+    @property
+    def spe(self) -> float:
+        """1 - false / ground truth; negative when false > ground truth."""
+        return 1.0 - self.false_count / self._ground_truth()
+
+    def _ground_truth(self) -> int:
+        if self.ground_truth_count <= 0:
+            raise ValueError("metrics undefined for empty ground truth")
+        return self.ground_truth_count
 
 
 @dataclass(frozen=True)
 class AggregateReport:
-    per_image: tuple[tuple[str, Metrics], ...]
     mean_sen: float
     mean_spe: float
     sd_sen: float
     sd_spe: float
     n: int
+
+
+@dataclass(frozen=True)
+class EvalRun:
+    """One evaluation: the scored images, and the rejected and error rows,
+    each in image-id order. Both report files are written from it."""
+
+    results: tuple[MatchResult, ...]
+    rejected: tuple[tuple[str, Rejection], ...]
+    errors: tuple[tuple[str, str], ...]
+
+    @property
+    def report(self) -> AggregateReport | None:
+        """The summary of the results; None when no image was scored."""
+        return aggregate(self.results) if self.results else None
 
 
 def match_minutiae(
@@ -82,36 +112,17 @@ def match_minutiae(
         used_t.add(j)
         pairs.append((i, j, dist))
 
-    matched = len(pairs)
-    return MatchResult(
-        image_id=detected.image_id,
-        matched=matched,
-        missed=len(truth.minutiae) - matched,
-        false_count=len(detected.minutiae) - matched,
-        ground_truth_count=len(truth.minutiae),
-        pairs=tuple(pairs),
-    )
+    return MatchResult(detected.image_id, tuple(pairs), len(det), len(tru))
 
 
-def compute_metrics(result: MatchResult) -> Metrics:
-    """sen = 1 - missed/GT, spe = 1 - false/GT; undefined for empty GT."""
-    gt = result.ground_truth_count
-    if gt <= 0:
-        raise ValueError("metrics undefined for empty ground truth")
-    return Metrics(
-        sen=1.0 - result.missed / gt,
-        spe=1.0 - result.false_count / gt,
-    )
-
-
-def aggregate(per_image: Sequence[tuple[str, Metrics]]) -> AggregateReport:
+def aggregate(results: Sequence[MatchResult]) -> AggregateReport:
     """Arithmetic mean and sample standard deviation (divisor n-1) over
-    per-image metrics; a single image yields SD 0 by convention."""
-    if not per_image:
-        raise ValueError("cannot aggregate an empty metrics list")
-    n = len(per_image)
-    sens = [m.sen for _, m in per_image]
-    spes = [m.spe for _, m in per_image]
+    per-image SEN/SPE; a single image yields SD 0 by convention."""
+    if not results:
+        raise ValueError("cannot aggregate an empty result list")
+    n = len(results)
+    sens = [r.sen for r in results]
+    spes = [r.spe for r in results]
     mean_sen = sum(sens) / n
     mean_spe = sum(spes) / n
     if n == 1:
@@ -119,78 +130,64 @@ def aggregate(per_image: Sequence[tuple[str, Metrics]]) -> AggregateReport:
     else:
         sd_sen = math.sqrt(sum((s - mean_sen) ** 2 for s in sens) / (n - 1))
         sd_spe = math.sqrt(sum((s - mean_spe) ** 2 for s in spes) / (n - 1))
-    return AggregateReport(
-        per_image=tuple(per_image),
-        mean_sen=mean_sen,
-        mean_spe=mean_spe,
-        sd_sen=sd_sen,
-        sd_spe=sd_spe,
-        n=n,
-    )
+    return AggregateReport(mean_sen, mean_spe, sd_sen, sd_spe, n)
 
 
-def format_report_text(
-    report: AggregateReport | None,
-    config_lines: Sequence[str],
-    rejected: Sequence[tuple[str, Rejection]] = (),
-    errors: Sequence[tuple[str, str]] = (),
-) -> str:
-    """Human-readable report: per-image metrics plus a Mean/SD summary table.
+def format_report_text(run: EvalRun, config_lines: Sequence[str]) -> str:
+    """Human-readable report: per-image SEN/SPE plus a Mean/SD summary table.
 
-    With no report (no image evaluated) only the config and the rejected
-    and error lists are written.
+    With no scored image only the config and the rejected and error lists
+    are written.
     """
     out = ["minutiae evaluation report", "=" * 26, "", "config:"]
     out += [f"  {line}" for line in config_lines]
-    out += ["", f"images evaluated: {0 if report is None else report.n}"]
-    if rejected:
+    out += ["", f"images evaluated: {len(run.results)}"]
+    if run.rejected:
         out.append("rejected (excluded from means):")
         out += [f"  {image_id}  {rej.measure} {rej.recoverable_fraction:.3f}"
-                for image_id, rej in rejected]
-    if errors:
+                for image_id, rej in run.rejected]
+    if run.errors:
         out.append("errors (skipped):")
-        out += [f"  {image_id}  {msg}" for image_id, msg in errors]
+        out += [f"  {image_id}  {msg}" for image_id, msg in run.errors]
+    report = run.report
     if report is None:
         return "\n".join(out) + "\n"
     out += ["", f"{'image':<24} {'SEN':>8} {'SPE':>8}"]
-    for image_id, m in report.per_image:
-        out.append(f"{image_id:<24} {m.sen:8.4f} {m.spe:8.4f}")
+    out += [f"{r.image_id:<24} {r.sen:8.4f} {r.spe:8.4f}" for r in run.results]
     out += [
         "",
         f"{'':<6} {'SEN':>8} {'SPE':>8}",
         f"{'Mean':<6} {report.mean_sen:8.4f} {report.mean_spe:8.4f}",
         f"{'SD':<6} {report.sd_sen:8.4f} {report.sd_spe:8.4f}",
     ]
-    if any(m.spe < 0 for _, m in report.per_image):
+    if any(r.spe < 0 for r in run.results):
         out += ["", "note: negative specificity = more false detections than ground-truth minutiae"]
     return "\n".join(out) + "\n"
 
 
-def format_report_csv(
-    report: AggregateReport | None,
-    config_lines: Sequence[str],
-    results: Sequence[MatchResult] = (),
-    rejected: Sequence[tuple[str, Rejection]] = (),
-    errors: Sequence[tuple[str, str]] = (),
-) -> str:
-    """Machine-readable report: one row per image plus mean/sd summary rows
-    (none of either with no report), then the rejected and error rows."""
-    by_id = {r.image_id: r for r in results}
+def _csv_id(image_id: str) -> str:
+    """image_id as one CSV field, quoted as RFC 4180 does when it holds a
+    comma, a double quote or a line break."""
+    if any(c in image_id for c in ',"\r\n'):
+        return '"' + image_id.replace('"', '""') + '"'
+    return image_id
+
+
+def format_report_csv(run: EvalRun, config_lines: Sequence[str]) -> str:
+    """Machine-readable report: one row per scored image plus mean/sd
+    summary rows (none of either with no scored image), then the rejected
+    and error rows."""
     out = [f"# {line}" for line in config_lines]
     out.append("record,image_id,sen,spe,matched,missed,false_count,ground_truth")
+    for r in run.results:
+        out.append(f"image,{_csv_id(r.image_id)},{r.sen:.6f},{r.spe:.6f},"
+                   f"{r.matched},{r.missed},{r.false_count},{r.ground_truth_count}")
+    report = run.report
     if report is not None:
-        for image_id, m in report.per_image:
-            r = by_id.get(image_id)
-            detail = (
-                f"{r.matched},{r.missed},{r.false_count},{r.ground_truth_count}"
-                if r is not None
-                else ",,,"
-            )
-            out.append(f"image,{image_id},{m.sen:.6f},{m.spe:.6f},{detail}")
         out.append(f"mean,,{report.mean_sen:.6f},{report.mean_spe:.6f},,,,")
         out.append(f"sd,,{report.sd_sen:.6f},{report.sd_spe:.6f},,,,")
-    for image_id, rej in rejected:
-        out.append(f"rejected,{image_id},,,,,,{rej.recoverable_fraction:.6f}")
-    for image_id, msg in errors:
-        out.append(f"error,{image_id},{msg.replace(',', ';')},,,,,")
+    for image_id, rej in run.rejected:
+        out.append(f"rejected,{_csv_id(image_id)},,,,,,{rej.recoverable_fraction:.6f}")
+    for image_id, msg in run.errors:
+        out.append(f"error,{_csv_id(image_id)},{msg.replace(',', ';')},,,,,")
     return "\n".join(out) + "\n"

@@ -11,15 +11,7 @@ import numpy as np
 from . import enhance as enh
 from .binary import BinaryImage, auto_threshold, binarize, thin
 from .config import PipelineConfig
-from .evaluate import (
-    AggregateReport,
-    MatchResult,
-    aggregate,
-    compute_metrics,
-    format_report_csv,
-    format_report_text,
-    match_minutiae,
-)
+from .evaluate import EvalRun, format_report_csv, format_report_text, match_minutiae
 from .image import GrayImage, invert, load_pgm, save_pgm
 from .minutiae import MinutiaeSet, extract_minutiae, postprocess, read_minutiae, write_minutiae
 from .synth import generate, parse_synth_spec
@@ -154,14 +146,6 @@ def _eval_one(image_path: str, truth_path: str, config: PipelineConfig, out_dir:
         return ("error", stem, message)
 
 
-@dataclass(frozen=True)
-class EvalRun:
-    report: AggregateReport | None
-    results: tuple[MatchResult, ...]
-    rejected: tuple[tuple[str, enh.Rejection], ...]
-    errors: tuple[tuple[str, str], ...]
-
-
 def run_eval(
     dataset_dir: str | Path,
     truth_dir: str | Path,
@@ -210,24 +194,18 @@ def run_eval(
     else:
         raw = list(map(_eval_one, *jobs))
 
-    rows: dict[str, list] = {"ok": [], "rejected": [], "error": []}
-    for kind, stem, value in raw:
-        rows[kind].append((stem, value))
     # stems are unique; _eval_one renames the truth to the stem, so each
     # result's image_id is its stem
-    results = [r for _, r in sorted(rows["ok"])]
-    rejected, errors = sorted(rows["rejected"]), sorted(rows["error"])
-
-    per_image = [(r.image_id, compute_metrics(r)) for r in results]
-    report = aggregate(per_image) if per_image else None
+    raw.sort(key=lambda row: row[1])
+    run = EvalRun(
+        tuple(value for kind, _, value in raw if kind == "ok"),
+        tuple((stem, value) for kind, stem, value in raw if kind == "rejected"),
+        tuple((stem, value) for kind, stem, value in raw if kind == "error"),
+    )
     config_lines = config.echo_lines()
-    (out_dir / "report.txt").write_text(
-        format_report_text(report, config_lines, rejected, errors), encoding="utf-8"
-    )
-    (out_dir / "report.csv").write_text(
-        format_report_csv(report, config_lines, results, rejected, errors), encoding="utf-8"
-    )
-    return EvalRun(report, tuple(results), tuple(rejected), tuple(errors))
+    (out_dir / "report.txt").write_text(format_report_text(run, config_lines), encoding="utf-8")
+    (out_dir / "report.csv").write_text(format_report_csv(run, config_lines), encoding="utf-8")
+    return run
 
 
 def run_synth(spec_path: str | Path, count: int, out_dir: str | Path) -> list[Path]:

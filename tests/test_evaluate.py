@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 
@@ -6,10 +8,9 @@ import pytest
 
 from ridgekit.enhance import Rejection
 from ridgekit.evaluate import (
+    EvalRun,
     MatchResult,
-    Metrics,
     aggregate,
-    compute_metrics,
     format_report_csv,
     format_report_text,
     match_minutiae,
@@ -140,10 +141,7 @@ def _reference_match(detected, truth, tolerance):
         used_d.add(i)
         used_t.add(j)
         pairs.append((i, j, dist))
-    return MatchResult(
-        detected.image_id, len(pairs), len(truth.minutiae) - len(pairs),
-        len(detected.minutiae) - len(pairs), len(truth.minutiae), tuple(pairs),
-    )
+    return MatchResult(detected.image_id, tuple(pairs), len(detected.minutiae), len(truth.minutiae))
 
 
 def _unique_points(rng, n, size):
@@ -176,47 +174,53 @@ def test_match_equals_reference_on_hand_built_ties():
     assert (5, 7, 3.0) in r.pairs  # (70, 70): two detections at 3, lowest index wins
 
 
-def test_match_result_invariant_enforced():
-    with pytest.raises(ValueError):
-        MatchResult("a", matched=2, missed=1, false_count=0, ground_truth_count=4, pairs=((0, 0, 1.0), (1, 1, 1.0)))
+def scored(image_id, matched, false, gt):
+    """A MatchResult of `matched` pairs, `false` unpaired detections and
+    `gt` truth minutiae."""
+    return MatchResult(image_id, tuple((i, i, 0.0) for i in range(matched)), matched + false, gt)
+
+
+def test_match_result_counts_derive_from_pairs_and_sizes():
+    r = scored("a", 7, 2, 10)
+    assert (r.matched, r.missed, r.false_count, r.ground_truth_count) == (7, 3, 2, 10)
 
 
 def test_metrics_formulas():
-    m = compute_metrics(MatchResult("a", 8, 2, 0, 10, tuple((i, i, 0.0) for i in range(8))))
-    assert m.sen == pytest.approx(0.8, abs=1e-12)
-    m = compute_metrics(MatchResult("a", 7, 1, 1, 8, tuple((i, i, 0.0) for i in range(7))))
-    assert m.spe == pytest.approx(0.875, abs=1e-12)
-    m = compute_metrics(MatchResult("a", 5, 0, 0, 5, tuple((i, i, 0.0) for i in range(5))))
-    assert (m.sen, m.spe) == (1.0, 1.0)
+    r = scored("a", 8, 0, 10)
+    assert r.sen == pytest.approx(0.8, abs=1e-12)
+    r = scored("a", 7, 1, 8)
+    assert r.spe == pytest.approx(0.875, abs=1e-12)
+    r = scored("a", 5, 0, 5)
+    assert (r.sen, r.spe) == (1.0, 1.0)
 
 
 def test_metrics_zero_ground_truth_errors():
-    r = MatchResult("a", 0, 0, 3, 0, ())
-    with pytest.raises(ValueError):
-        compute_metrics(r)
+    r = scored("a", 0, 3, 0)
+    for metric in ("sen", "spe"):
+        with pytest.raises(ValueError, match="^metrics undefined for empty ground truth$"):
+            getattr(r, metric)
 
 
 def test_metrics_negative_specificity_reported_raw():
-    r = MatchResult("a", 2, 0, 5, 2, ((0, 0, 0.0), (1, 1, 0.0)))
-    m = compute_metrics(r)
-    assert m.spe == pytest.approx(1.0 - 5 / 2)
-    assert m.spe < 0
+    r = scored("a", 2, 5, 2)
+    assert r.spe == pytest.approx(1.0 - 5 / 2)
+    assert r.spe < 0
 
 
 def test_aggregate_single():
-    rep = aggregate([("a", Metrics(0.8, 0.9))])
+    rep = aggregate([scored("a", 8, 1, 10)])
     assert rep.mean_sen == 0.8 and rep.sd_sen == 0.0 and rep.n == 1
 
 
 def test_aggregate_hand_computed_sd():
-    rep = aggregate([("a", Metrics(0.7, 0.7)), ("b", Metrics(0.9, 0.9))])
+    rep = aggregate([scored("a", 7, 3, 10), scored("b", 9, 1, 10)])
     assert rep.mean_sen == pytest.approx(0.8)
     assert rep.sd_sen == pytest.approx(math.sqrt(0.02), abs=1e-12)
     assert rep.sd_sen == pytest.approx(0.1414, abs=1e-4)
 
 
 def test_aggregate_constant_zero_sd():
-    rep = aggregate([(f"i{k}", Metrics(0.5, 0.6)) for k in range(7)])
+    rep = aggregate([scored(f"i{k}", 5, 4, 10) for k in range(7)])
     assert rep.sd_sen == 0.0 and rep.sd_spe == 0.0
 
 
@@ -227,7 +231,7 @@ def test_aggregate_empty_errors():
 
 def test_identity_extractor_means():
     # extractor that returns the truth itself: SEN = SPE = 1, SD = 0
-    per_image = []
+    results = []
     rng = np.random.default_rng(2)
     for k in range(10):
         pts = [tuple(p) for p in rng.integers(0, 200, (10, 2))]
@@ -235,27 +239,43 @@ def test_identity_extractor_means():
             truth = mset(f"img{k}", pts)
         except ValueError:
             continue
-        r = match_minutiae(truth, truth, 8.0)
-        per_image.append((truth.image_id, compute_metrics(r)))
-    rep = aggregate(per_image)
+        results.append(match_minutiae(truth, truth, 8.0))
+    rep = aggregate(results)
     assert rep.mean_sen == 1.0 and rep.mean_spe == 1.0
     assert rep.sd_sen == 0.0 and rep.sd_spe == 0.0
 
 
 def test_report_formats():
-    rep = aggregate([("a", Metrics(0.8, 0.9)), ("b", Metrics(1.0, -0.5))])
-    results = [
-        MatchResult("a", 8, 2, 1, 10, tuple((i, i, 1.0) for i in range(8))),
-    ]
-    rejected = [("c", Rejection(0.1, 0.25, "coherent share"))]
-    text = format_report_text(rep, ["tolerance = 8.0"], rejected, [("d", "boom")])
+    run = EvalRun(
+        (scored("a", 8, 1, 10), scored("b", 2, 3, 2)),
+        (("c", Rejection(0.1, 0.25, "coherent share")),),
+        (("d", "boom"),),
+    )
+    assert (run.report.mean_sen, run.report.mean_spe) == pytest.approx((0.9, 0.2))
+    text = format_report_text(run, ["tolerance = 8.0"])
     assert "Mean" in text and "SD" in text and "SEN" in text and "SPE" in text
     assert "\n  c  coherent share 0.100\n" in text and "boom" in text
     assert "negative specificity" in text
-    csv = format_report_csv(rep, ["tolerance = 8.0"], results, rejected, [("d", "boom")])
-    lines = csv.splitlines()
+    lines = format_report_csv(run, ["tolerance = 8.0"]).splitlines()
     assert lines[0] == "# tolerance = 8.0"
-    assert any(line.startswith("image,a,0.800000,0.900000,8,2,1,10") for line in lines)
+    assert "image,a,0.800000,0.900000,8,2,1,10" in lines
+    assert "image,b,1.000000,-0.500000,2,0,3,2" in lines
     assert any(line.startswith("mean,,0.900000") for line in lines)
     assert "rejected,c,,,,,,0.100000" in lines
     assert any(line.startswith("error,d") for line in lines)
+
+
+@pytest.mark.parametrize("image_id", ["scan,1", 'say "hi"', "two\nlines", "cr\rid"])
+def test_report_csv_quotes_an_id_with_a_separator(image_id):
+    run = EvalRun(
+        (scored(image_id, 8, 1, 10),),
+        ((image_id, Rejection(0.1, 0.25, "coherent share")),),
+        ((image_id, "bad, truth"),),
+    )
+    rows = list(csv.reader(io.StringIO(format_report_csv(run, []), newline="")))
+    assert rows[0] == "record,image_id,sen,spe,matched,missed,false_count,ground_truth".split(",")
+    records = {row[0]: row for row in rows[1:]}
+    assert all(len(row) == 8 for row in rows)
+    for record in ("image", "rejected", "error"):
+        assert records[record][1] == image_id
+    assert records["error"][2] == "bad; truth"

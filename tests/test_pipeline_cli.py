@@ -1,8 +1,11 @@
 import concurrent.futures.process
+import csv
 import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -53,6 +56,27 @@ def test_config_refuses_negative_smooth_sigma():
         with pytest.raises(ValueError, match=r"^smooth_sigma must be >= 0$"):
             PipelineConfig(smooth_sigma=value)
     assert PipelineConfig(smooth_sigma=0.0).smooth_sigma == 0.0
+
+
+@pytest.mark.parametrize("key, bound", [("sigma", enh.MAX_RIDGE_PERIOD), ("smooth_sigma", 16.0)])
+def test_config_bounds_each_kernel_width_within_a_time_and_memory_budget(key, bound):
+    # a kernel spans 6 sigma, so an unbounded width asked for GiBs: sigma =
+    # 100000 px for 3.43 GiB of Gabor taps, smooth_sigma = 1e6 blocks for 1.91 GiB
+    with pytest.raises(ValueError, match=rf"^{key} must be <= {bound:g}$"):
+        PipelineConfig(**{key: math.nextafter(bound, math.inf)})
+    img, truth = generate(corpus_spec(0))
+    config = PipelineConfig(**{key: bound})
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        outcome = extract_from_image(img, truth.image_id, config)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not outcome.rejected
+    # measured traced on a 2-vCPU VM: sigma 0.93 s / 2.7 MiB, smooth_sigma 0.09 s / 1.6 MiB
+    assert elapsed < 5.0 and peak < 8 * 2**20, (elapsed, peak)
 
 
 def test_load_config_file_and_overrides(tmp_path):
@@ -717,12 +741,39 @@ def test_cli_extract_then_eval_round_trips_an_id_with_spaces(tmp_path, capsys):
     assert "\nimages evaluated: 1\n" in text and "errors" not in text
 
 
+def test_run_eval_csv_reads_back_ids_with_a_comma(tmp_path):
+    from ridgekit.minutiae import ENDING, Minutia, MinutiaeSet, write_minutiae
+
+    data, truthd = tmp_path / "data", tmp_path / "truth"
+    data.mkdir()
+    truthd.mkdir()
+    path, img, truth = write_synth_fixture(data)
+    path.rename(data / "scan,1.pgm")
+    write_minutiae(truthd / "scan,1.txt", truth, img.width, img.height)
+    blank = GrayImage(np.full((128, 128), 128, np.uint8))
+    save_pgm(blank, data / 'blank,"2".pgm')  # rejected: no coherent block
+    one_point = MinutiaeSet("blank", (Minutia(64, 64, ENDING, 0.0),), "postprocessed")
+    write_minutiae(truthd / 'blank,"2".txt', one_point, 128, 128)
+    save_pgm(blank, data / "no,truth.pgm")
+    run_eval(data, truthd, PipelineConfig(), tmp_path / "out")
+    with open(tmp_path / "out" / "report.csv", newline="", encoding="utf-8") as f:
+        rows = [row for row in csv.reader(f) if not row[0].startswith("#")]
+    assert all(len(row) == 8 for row in rows)
+    assert [row[:2] for row in rows] == [
+        ["record", "image_id"], ["image", "scan,1"], ["mean", ""], ["sd", ""],
+        ["rejected", 'blank,"2"'], ["error", "no,truth"],
+    ]
+    assert rows[-1][2] == "missing truth file no;truth.txt"
+
+
 @pytest.mark.parametrize("line, message", [
     ("spur_length = -1", "spur_length must be >= 0"),
     ("border_distance = -3", "border_distance must be >= 0"),
     ("sigma = 0", "sigma must be positive"),
     ("tolerance = -1", "tolerance must be positive"),
     ("smooth_sigma = -2", "smooth_sigma must be >= 0"),
+    ("sigma = 1000", "sigma must be <= 25"),
+    ("smooth_sigma = 1e6", "smooth_sigma must be <= 16"),
 ])
 def test_cli_config_file_range_error_names_file_and_key(tmp_path, capsys, line, message):
     path, _, _ = write_synth_fixture(tmp_path)
