@@ -165,12 +165,12 @@ def format_report_text(run: EvalRun, config_lines: Sequence[str]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _csv_id(image_id: str) -> str:
-    """image_id as one CSV field, quoted as RFC 4180 does when it holds a
-    comma, a double quote or a line break."""
-    if any(c in image_id for c in ',"\r\n'):
-        return '"' + image_id.replace('"', '""') + '"'
-    return image_id
+def _csv_field(text: str) -> str:
+    """text as one CSV field, quoted as RFC 4180 does when it holds a comma,
+    a double quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def format_report_csv(run: EvalRun, config_lines: Sequence[str]) -> str:
@@ -180,14 +180,14 @@ def format_report_csv(run: EvalRun, config_lines: Sequence[str]) -> str:
     out = [f"# {line}" for line in config_lines]
     out.append("record,image_id,sen,spe,matched,missed,false_count,ground_truth")
     for r in run.results:
-        out.append(f"image,{_csv_id(r.image_id)},{r.sen:.6f},{r.spe:.6f},"
+        out.append(f"image,{_csv_field(r.image_id)},{r.sen:.6f},{r.spe:.6f},"
                    f"{r.matched},{r.missed},{r.false_count},{r.ground_truth_count}")
     report = run.report
     if report is not None:
         out.append(f"mean,,{report.mean_sen:.6f},{report.mean_spe:.6f},,,,")
         out.append(f"sd,,{report.sd_sen:.6f},{report.sd_spe:.6f},,,,")
     for image_id, rej in run.rejected:
-        out.append(f"rejected,{_csv_id(image_id)},,,,,,{rej.recoverable_fraction:.6f}")
+        out.append(f"rejected,{_csv_field(image_id)},,,,,,{rej.recoverable_fraction:.6f}")
     for image_id, msg in run.errors:
-        out.append(f"error,{_csv_id(image_id)},{msg.replace(',', ';')},,,,,")
+        out.append(f"error,{_csv_field(image_id)},{_csv_field(msg.replace(',', ';'))},,,,,")
     return "\n".join(out) + "\n"

@@ -3,17 +3,18 @@ by sha256 in tests/data/outputs.sha256.
 
 One line per image of test_intensity_scale.IMAGES (the 20 acceptance
 prints, the gate captures and the 512^2 lattice print). An accepted image's
-line holds the sha256 of its minutiae file as write_minutiae writes it, of
-its enhanced pixels and of its binary bits; a rejected capture's line holds
-its Rejection. Two more lines hold the sha256 of report.txt and report.csv
-of a run_eval over the prints, one capture with a one-point truth (a
-rejected row) and one print without a truth file (an error row).
+line holds the sha256 of its minutiae file as write_minutiae writes it and
+of its binary bits; a rejected capture's line holds its Rejection. Two more
+lines hold the sha256 of report.txt and report.csv of a run_eval over the
+prints, one capture with a one-point truth (a rejected row) and one print
+without a truth file (an error row).
 
-The enhanced pixels are rounded from float64 Gabor responses, so they can
-follow numpy's SIMD dispatch: with AVX-512 turned off
-(NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"), 4 pixels of
-corpus_00 round one step the other way, while its binary bits and minutiae
-stay the same. The file was written with numpy 2.4 on an AVX-512 x86-64 CPU.
+The enhanced pixels are not locked: they are rounded from float64 Gabor
+responses and follow numpy's SIMD dispatch. With every dispatched feature
+above the x86-64-v2 baseline turned off
+(NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"), 4
+pixels of corpus_00 round one step the other way, while every line of the
+lock stays the same.
 
 A change that alters outputs on purpose regenerates the file and names the
 changed ids:
@@ -64,12 +65,8 @@ def output_lines(work: Path) -> dict[str, str]:
             continue
         path = minutiae / f"{name}.txt"
         write_minutiae(path, outcome.minutiae, img.width, img.height)
-        inter = outcome.intermediates
-        lines[name] = " ".join((
-            f"minutiae={_sha(path.read_bytes())}",
-            f"enhanced={_sha(inter['enhanced'].pixels.tobytes())}",
-            f"binary={_sha(inter['binary'].bits.tobytes())}",
-        ))
+        binary = outcome.intermediates["binary"].bits
+        lines[name] = f"minutiae={_sha(path.read_bytes())} binary={_sha(binary.tobytes())}"
 
     capture = IMAGES[REJECTED_ROW]()
     save_pgm(capture, data / f"{REJECTED_ROW}.pgm")

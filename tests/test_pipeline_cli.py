@@ -755,14 +755,16 @@ def test_run_eval_csv_reads_back_ids_with_a_comma(tmp_path):
     one_point = MinutiaeSet("blank", (Minutia(64, 64, ENDING, 0.0),), "postprocessed")
     write_minutiae(truthd / 'blank,"2".txt', one_point, 128, 128)
     save_pgm(blank, data / "no,truth.pgm")
+    save_pgm(blank, data / 'no\ntruth "3".pgm')  # the error message holds the id
     run_eval(data, truthd, PipelineConfig(), tmp_path / "out")
     with open(tmp_path / "out" / "report.csv", newline="", encoding="utf-8") as f:
         rows = [row for row in csv.reader(f) if not row[0].startswith("#")]
     assert all(len(row) == 8 for row in rows)
     assert [row[:2] for row in rows] == [
         ["record", "image_id"], ["image", "scan,1"], ["mean", ""], ["sd", ""],
-        ["rejected", 'blank,"2"'], ["error", "no,truth"],
+        ["rejected", 'blank,"2"'], ["error", 'no\ntruth "3"'], ["error", "no,truth"],
     ]
+    assert rows[-2][2] == 'missing truth file no\ntruth "3".txt'
     assert rows[-1][2] == "missing truth file no;truth.txt"
 
 
