@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +58,10 @@ _NEIGHBOR_OFFSETS = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1),
 
 
 def thin(bin_img: BinaryImage) -> Skeleton:
-    """Peel ridge borders until nothing changes, preserving topology.
+    """Peel ridge borders, preserving topology, until four border
+    directions in a row delete nothing.
 
-    Each full pass visits the four border directions (N, S, E, W); within a
+    The border directions run in the fixed cycle N, S, E, W; within a
     direction, deletions run over the four 2x2 checkerboard subfields so that
     simultaneously deleted pixels are never 8-adjacent. Every deleted pixel is
     simple (connectivity number 1) with at least 2 ridge neighbors at deletion
@@ -67,11 +69,16 @@ def thin(bin_img: BinaryImage) -> Skeleton:
     survive. The result is a fixpoint: thinning a skeleton returns it
     unchanged.
 
+    The stop is exact. A direction's decision at a pixel reads only its
+    3x3 neighborhood, so a direction that runs again on an unchanged image
+    deletes nothing again: after four quiet directions every direction is
+    quiet, and the rest of a final quiet pass would change nothing.
+
     The image is held as its four 2x2 phase planes, one per subfield, each
     stored flat with a zero ring. Every neighbor of a plane's interior is
     then one contiguous 1-D slice of another plane, and a subfield step
     evaluates Hilditch's connectivity number on those slices with array
-    logic (Guo & Hall, CACM 1989).
+    logic (Guo & Hall, CACM 1989), in place in buffers allocated once.
     """
     h, w = bin_img.bits.shape
     # a 2-pixel zero margin keeps each pixel's phase equal to its parity and
@@ -94,25 +101,49 @@ def thin(bin_img: BinaryImage) -> Skeleton:
             off = ((a + dy) >> 1) * pw + ((b + dx) >> 1)
             nbrs.append(planes[(a + dy) & 1, (b + dx) & 1][lo + off : hi + off])
         neighbors.append(nbrs)
-    changed = True
-    while changed:
-        changed = False
-        for border in (0, 4, 2, 6):  # neighbor index of N, S, E, W
-            # candidates fixed at direction start: ridge pixels whose
-            # neighbor in this direction is background (one border layer)
-            candidates = [np.greater(core, nbrs[border]) for core, nbrs in zip(cores, neighbors)]
-            for core, nbrs, cand in zip(cores, neighbors, candidates):
-                n, ne, e, se, s, sw, w_, nw = nbrs
-                # Hilditch's connectivity number; (ne | n) > e is (1 - e) * max(ne, n)
-                conn = np.greater(ne | n, e).view(np.uint8)
-                conn += np.greater(nw | w_, n).view(np.uint8)
-                conn += np.greater(sw | s, w_).view(np.uint8)
-                conn += np.greater(se | e, s).view(np.uint8)
-                degree = sum(nbrs)
-                kill = cand & (conn == 1) & (degree >= 2)
-                if kill.any():
-                    core ^= kill
-                    changed = True
+    # every step evaluates the rule in place in these buffers
+    size = cores[0].size
+    candidates = [np.empty(size, bool) for _ in cores]
+    conn, degree, acc = (np.empty(size, np.uint8) for _ in range(3))
+    kill, test = np.empty(size, bool), np.empty(size, bool)
+    term = test.view(np.uint8)
+    quiet = 0
+    for border in itertools.cycle((0, 4, 2, 6)):  # neighbor index of N, S, E, W
+        # candidates fixed at direction start: ridge pixels whose neighbor
+        # in this direction is background (one border layer)
+        for core, nbrs, cand in zip(cores, neighbors, candidates):
+            np.greater(core, nbrs[border], out=cand)
+        deleted = False
+        for core, nbrs, cand in zip(cores, neighbors, candidates):
+            # neighbors from the border one on, clockwise; deletions only
+            # clear pixels, so the border neighbor of a candidate stays 0
+            # and drops out of the degree and the connectivity number
+            _, r1, r2, r3, r4, r5, r6, r7 = nbrs[border:] + nbrs[:border]
+            # Hilditch's connectivity number, one term per edge neighbor
+            # r[j]: (r[j+1] | r[j]) > r[j+2], that is (1 - r[j+2]) * max(...);
+            # with r[0] = 0 the r[0] term is r1 > r2 and the r[6] term r7 | r6
+            np.bitwise_or(r7, r6, out=conn)
+            np.greater(r1, r2, out=test)
+            conn += term
+            np.bitwise_or(r3, r2, out=acc)
+            np.greater(acc, r4, out=test)
+            conn += term
+            np.bitwise_or(r5, r4, out=acc)
+            np.greater(acc, r6, out=test)
+            conn += term
+            np.add(r1, r2, out=degree)
+            for r in (r3, r4, r5, r6, r7):
+                degree += r
+            np.equal(conn, 1, out=kill)
+            kill &= cand
+            np.greater_equal(degree, 2, out=test)
+            kill &= test
+            if kill.any():
+                core ^= kill
+                deleted = True
+        quiet = 0 if deleted else quiet + 1
+        if quiet == 4:
+            break
     for (a, b), plane in planes.items():
         padded[a::2, b::2] = plane.reshape(ph, pw)
     return Skeleton(padded[2 : h + 2, 2 : w + 2])

@@ -67,12 +67,14 @@ class MinutiaeSet:
 
 def _count_grid(bits: np.ndarray) -> np.ndarray:
     """Ridge pixels in the 3x3 window centered at each pixel, center
-    included; out-of-bounds neighbors count as background."""
-    padded = np.pad(bits.astype(np.int16), 1)
-    total = np.zeros_like(bits, dtype=np.int16)
-    for dy in (0, 1, 2):
-        for dx in (0, 1, 2):
-            total += padded[dy : dy + bits.shape[0], dx : dx + bits.shape[1]]
+    included; out-of-bounds neighbors count as background. Two separable
+    passes on the 0/1 bitmap: a three-row sum, then a three-column sum."""
+    rows = bits.astype(np.uint8)
+    rows[1:] += bits[:-1]
+    rows[:-1] += bits[1:]
+    total = rows.copy()
+    total[:, 1:] += rows[:, :-1]
+    total[:, :-1] += rows[:, 1:]
     return total
 
 
@@ -215,7 +217,7 @@ def extract_minutiae(skel: Skeleton, image_id: str = "") -> MinutiaeSet:
     end_y, end_x = np.divmod(np.flatnonzero(ridge & (counts == 2)), bits.shape[1])
     ys, xs, lab = _clusters(ridge & (counts >= 4))
     # sort members by (cluster, -count, y, x); each cluster's first member wins
-    order = np.lexsort((xs, ys, -counts[ys, xs], lab))
+    order = np.lexsort((xs, ys, -counts[ys, xs].astype(np.int16), lab))
     first = order[np.diff(lab[order], prepend=-1) != 0]
     bif_y, bif_x = ys[first], xs[first]
 

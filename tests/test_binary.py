@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
@@ -240,3 +240,43 @@ def test_thin_properties(bits):
     # components are counted on the zero-padded image
     background = ndimage.label(np.pad(bits, 1) == 0, structure=FOUR)[1]
     assert ndimage.label(np.pad(skel, 1) == 0, structure=FOUR)[1] == background
+
+
+@st.composite
+def random_bitmaps(draw):
+    """Bitmaps up to 48x48 with ridge density 0.2-1.0."""
+    shape = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    density = draw(st.floats(0.2, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random(shape) < density).astype(np.uint8)
+
+
+@st.composite
+def near_fixpoints(draw):
+    """A reference skeleton with 1-6 background pixels set, so that the last
+    deletion lands in any of the four directions."""
+    bits = _reference_thin(draw(random_bitmaps()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    background = np.flatnonzero(bits == 0)
+    count = min(draw(st.integers(1, 6)), background.size)
+    bits.flat[rng.choice(background, count, replace=False)] = 1
+    return bits
+
+
+# a skeleton plus the pixel (3, 0), whose N, S and E neighbors are ridge, so
+# that only the last direction of the first pass, W, deletes it; each quarter
+# turn moves the one deleting direction to S, E and N
+DELETED_ONLY_FROM_W = np.array([[0, 0, 0], [0, 1, 0], [1, 0, 0],
+                                [1, 1, 1], [1, 0, 0], [0, 1, 1]], np.uint8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_bitmaps(), near_fixpoints()))
+@example(DELETED_ONLY_FROM_W)
+@example(np.rot90(DELETED_ONLY_FROM_W, 1).copy())
+@example(np.rot90(DELETED_ONLY_FROM_W, 2).copy())
+@example(np.rot90(DELETED_ONLY_FROM_W, 3).copy())
+def test_thin_matches_reference_on_random_and_near_fixpoint_bitmaps(bits):
+    # thin stops after four quiet directions in a row, the reference after
+    # a quiet pass; both must reach the same skeleton
+    assert (thin(BinaryImage(bits)).bits == _reference_thin(bits)).all()
