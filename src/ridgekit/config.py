@@ -7,19 +7,19 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import enhance
+from .enhance import MAX_RIDGE_PERIOD
 from .evaluate import DEFAULT_TOLERANCE
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    block_size: int = enhance.DEFAULT_BLOCK_SIZE
-    smooth_sigma: float = enhance.DEFAULT_SMOOTH_SIGMA
-    freq_window: int = enhance.DEFAULT_FREQ_WINDOW
-    sigma: float = enhance.DEFAULT_SIGMA
-    reject_threshold: float = enhance.DEFAULT_REJECT_THRESHOLD
-    coherence_floor: float = enhance.DEFAULT_COHERENCE_FLOOR
-    variance_floor: float = enhance.DEFAULT_VARIANCE_FLOOR
+    block_size: int = 16
+    smooth_sigma: float = 1.0  # in blocks
+    freq_window: int = 32
+    sigma: float = 4.0  # px, isotropic Gabor envelope (Hong et al. 1998)
+    reject_threshold: float = 0.25
+    coherence_floor: float = 0.3
+    variance_floor: float = 10.0  # block variance x NORMALIZED_VARIANCE / capture variance
     adjacency_window: int = 6
     border_distance: int = 10
     reconnect_gap: int = 6
@@ -31,17 +31,20 @@ class PipelineConfig:
         for f in fields(self):
             if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name}: must be finite")
+            if type(f.default) is int and type(getattr(self, f.name)) is not int:
+                raise ValueError(f"{f.name} must be an integer")
         if self.block_size < 4:
             raise ValueError("block_size must be >= 4")
         if self.smooth_sigma < 0:
             raise ValueError("smooth_sigma must be >= 0")
         if self.freq_window < 1:
             raise ValueError("freq_window must be >= 1")
-        enhance._check_reject_threshold(self.reject_threshold)
+        if not 0.0 <= self.reject_threshold <= 1.0:
+            raise ValueError("reject_threshold must lie in [0, 1]")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         # a Gaussian kernel spans 6 sigma: bound what a config can allocate
-        for name, bound in (("sigma", enhance.MAX_RIDGE_PERIOD), ("smooth_sigma", 16.0)):
+        for name, bound in (("sigma", MAX_RIDGE_PERIOD), ("smooth_sigma", 16.0)):
             if getattr(self, name) > bound:
                 raise ValueError(f"{name} must be <= {bound:g}")
         if self.tolerance <= 0:

@@ -9,20 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .image import GrayImage, _bands
 
-DEFAULT_BLOCK_SIZE = 16
-DEFAULT_SMOOTH_SIGMA = 1.0  # in blocks
-DEFAULT_FREQ_WINDOW = 32
-DEFAULT_SIGMA = 4.0  # px, isotropic Gabor envelope (Hong et al. 1998)
-DEFAULT_COHERENCE_FLOOR = 0.3
-DEFAULT_VARIANCE_FLOOR = 10.0  # block variance x NORMALIZED_VARIANCE / capture variance
+if TYPE_CHECKING:  # config imports this module
+    from .config import PipelineConfig
+
 NORMALIZED_VARIANCE = 100.0  # Hong et al.'s target variance, the variance floor's scale
-DEFAULT_REJECT_THRESHOLD = 0.25
 GATE_COHERENCE = 0.5  # a block counts as coherent for the image-level gate
 MIN_RIDGE_PERIOD = 3.0  # px, at 500 dpi
 MAX_RIDGE_PERIOD = 25.0
@@ -149,31 +146,21 @@ def _gaussian(data: np.ndarray, sigma: float) -> np.ndarray:
     return data
 
 
-def estimate_orientation(
-    img: GrayImage,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    smooth_sigma: float = DEFAULT_SMOOTH_SIGMA,
-    reject_threshold: float = 0.0,
-) -> OrientationField | Rejection:
+def estimate_orientation(img: GrayImage, config: PipelineConfig) -> OrientationField | Rejection:
     """Block-wise dominant ridge direction from gradient covariance, or a
     Rejection by the coherent-block gate (_coherent_share_gate).
 
-    Uses 3x3 Sobel gradients; per block,
+    Uses 3x3 Sobel gradients; per block of config.block_size px,
     theta = atan2(sum 2*Gx*Gy, sum Gx^2 - Gy^2) / 2 + pi/2, i.e. the
     direction orthogonal to the dominant gradient, folded into [0, pi).
-    The field is then smoothed with a Gaussian (sigma in block units) on the
-    doubled-angle unit vectors so antipodal angles average correctly.
-    The gradients of the 8-bit pixels are int16, their products int32 and
-    the block sums int64, taken per band of block rows (_bands), so the
-    sums are exact. The gate reads only the coherence, so it decides
-    straight after the gradient sums, before theta is formed; the default
-    threshold of 0 never rejects.
+    The field is then smoothed with a Gaussian (config.smooth_sigma, in
+    block units) on the doubled-angle unit vectors so antipodal angles
+    average correctly. The gradients of the 8-bit pixels are int16, their
+    products int32 and the block sums int64, taken per band of block rows
+    (_bands), so the sums are exact. The gate reads only the coherence, so
+    it decides straight after the gradient sums, before theta is formed.
     """
-    if block_size < 4:
-        raise ValueError("block_size must be >= 4")
-    if not 0.0 <= smooth_sigma < math.inf:
-        raise ValueError("smooth_sigma must be >= 0 and finite")
-    _check_reject_threshold(reject_threshold)
+    block_size, smooth_sigma = config.block_size, config.smooth_sigma
     data = img.pixels
     h, w = data.shape
     if h < block_size or w < block_size:
@@ -187,7 +174,7 @@ def estimate_orientation(
     xy, xx, yy = sums
     sum_cross, sum_diff = 2 * xy, xx - yy
     coherence = np.hypot(sum_diff, sum_cross) / np.maximum(xx + yy, 1e-12)
-    rejection = _coherent_share_gate(coherence, reject_threshold)
+    rejection = _coherent_share_gate(coherence, config.reject_threshold)
     if rejection is not None:
         return rejection
     theta = 0.5 * np.arctan2(sum_cross, sum_diff) + np.pi / 2.0
@@ -200,33 +187,30 @@ def estimate_orientation(
 
 
 def estimate_frequency(
-    img: GrayImage,
-    orient: OrientationField,
-    window: int = DEFAULT_FREQ_WINDOW,
+    img: GrayImage, orient: OrientationField, config: PipelineConfig
 ) -> FrequencyMap:
     """Block-wise ridge frequency from oriented projection peak spacing.
 
     Each block samples (bilinear) a window x block_size patch centered on
-    the block, its window axis orthogonal to the local ridge direction, and
-    averages along the ridge into a projection signature; blocks where too
-    much of the patch falls outside the image get none. The signature is
-    smoothed (3 taps), its peaks above the signature mean are refined to
-    sub-pixel positions by a parabola, and the mean peak spacing is the
-    ridge period. Blocks with fewer than two peaks or no period in
-    [3, 25] px are marked absent, then filled with the mean of their present
-    3x3 neighbors (up to 3 passes). Each band of block rows (_bands) is
-    sampled and searched for peaks before the next. A signature needs
-    samples inside the image at both ends of its window, window - 1 px
-    apart, so a window longer than the image diagonal leaves every block
-    absent, and nothing is sampled.
+    the block (window = config.freq_window), its window axis orthogonal to
+    the local ridge direction, and averages along the ridge into a
+    projection signature; blocks where too much of the patch falls outside
+    the image get none. The signature is smoothed (3 taps), its peaks above
+    the signature mean are refined to sub-pixel positions by a parabola, and
+    the mean peak spacing is the ridge period. Blocks with fewer than two
+    peaks or no period in [3, 25] px are marked absent, then filled with the
+    mean of their present 3x3 neighbors (up to 3 passes). Each band of block
+    rows (_bands) is sampled and searched for peaks before the next. A
+    signature needs samples inside the image at both ends of its window,
+    window - 1 px apart, so a window longer than the image diagonal leaves
+    every block absent, and nothing is sampled.
     """
     bs = orient.block_size
     h, w = img.pixels.shape
     rows, cols = _block_grid(h, w, bs)
     if (rows, cols) != orient.theta.shape:
         raise ValueError("orientation field does not cover the image")
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    window = config.freq_window
     freq = np.full((rows, cols), np.nan)
     if window - 1 > math.hypot(w - 1, h - 1):
         return FrequencyMap(bs, freq)
@@ -376,11 +360,6 @@ def _fill_absent(freq: np.ndarray) -> np.ndarray:
     return freq
 
 
-def _check_reject_threshold(reject_threshold: float) -> None:
-    if not 0.0 <= reject_threshold <= 1.0:
-        raise ValueError("reject_threshold must lie in [0, 1]")
-
-
 def _coherent_share_gate(coherence: np.ndarray, reject_threshold: float) -> Rejection | None:
     """The image-level quality gate on the coherence grid, the threshold
     already checked: a Rejection when the share of blocks with coherence
@@ -394,31 +373,25 @@ def _coherent_share_gate(coherence: np.ndarray, reject_threshold: float) -> Reje
 
 
 def compute_region_mask(
-    img: GrayImage,
-    orient: OrientationField,
-    freq: FrequencyMap,
-    reject_threshold: float = DEFAULT_REJECT_THRESHOLD,
-    coherence_floor: float = DEFAULT_COHERENCE_FLOOR,
-    variance_floor: float = DEFAULT_VARIANCE_FLOOR,
+    img: GrayImage, orient: OrientationField, freq: FrequencyMap, config: PipelineConfig
 ) -> RegionMask | Rejection:
     """Label blocks recoverable/unrecoverable; reject low-quality images.
 
     A block is recoverable iff its orientation coherence clears
-    ``coherence_floor``, a ridge frequency is present, and its intensity
+    config.coherence_floor, a ridge frequency is present, and its intensity
     variance, scaled as Hong's normalization to NORMALIZED_VARIANCE would
-    scale it, clears ``variance_floor``: block variance x
+    scale it, clears config.variance_floor: block variance x
     NORMALIZED_VARIANCE / capture variance >= variance_floor. A constant
     capture has no variance to scale, so none of its blocks is recoverable.
-    When the recoverable fraction falls below ``reject_threshold`` a
+    When the recoverable fraction falls below config.reject_threshold a
     Rejection is returned instead of a mask.
     """
-    _check_reject_threshold(reject_threshold)
     variance, capture = _block_variance(img.pixels, orient.block_size)
-    varied = variance * NORMALIZED_VARIANCE / capture >= variance_floor if capture else False
-    labels = varied & (orient.coherence >= coherence_floor) & np.isfinite(freq.freq)
+    varied = variance * NORMALIZED_VARIANCE / capture >= config.variance_floor if capture else False
+    labels = varied & (orient.coherence >= config.coherence_floor) & np.isfinite(freq.freq)
     mask = RegionMask(orient.block_size, labels)
-    if mask.recoverable_fraction < reject_threshold:
-        return Rejection(mask.recoverable_fraction, reject_threshold, "recoverable fraction")
+    if mask.recoverable_fraction < config.reject_threshold:
+        return Rejection(mask.recoverable_fraction, config.reject_threshold, "recoverable fraction")
     return mask
 
 
@@ -490,21 +463,18 @@ def _separable_bank(
 
 
 def gabor_response(
-    img: GrayImage,
-    orient: OrientationField,
-    freq: FrequencyMap,
-    mask: RegionMask,
-    sigma: float = DEFAULT_SIGMA,
+    img: GrayImage, orient: OrientationField, freq: FrequencyMap, mask: RegionMask,
+    config: PipelineConfig,
 ) -> np.ndarray:
     """Raw Gabor filter response; zero outside the recoverable region.
 
     Each recoverable block is filtered with one even-symmetric kernel tuned
-    to its (theta, freq) under an isotropic envelope of width sigma; theta
-    is quantized to 1 degree steps and freq to 1e-6, so blocks with the same
-    quantized pair get the same kernel. Each kernel is separable into a
-    complex 1-D pair (Areekul et al., "Separable Gabor filter realization
-    for fast fingerprint enhancement", ICIP 2005), applied by two matrix
-    products, windows @ X, then Y @ that, batched over groups of
+    to its (theta, freq) under an isotropic envelope of width config.sigma;
+    theta is quantized to 1 degree steps and freq to 1e-6, so blocks with
+    the same quantized pair get the same kernel. Each kernel is separable
+    into a complex 1-D pair (Areekul et al., "Separable Gabor filter
+    realization for fast fingerprint enhancement", ICIP 2005), applied by
+    two matrix products, windows @ X, then Y @ that, batched over groups of
     recoverable blocks. Each band of block rows (_bands) reads its windows
     from its own reflect-padded slab.
 
@@ -513,9 +483,7 @@ def gabor_response(
     three x-channel B side by side, Y its three y-channel B transposed,
     their columns interleaved to match the rows of windows @ X per channel.
     """
-    data = img.pixels
-    if not 0.0 < sigma < math.inf:
-        raise ValueError("sigma must be positive and finite")
+    data, sigma = img.pixels, config.sigma
     if not (
         orient.block_size == freq.block_size == mask.block_size
         and orient.theta.shape == freq.freq.shape == mask.labels.shape
@@ -562,11 +530,8 @@ def gabor_response(
 
 
 def gabor_enhance(
-    img: GrayImage,
-    orient: OrientationField,
-    freq: FrequencyMap,
-    mask: RegionMask,
-    sigma: float = DEFAULT_SIGMA,
+    img: GrayImage, orient: OrientationField, freq: FrequencyMap, mask: RegionMask,
+    config: PipelineConfig,
 ) -> GrayImage:
     """Gabor band-pass enhancement, rescaled to an 8-bit image.
 
@@ -575,7 +540,7 @@ def gabor_enhance(
     constant response maps to mid-gray (the kernels are DC-free). The
     response is rescaled in place.
     """
-    response = gabor_response(img, orient, freq, mask, sigma)
+    response = gabor_response(img, orient, freq, mask, config)
     h, w = response.shape
     sel = mask.pixel_mask(h, w)
     out = np.full((h, w), BACKGROUND_INTENSITY, dtype=np.uint8)

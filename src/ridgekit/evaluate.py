@@ -89,7 +89,7 @@ def match_minutiae(
         raise ValueError(
             f"image_id mismatch: {detected.image_id!r} vs {truth.image_id!r}"
         )
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ValueError("tolerance must be positive")
 
     # every pair within tolerance lies in the Chebyshev box of that radius

@@ -46,22 +46,15 @@ def extract_from_image(img: GrayImage, image_id: str, config: PipelineConfig) ->
             f"image {img.width}x{img.height} too small; the block-wise "
             "estimators need at least 32x32"
         )
-    orient = enh.estimate_orientation(
-        img, config.block_size, config.smooth_sigma, config.reject_threshold
-    )
+    orient = enh.estimate_orientation(img, config)
     if isinstance(orient, enh.Rejection):
         return ExtractOutcome(image_id, None, orient)
-    freq = enh.estimate_frequency(img, orient, config.freq_window)
-    mask = enh.compute_region_mask(
-        img, orient, freq,
-        reject_threshold=config.reject_threshold,
-        coherence_floor=config.coherence_floor,
-        variance_floor=config.variance_floor,
-    )
+    freq = enh.estimate_frequency(img, orient, config)
+    mask = enh.compute_region_mask(img, orient, freq, config)
     if isinstance(mask, enh.Rejection):
         return ExtractOutcome(image_id, None, mask)
 
-    enhanced = enh.gabor_enhance(img, orient, freq, mask, config.sigma)
+    enhanced = enh.gabor_enhance(img, orient, freq, mask, config)
     work = invert(enhanced)  # ridges become bright so that ridge => 1
     if mask.labels.any():
         bin_img = binarize(work, auto_threshold(work, mask))

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from ridgekit.config import PipelineConfig
 from ridgekit.image import GrayImage
 from ridgekit.minutiae import BIFURCATION, ENDING
 from ridgekit.synth import ConcentricPattern, ParallelPattern, SynthSpec, generate
+
+CONFIG = PipelineConfig()
+NO_GATE = PipelineConfig(reject_threshold=0.0)  # neither gate rejects at a threshold of 0
 
 
 def make_blob_image(rng: np.random.Generator, size: int = 96) -> np.ndarray:
@@ -93,7 +97,6 @@ def clean_stripes():
 def corpus_bitmaps():
     """(image_id, binary bits, skeleton bits) of each acceptance-corpus print,
     as the pipeline produces them."""
-    from ridgekit.config import PipelineConfig
     from ridgekit.pipeline import extract_from_image
 
     out = []
@@ -113,9 +116,9 @@ def corpus_enhance_inputs():
     out = []
     for k in range(20):
         img, truth = generate(corpus_spec(k))
-        orient = enh.estimate_orientation(img)
-        freq = enh.estimate_frequency(img, orient)
-        mask = enh.compute_region_mask(img, orient, freq)
+        orient = enh.estimate_orientation(img, NO_GATE)
+        freq = enh.estimate_frequency(img, orient, CONFIG)
+        mask = enh.compute_region_mask(img, orient, freq, CONFIG)
         assert isinstance(mask, enh.RegionMask), truth.image_id
         out.append((truth.image_id, img, orient, freq, mask))
     return out

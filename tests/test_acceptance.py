@@ -7,7 +7,7 @@ import time
 import numpy as np
 from scipy import ndimage
 
-from conftest import classify_pixel, corpus_spec, make_blob_image
+from conftest import CONFIG, NO_GATE, classify_pixel, corpus_spec, make_blob_image
 from ridgekit.binary import BinaryImage, Skeleton, binarize, thin
 from ridgekit.config import PipelineConfig
 from ridgekit.enhance import (
@@ -83,7 +83,7 @@ def test_criterion_3_orientation_recovery():
         img, _ = generate(
             SynthSpec(256, 256, ParallelPattern(math.radians(deg)), 8.0)
         )
-        orient = estimate_orientation(img)
+        orient = estimate_orientation(img, NO_GATE)
         theta = orient.theta[2:-2, 2:-2]
         want = math.radians(deg) % math.pi
         err = np.abs(theta - want)
@@ -100,7 +100,7 @@ def test_criterion_4_frequency_recovery():
         img, _ = generate(
             SynthSpec(256, 256, ParallelPattern(math.radians(30)), float(period))
         )
-        freq = estimate_frequency(img, estimate_orientation(img))
+        freq = estimate_frequency(img, estimate_orientation(img, NO_GATE), CONFIG)
         f = freq.freq[2:-2, 2:-2]
         present = np.isfinite(f)
         rel_ok = np.abs(f[present] * period - 1.0) <= 0.10
@@ -113,15 +113,15 @@ def test_criterion_4_frequency_recovery():
 def test_criterion_5_gabor_selectivity_and_denoising():
     t0 = time.perf_counter()
     clean, _ = generate(SynthSpec(256, 256, ParallelPattern(math.radians(30)), 8.0))
-    orient = estimate_orientation(clean)
-    freq = estimate_frequency(clean, orient)
-    mask = compute_region_mask(clean, orient, freq, 0.25)
+    orient = estimate_orientation(clean, NO_GATE)
+    freq = estimate_frequency(clean, orient, CONFIG)
+    mask = compute_region_mask(clean, orient, freq, CONFIG)
     sl = (slice(32, -32), slice(32, -32))
-    matched = gabor_response(clean, orient, freq, mask)[sl].std()
+    matched = gabor_response(clean, orient, freq, mask, CONFIG)[sl].std()
     rotated = OrientationField(
         orient.block_size, np.mod(orient.theta + np.pi / 2, np.pi), orient.coherence
     )
-    crossed = gabor_response(clean, rotated, freq, mask)[sl].std()
+    crossed = gabor_response(clean, rotated, freq, mask, CONFIG)[sl].std()
     assert matched >= 5.0 * crossed
 
     ref = clean.pixels[sl].astype(float).ravel()
@@ -130,10 +130,10 @@ def test_criterion_5_gabor_selectivity_and_denoising():
             SynthSpec(256, 256, ParallelPattern(math.radians(30)), 8.0,
                       noise_amplitude=30.0, seed=200 + seed)
         )
-        n_orient = estimate_orientation(noisy)
-        n_freq = estimate_frequency(noisy, n_orient)
-        n_mask = compute_region_mask(noisy, n_orient, n_freq, 0.25)
-        out = gabor_enhance(noisy, n_orient, n_freq, n_mask)
+        n_orient = estimate_orientation(noisy, NO_GATE)
+        n_freq = estimate_frequency(noisy, n_orient, CONFIG)
+        n_mask = compute_region_mask(noisy, n_orient, n_freq, CONFIG)
+        out = gabor_enhance(noisy, n_orient, n_freq, n_mask, CONFIG)
         c_noisy = np.corrcoef(noisy.pixels[sl].astype(float).ravel(), ref)[0, 1]
         c_enh = np.corrcoef(out.pixels[sl].astype(float).ravel(), ref)[0, 1]
         assert c_enh > c_noisy, f"seed {seed}"

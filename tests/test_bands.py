@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import _blurred_noise
+from conftest import CONFIG, NO_GATE, _blurred_noise
 from test_enhance import (
     _dense_reference,
     _reference_block_variance,
@@ -51,11 +51,11 @@ def _parent_enhance(response, sel):
 def test_bands_split_the_front_end_bit_identically(name, monkeypatch):
     img = BAND_IMAGES[name]()
     h, w = img.pixels.shape
-    bands = list(_bands(h, w, enh.DEFAULT_BLOCK_SIZE))
+    bands = list(_bands(h, w, PipelineConfig.block_size))
     assert len(bands) > 1 and bands[-1][1] == h
     data = img.pixels.astype(np.float64)
 
-    orient = enh.estimate_orientation(img)
+    orient = enh.estimate_orientation(img, NO_GATE)
     theta, coherence = _reference_orientation(data)
     assert_same_bits(orient.theta, theta)
     assert_same_bits(orient.coherence, coherence)
@@ -65,29 +65,29 @@ def test_bands_split_the_front_end_bit_identically(name, monkeypatch):
     want_sig, want_has = _reference_signatures(data, orient, 32)
     assert_same_bits(sig, want_sig)
     assert np.array_equal(has_sig, want_has)
-    freq = enh.estimate_frequency(img, orient)
+    freq = enh.estimate_frequency(img, orient, CONFIG)
     with monkeypatch.context() as m:
         m.setattr(enh, "_projection_signatures", _reference_signatures)
-        assert_same_bits(freq.freq, enh.estimate_frequency(img, orient).freq)
+        assert_same_bits(freq.freq, enh.estimate_frequency(img, orient, CONFIG).freq)
 
     variance = _reference_block_variance(data, orient.block_size)
     got_variance, capture = enh._block_variance(img.pixels, orient.block_size)
     assert_same_bits(got_variance, variance)
-    mask = enh.compute_region_mask(img, orient, freq, 0.0)
+    mask = enh.compute_region_mask(img, orient, freq, NO_GATE)
     scaled = variance * enh.NORMALIZED_VARIANCE / capture
-    assert np.array_equal(mask.labels, (scaled >= enh.DEFAULT_VARIANCE_FLOOR)
-                          & (coherence >= enh.DEFAULT_COHERENCE_FLOOR)
+    assert np.array_equal(mask.labels, (scaled >= PipelineConfig.variance_floor)
+                          & (coherence >= PipelineConfig.coherence_floor)
                           & np.isfinite(freq.freq))
     # unrecoverable blocks inside every band, runs of 1 to 3 blocks
     labels = mask.labels & (np.indices(mask.labels.shape).sum(axis=0) % 4 != 1)
     mask = enh.RegionMask(orient.block_size, labels)
-    enhanced = enh.gabor_enhance(img, orient, freq, mask)
-    response = enh.gabor_response(img, orient, freq, mask)
+    enhanced = enh.gabor_enhance(img, orient, freq, mask, CONFIG)
+    response = enh.gabor_response(img, orient, freq, mask, CONFIG)
     sel = mask.pixel_mask(h, w)
     assert np.array_equal(enhanced.pixels, _parent_enhance(response, sel))
     with monkeypatch.context() as m:
         m.setattr(enh, "gabor_response", _dense_reference)
-        assert np.array_equal(enhanced.pixels, enh.gabor_enhance(img, orient, freq, mask).pixels)
+        assert np.array_equal(enhanced.pixels, enh.gabor_enhance(img, orient, freq, mask, CONFIG).pixels)
 
     work = invert(enhanced)
     want = int(np.rint(work.pixels[sel].astype(np.float64).mean()))
@@ -121,17 +121,17 @@ def test_front_end_allocates_no_image_sized_temporary_at_512():
     # each stage may allocate its output once (Gabor response, enhanced
     # image) and at most 1 MiB besides
     img = BAND_IMAGES["512x512"]()
-    orient = enh.estimate_orientation(img)
-    freq = enh.estimate_frequency(img, orient)
-    mask = enh.compute_region_mask(img, orient, freq)
+    orient = enh.estimate_orientation(img, NO_GATE)
+    freq = enh.estimate_frequency(img, orient, CONFIG)
+    mask = enh.compute_region_mask(img, orient, freq, CONFIG)
     assert isinstance(mask, enh.RegionMask) and mask.labels.all()
-    work = invert(enh.gabor_enhance(img, orient, freq, mask))
+    work = invert(enh.gabor_enhance(img, orient, freq, mask, CONFIG))
     image_bytes = 512 * 512 * 8
     stages = {
-        "estimate_orientation": (lambda: enh.estimate_orientation(img), 0),
-        "estimate_frequency": (lambda: enh.estimate_frequency(img, orient), 0),
-        "compute_region_mask": (lambda: enh.compute_region_mask(img, orient, freq), 0),
-        "gabor_enhance": (lambda: enh.gabor_enhance(img, orient, freq, mask), image_bytes),
+        "estimate_orientation": (lambda: enh.estimate_orientation(img, NO_GATE), 0),
+        "estimate_frequency": (lambda: enh.estimate_frequency(img, orient, CONFIG), 0),
+        "compute_region_mask": (lambda: enh.compute_region_mask(img, orient, freq, CONFIG), 0),
+        "gabor_enhance": (lambda: enh.gabor_enhance(img, orient, freq, mask, CONFIG), image_bytes),
         "auto_threshold": (lambda: auto_threshold(work, mask), 0),
     }
     for name, (fn, response) in stages.items():

@@ -1,13 +1,15 @@
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from conftest import _blurred_noise, corpus_spec
+from conftest import CONFIG, NO_GATE, _blurred_noise, corpus_spec
 from ridgekit import enhance as enh
+from ridgekit.config import PipelineConfig
 from ridgekit.image import GrayImage
 from ridgekit.synth import ParallelPattern, SynthSpec, generate
 
@@ -28,21 +30,21 @@ def oriented_image(deg, period=8.0, size=256, noise=0.0, seed=0):
 def test_orientation_vertical_stripes():
     # intensity varies with x only -> ridge direction is vertical (pi/2)
     img = oriented_image(90.0)
-    orient = enh.estimate_orientation(img)
+    orient = enh.estimate_orientation(img, NO_GATE)
     err = angle_error(orient.theta[2:-2, 2:-2], math.pi / 2)
     assert err.max() <= 0.05
 
 
 def test_orientation_rotated_30():
     img = oriented_image(60.0)  # 90 - 30
-    orient = enh.estimate_orientation(img)
+    orient = enh.estimate_orientation(img, NO_GATE)
     err = angle_error(orient.theta[2:-2, 2:-2], math.pi / 2 - math.radians(30))
     assert np.quantile(err, 0.95) <= 0.09
 
 
 def test_orientation_constant_image_flagged_low_coherence():
     img = GrayImage(np.full((64, 64), 50, np.uint8))
-    orient = enh.estimate_orientation(img)
+    orient = enh.estimate_orientation(img, NO_GATE)
     assert np.isfinite(orient.theta).all()
     assert (orient.coherence < 0.3).all()
 
@@ -51,7 +53,7 @@ def test_orientation_range_invariant():
     for seed in range(4):
         rng = np.random.default_rng(seed)
         img = GrayImage(rng.integers(0, 256, (96, 96)).astype(np.uint8))
-        orient = enh.estimate_orientation(img)
+        orient = enh.estimate_orientation(img, NO_GATE)
         assert (orient.theta >= 0).all() and (orient.theta < np.pi).all()
 
 
@@ -63,7 +65,7 @@ def test_orientation_rotation_equivariance(phi):
         base.pixels.astype(float), phi, reshape=False, order=1, mode="nearest"
     )
     img = GrayImage(np.clip(np.rint(rotated), 0, 255).astype(np.uint8))
-    orient = enh.estimate_orientation(img)
+    orient = enh.estimate_orientation(img, NO_GATE)
     want = (math.pi / 2 - math.radians(phi)) % math.pi
     err = angle_error(orient.theta[3:-3, 3:-3], want)
     assert np.quantile(err, 0.9) <= 0.09
@@ -71,22 +73,25 @@ def test_orientation_rotation_equivariance(phi):
 
 def test_orientation_rejects_small_image():
     img = GrayImage(np.zeros((8, 8), np.uint8))
-    with pytest.raises(ValueError):
-        enh.estimate_orientation(img, block_size=16)
+    assert NO_GATE.block_size == 16
+    with pytest.raises(ValueError, match=r"^image 8x8 smaller than one 16px block$"):
+        enh.estimate_orientation(img, NO_GATE)
 
 
 @pytest.mark.parametrize("sigma", [-2.0, -1e-300, math.inf, math.nan])
 def test_orientation_refuses_negative_or_non_finite_smoothing(sigma):
-    img = oriented_image(90.0, size=64)
-    with pytest.raises(ValueError, match=r"^smooth_sigma must be >= 0 and finite$"):
-        enh.estimate_orientation(img, smooth_sigma=sigma)
+    # the config is the one gate on the smoothing that orientation reads
+    message = ("smooth_sigma must be >= 0" if math.isfinite(sigma)
+               else "smooth_sigma: must be finite")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replace(NO_GATE, smooth_sigma=sigma)
 
 
 @pytest.mark.parametrize("period", [4, 6, 8, 10, 12])
 def test_frequency_recovery(period):
     img = oriented_image(30.0, period=float(period))
-    orient = enh.estimate_orientation(img)
-    freq = enh.estimate_frequency(img, orient)
+    orient = enh.estimate_orientation(img, NO_GATE)
+    freq = enh.estimate_frequency(img, orient, CONFIG)
     f = freq.freq[2:-2, 2:-2]
     present = np.isfinite(f)
     assert present.mean() >= 0.9
@@ -99,19 +104,19 @@ def test_frequency_period_30_out_of_band():
     img = GrayImage(
         np.clip(np.rint(127.5 - 100 * np.cos(2 * np.pi * xs / 30.0)), 0, 255).astype(np.uint8)
     )
-    freq = enh.estimate_frequency(img, enh.estimate_orientation(img))
+    freq = enh.estimate_frequency(img, enh.estimate_orientation(img, NO_GATE), CONFIG)
     assert not np.isfinite(freq.freq).any()
 
 
 def test_frequency_constant_image_absent():
     img = GrayImage(np.full((64, 64), 90, np.uint8))
-    freq = enh.estimate_frequency(img, enh.estimate_orientation(img))
+    freq = enh.estimate_frequency(img, enh.estimate_orientation(img, NO_GATE), CONFIG)
     assert not np.isfinite(freq.freq).any()
 
 
 def test_frequency_band_invariant():
     img = oriented_image(75.0, period=6.0, noise=25.0, seed=2)
-    freq = enh.estimate_frequency(img, enh.estimate_orientation(img))
+    freq = enh.estimate_frequency(img, enh.estimate_orientation(img, NO_GATE), CONFIG)
     present = freq.freq[np.isfinite(freq.freq)]
     assert (present >= 1.0 / 25.0).all() and (present <= 1.0 / 3.0).all()
 
@@ -162,7 +167,7 @@ def _period_from_signature(sig):
     return period
 
 
-def _reference_frequency(img, orient, window=enh.DEFAULT_FREQ_WINDOW):
+def _reference_frequency(img, orient, window=PipelineConfig.freq_window):
     data = img.pixels.astype(np.float64)
     h, w = data.shape
     bs = orient.block_size
@@ -194,8 +199,8 @@ PIN_IMAGES = {
 @pytest.mark.parametrize("name", sorted(PIN_IMAGES))
 def test_frequency_matches_per_block_reference(name):
     img = PIN_IMAGES[name]()
-    orient = enh.estimate_orientation(img)
-    got = enh.estimate_frequency(img, orient).freq
+    orient = enh.estimate_orientation(img, NO_GATE)
+    got = enh.estimate_frequency(img, orient, CONFIG).freq
     want = _reference_frequency(img, orient)
     assert np.isfinite(want).any()
     assert (np.isnan(got) == np.isnan(want)).all()
@@ -205,32 +210,32 @@ def test_frequency_matches_per_block_reference(name):
 
 def test_region_mask_clean_accepted(clean_stripes):
     img, _ = clean_stripes
-    orient = enh.estimate_orientation(img)
-    freq = enh.estimate_frequency(img, orient)
-    mask = enh.compute_region_mask(img, orient, freq, 0.3)
+    orient = enh.estimate_orientation(img, NO_GATE)
+    freq = enh.estimate_frequency(img, orient, CONFIG)
+    mask = enh.compute_region_mask(img, orient, freq, PipelineConfig(reject_threshold=0.3))
     assert isinstance(mask, enh.RegionMask)
     assert mask.recoverable_fraction >= 0.9
     # independent per-block re-check of the mask definition: the block
     # variance scaled as normalizing the capture to NORMALIZED_VARIANCE would
     want = (
         np.isfinite(freq.freq)
-        & (orient.coherence >= enh.DEFAULT_COHERENCE_FLOOR)
+        & (orient.coherence >= PipelineConfig.coherence_floor)
     )
     bs = orient.block_size
     scale = enh.NORMALIZED_VARIANCE / img.pixels.var()
     for r in range(orient.theta.shape[0]):
         for c in range(orient.theta.shape[1]):
             block = img.pixels[r * bs : (r + 1) * bs, c * bs : (c + 1) * bs]
-            want[r, c] &= block.var() * scale >= enh.DEFAULT_VARIANCE_FLOOR
+            want[r, c] &= block.var() * scale >= PipelineConfig.variance_floor
     assert (mask.labels == want).all()
 
 
 def test_region_mask_noise_rejected():
     rng = np.random.default_rng(9)
     img = GrayImage(rng.integers(0, 256, (256, 256)).astype(np.uint8))
-    orient = enh.estimate_orientation(img)
-    freq = enh.estimate_frequency(img, orient)
-    out = enh.compute_region_mask(img, orient, freq, 0.3)
+    orient = enh.estimate_orientation(img, NO_GATE)
+    freq = enh.estimate_frequency(img, orient, CONFIG)
+    out = enh.compute_region_mask(img, orient, freq, PipelineConfig(reject_threshold=0.3))
     assert isinstance(out, enh.Rejection)
     assert out.recoverable_fraction < 0.3
 
@@ -238,18 +243,19 @@ def test_region_mask_noise_rejected():
 def test_region_mask_threshold_zero_never_rejects():
     rng = np.random.default_rng(10)
     img = GrayImage(rng.integers(0, 256, (64, 64)).astype(np.uint8))
-    orient = enh.estimate_orientation(img)
-    freq = enh.estimate_frequency(img, orient)
-    assert isinstance(enh.compute_region_mask(img, orient, freq, 0.0), enh.RegionMask)
+    orient = enh.estimate_orientation(img, NO_GATE)
+    freq = enh.estimate_frequency(img, orient, CONFIG)
+    assert isinstance(enh.compute_region_mask(img, orient, freq, NO_GATE), enh.RegionMask)
 
 
 def test_region_mask_monotone_in_threshold(clean_stripes):
     img, _ = clean_stripes
-    orient = enh.estimate_orientation(img)
-    freq = enh.estimate_frequency(img, orient)
+    orient = enh.estimate_orientation(img, NO_GATE)
+    freq = enh.estimate_frequency(img, orient, CONFIG)
     accepted_at = [
         t for t in (0.0, 0.25, 0.5, 0.75, 1.0)
-        if isinstance(enh.compute_region_mask(img, orient, freq, t), enh.RegionMask)
+        if isinstance(enh.compute_region_mask(img, orient, freq, PipelineConfig(reject_threshold=t)),
+                      enh.RegionMask)
     ]
     # if accepted at t, accepted at every t' <= t
     if accepted_at:
@@ -260,9 +266,9 @@ def test_region_mask_monotone_in_threshold(clean_stripes):
 
 
 def _enhance_setup(img):
-    orient = enh.estimate_orientation(img)
-    freq = enh.estimate_frequency(img, orient)
-    mask = enh.compute_region_mask(img, orient, freq, 0.25)
+    orient = enh.estimate_orientation(img, NO_GATE)
+    freq = enh.estimate_frequency(img, orient, CONFIG)
+    mask = enh.compute_region_mask(img, orient, freq, CONFIG)
     assert isinstance(mask, enh.RegionMask)
     return img, orient, freq, mask
 
@@ -270,7 +276,7 @@ def _enhance_setup(img):
 def test_gabor_matched_correlation(clean_stripes):
     img, _ = clean_stripes
     img, orient, freq, mask = _enhance_setup(img)
-    out = enh.gabor_enhance(img, orient, freq, mask)
+    out = enh.gabor_enhance(img, orient, freq, mask, CONFIG)
     sl = (slice(32, -32), slice(32, -32))
     cc = np.corrcoef(
         out.pixels[sl].astype(float).ravel(), img.pixels[sl].astype(float).ravel()
@@ -281,11 +287,11 @@ def test_gabor_matched_correlation(clean_stripes):
 def test_gabor_orientation_selectivity(clean_stripes):
     img, _ = clean_stripes
     img, orient, freq, mask = _enhance_setup(img)
-    matched = enh.gabor_response(img, orient, freq, mask)
+    matched = enh.gabor_response(img, orient, freq, mask, CONFIG)
     rotated = enh.OrientationField(
         orient.block_size, np.mod(orient.theta + np.pi / 2, np.pi), orient.coherence
     )
-    crossed = enh.gabor_response(img, rotated, freq, mask)
+    crossed = enh.gabor_response(img, rotated, freq, mask, CONFIG)
     sl = (slice(32, -32), slice(32, -32))
     assert crossed[sl].std() < 0.2 * matched[sl].std()
 
@@ -295,7 +301,7 @@ def test_gabor_constant_input_mid_gray():
     orient = enh.OrientationField(16, np.zeros((4, 4)), np.ones((4, 4)))
     freq = enh.FrequencyMap(16, np.full((4, 4), 0.125))
     mask = enh.RegionMask(16, np.ones((4, 4), bool))
-    out = enh.gabor_enhance(img, orient, freq, mask)
+    out = enh.gabor_enhance(img, orient, freq, mask, CONFIG)
     assert (out.pixels == 128).all()
 
 
@@ -305,7 +311,7 @@ def test_gabor_denoising_property():
     ref = clean.pixels[sl].astype(float).ravel()
     noisy = oriented_image(30.0, noise=30.0, seed=4)
     img, orient, freq, mask = _enhance_setup(noisy)
-    out = enh.gabor_enhance(img, orient, freq, mask)
+    out = enh.gabor_enhance(img, orient, freq, mask, CONFIG)
     c_noisy = np.corrcoef(noisy.pixels[sl].astype(float).ravel(), ref)[0, 1]
     c_enh = np.corrcoef(out.pixels[sl].astype(float).ravel(), ref)[0, 1]
     assert c_enh > c_noisy
@@ -319,32 +325,33 @@ def test_gabor_missing_frequency_in_recoverable_block_reports_block():
     freq = enh.FrequencyMap(16, f)
     mask = enh.RegionMask(16, np.ones((4, 4), bool))
     with pytest.raises(ValueError, match=r"\(1, 2\)"):
-        enh.gabor_response(img, orient, freq, mask)
+        enh.gabor_response(img, orient, freq, mask, CONFIG)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("stage, kwargs, message", [
-    ("estimate_frequency", {"window": 0}, "window must be >= 1"),
-    ("estimate_frequency", {"window": -3}, "window must be >= 1"),
-    ("gabor_enhance", {"sigma": 0.0}, "sigma must be positive and finite"),
-    ("gabor_enhance", {"sigma": -1.0}, "sigma must be positive and finite"),
-    ("gabor_enhance", {"sigma": math.nan}, "sigma must be positive and finite"),
-    ("gabor_enhance", {"sigma": math.inf}, "sigma must be positive and finite"),
-    ("gabor_response", {"sigma": 0.0}, "sigma must be positive and finite"),
+    ("estimate_frequency", {"freq_window": 0}, "freq_window must be >= 1"),
+    ("estimate_frequency", {"freq_window": -3}, "freq_window must be >= 1"),
+    ("gabor_enhance", {"sigma": 0.0}, "sigma must be positive"),
+    ("gabor_enhance", {"sigma": -1.0}, "sigma must be positive"),
+    ("gabor_enhance", {"sigma": math.nan}, "sigma: must be finite"),
+    ("gabor_enhance", {"sigma": math.inf}, "sigma: must be finite"),
+    ("gabor_response", {"sigma": 0.0}, "sigma must be positive"),
 ], ids=["window-0", "window-neg", "sigma-0", "sigma-neg", "sigma-nan", "sigma-inf", "response-sigma-0"])
 def test_stage_refuses_bad_parameter(stage, kwargs, message):
+    # a stage reads its parameters from a config, which refuses the value
     img, orient, freq, mask = _enhance_setup(oriented_image(30.0, size=64))
     args = (img, orient) if stage == "estimate_frequency" else (img, orient, freq, mask)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        getattr(enh, stage)(*args, **kwargs)
+        getattr(enh, stage)(*args, PipelineConfig(**kwargs))
 
 
 @pytest.mark.parametrize("gaps", [False, True])
 @pytest.mark.parametrize("name", sorted(PIN_IMAGES))
 def test_gabor_separable_matches_dense_path(name, gaps):
     img = PIN_IMAGES[name]()
-    orient = enh.estimate_orientation(img)
-    freq = enh.estimate_frequency(img, orient)
+    orient = enh.estimate_orientation(img, NO_GATE)
+    freq = enh.estimate_frequency(img, orient, CONFIG)
     labels = np.isfinite(freq.freq)
     if gaps:  # unrecoverable blocks inside block rows, runs of 1 to 3 blocks
         labels &= np.indices(labels.shape).sum(axis=0) % 4 != 1
@@ -368,10 +375,10 @@ def _gabor_kernel(theta, freq, sigma, half):
     return kernel - kernel.mean()
 
 
-def _dense_reference(img, orient, freq, mask, sigma=enh.DEFAULT_SIGMA):
+def _dense_reference(img, orient, freq, mask, config):
     """gabor_response by one dense K x K kernel per recoverable block: the
     reference the separable realization is pinned against."""
-    data = img.pixels.astype(np.float64)
+    data, sigma = img.pixels.astype(np.float64), config.sigma
     half = math.ceil(3.0 * sigma)
     h, w = data.shape
     bs = orient.block_size
@@ -394,14 +401,15 @@ def _dense_reference(img, orient, freq, mask, sigma=enh.DEFAULT_SIGMA):
 
 
 def assert_matches_dense(img, orient, freq, mask):
-    got = enh.gabor_response(img, orient, freq, mask)
-    want = _dense_reference(img, orient, freq, mask)
-    scale = np.abs(want).max()
-    assert scale > 0
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-9 * scale
-    h, w = want.shape
-    assert (got[~mask.pixel_mask(h, w)] == 0).all()
+    for config in (CONFIG, replace(CONFIG, sigma=3.5)):  # the default envelope and a narrower one
+        got = enh.gabor_response(img, orient, freq, mask, config)
+        want = _dense_reference(img, orient, freq, mask, config)
+        scale = np.abs(want).max()
+        assert scale > 0
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-9 * scale
+        h, w = want.shape
+        assert (got[~mask.pixel_mask(h, w)] == 0).all()
 
 
 def _single_block(labels):
@@ -430,8 +438,8 @@ def _last_row_and_column(labels):
 ])
 def test_gabor_separable_block_geometry_matches_dense_path(name, labels_of):
     img = PIN_IMAGES[name]()
-    orient = enh.estimate_orientation(img)
-    freq = enh.estimate_frequency(img, orient)
+    orient = enh.estimate_orientation(img, NO_GATE)
+    freq = enh.estimate_frequency(img, orient, CONFIG)
     labels = np.empty(orient.theta.shape, bool)
     labels_of(labels)
     assert_matches_dense(img, orient, freq, enh.RegionMask(orient.block_size, labels))
@@ -439,7 +447,7 @@ def test_gabor_separable_block_geometry_matches_dense_path(name, labels_of):
 
 def test_gabor_separable_one_kernel_key_matches_dense_path():
     img = PIN_IMAGES["250x237"]()
-    shape = enh.estimate_orientation(img).theta.shape
+    shape = enh.estimate_orientation(img, NO_GATE).theta.shape
     orient = enh.OrientationField(16, np.full(shape, math.radians(70.0)), np.ones(shape))
     freq = enh.FrequencyMap(16, np.full(shape, 1.0 / 7.0))
     assert_matches_dense(img, orient, freq, enh.RegionMask(16, np.ones(shape, bool)))
@@ -461,7 +469,7 @@ def _complex_bank(degrees, freqs, sigma, half):
     return tuple(np.pad(b, ((0, 0), (0, 0), (0, 1))).reshape(len(degrees), -1) for b in banks)
 
 
-@pytest.mark.parametrize("sigma", [enh.DEFAULT_SIGMA, 3.5, 1.0, 0.3, 7.25])
+@pytest.mark.parametrize("sigma", [PipelineConfig.sigma, 3.5, 1.0, 0.3, 7.25])
 def test_separable_bank_equals_complex_taps_bit_for_bit(sigma):
     rng = np.random.default_rng(7)
     degrees = np.concatenate([np.arange(180.0), rng.integers(0, 180, 2000).astype(float)])
@@ -476,10 +484,10 @@ def test_separable_bank_equals_complex_taps_bit_for_bit(sigma):
 def test_gabor_enhance_matches_dense_path_on_corpus(corpus_enhance_inputs, monkeypatch):
     # the enhanced 8-bit images, pixel for pixel, with the dense kernels
     # put in place of the separable ones under the same rescaling
-    got = [enh.gabor_enhance(*inputs[1:]).pixels for inputs in corpus_enhance_inputs]
+    got = [enh.gabor_enhance(*inputs[1:], CONFIG).pixels for inputs in corpus_enhance_inputs]
     monkeypatch.setattr(enh, "gabor_response", _dense_reference)
     for pixels, (image_id, *inputs) in zip(got, corpus_enhance_inputs):
-        assert np.array_equal(pixels, enh.gabor_enhance(*inputs).pixels), image_id
+        assert np.array_equal(pixels, enh.gabor_enhance(*inputs, CONFIG).pixels), image_id
 
 
 def _exact_half_degrees():
@@ -516,19 +524,19 @@ def test_kernel_keys_equal_kernel_key(corpus_enhance_inputs):
 
 def test_unrecoverable_pixels_are_background():
     img = oriented_image(30.0, size=64)
-    orient = enh.estimate_orientation(img)
-    freq = enh.estimate_frequency(img, orient)
+    orient = enh.estimate_orientation(img, NO_GATE)
+    freq = enh.estimate_frequency(img, orient, CONFIG)
     labels = np.ones((4, 4), bool)
     labels[0, 0] = False
     mask = enh.RegionMask(16, labels)
-    out = enh.gabor_enhance(img, orient, freq, mask)
+    out = enh.gabor_enhance(img, orient, freq, mask, CONFIG)
     assert (out.pixels[:16, :16] == enh.BACKGROUND_INTENSITY).all()
 
 
 def test_debug_dumps_shapes(clean_stripes):
     img, _ = clean_stripes
-    orient = enh.estimate_orientation(img)
-    freq = enh.estimate_frequency(img, orient)
+    orient = enh.estimate_orientation(img, NO_GATE)
+    freq = enh.estimate_frequency(img, orient, CONFIG)
     assert len(enh.orientation_to_text(orient).splitlines()) == orient.theta.shape[0]
     assert len(enh.frequency_to_text(freq).splitlines()) == freq.freq.shape[0]
 
@@ -548,7 +556,7 @@ def _block_grid_of_32x32():
     smaller than the Gaussian's radius of 4."""
     img = generate(SynthSpec(32, 32, ParallelPattern(math.radians(40.0)), 7.0,
                              noise_amplitude=30.0, seed=9))[0]
-    theta = enh.estimate_orientation(img, smooth_sigma=0).theta
+    theta = enh.estimate_orientation(img, replace(NO_GATE, smooth_sigma=0.0)).theta
     assert theta.shape == (2, 2)
     return np.cos(2.0 * theta)
 
@@ -621,7 +629,7 @@ def test_sobel_reaches_the_extremes_of_int16_gradients():
         assert np.array_equal(grad, want) and np.abs(grad).max() == 4 * 255
 
 
-@pytest.mark.parametrize("sigma", [enh.DEFAULT_SMOOTH_SIGMA, 0.6, 2.3, 0.1, 1e-200])
+@pytest.mark.parametrize("sigma", [PipelineConfig.smooth_sigma, 0.6, 2.3, 0.1, 1e-200])
 @pytest.mark.parametrize("name", sorted(FILTER_GRIDS))
 def test_gaussian_matches_scipy(name, sigma):
     data = FILTER_GRIDS[name]()
@@ -707,8 +715,8 @@ def _reference_block_sum(arr, bs):
     return np.add.reduceat(np.add.reduceat(arr, rows, axis=0), cols, axis=1)
 
 
-def _reference_orientation(data, block_size=enh.DEFAULT_BLOCK_SIZE,
-                           smooth_sigma=enh.DEFAULT_SMOOTH_SIGMA):
+def _reference_orientation(data, block_size=PipelineConfig.block_size,
+                           smooth_sigma=PipelineConfig.smooth_sigma):
     gx = ndimage.sobel(data, axis=1, mode="nearest")
     gy = ndimage.sobel(data, axis=0, mode="nearest")
     sum_cross = _reference_block_sum(2.0 * gx * gy, block_size)
@@ -765,40 +773,45 @@ def _reference_block_variance(data, bs):
 def assert_frequency_matches_reference(img, orient, monkeypatch):
     """Signatures, their presence mask and the frequency map equal the
     reference sampling's; returns the frequency map."""
-    window = enh.DEFAULT_FREQ_WINDOW
+    window = PipelineConfig.freq_window
     everything = slice(0, orient.theta.shape[0])
     sig, has_sig = enh._projection_signatures(img.pixels, orient, window, everything)
     want_sig, want_has = _reference_signatures(img.pixels.astype(np.float64), orient, window)
     assert_same_bits(sig, want_sig)
     assert np.array_equal(has_sig, want_has)
-    freq = enh.estimate_frequency(img, orient)
+    freq = enh.estimate_frequency(img, orient, CONFIG)
     with monkeypatch.context() as m:
         m.setattr(enh, "_projection_signatures", _reference_signatures)
-        assert_same_bits(freq.freq, enh.estimate_frequency(img, orient).freq)
+        assert_same_bits(freq.freq, enh.estimate_frequency(img, orient, CONFIG).freq)
     return freq
 
 
 def assert_front_end_matches_reference(img, monkeypatch):
     """theta, coherence, frequency and mask of img equal the references'."""
     data = img.pixels.astype(np.float64)
-    orient = enh.estimate_orientation(img)
-    theta, coherence = _reference_orientation(data)
-    assert_same_bits(orient.theta, theta)
-    assert_same_bits(orient.coherence, coherence)
+    # two other block sizes and smoothings, then the defaults, whose field the stages below read
+    for config in (replace(NO_GATE, block_size=8, smooth_sigma=0.0),
+                   replace(NO_GATE, block_size=20, smooth_sigma=2.3), NO_GATE):
+        orient = enh.estimate_orientation(img, config)
+        theta, coherence = _reference_orientation(data, config.block_size, config.smooth_sigma)
+        assert orient.block_size == config.block_size
+        assert_same_bits(orient.theta, theta)
+        assert_same_bits(orient.coherence, coherence)
     freq = assert_frequency_matches_reference(img, orient, monkeypatch)
     variance = _reference_block_variance(data, orient.block_size)
     capture = statistics.pvariance(img.pixels.ravel().tolist())  # exact, then rounded once
     got_variance, got_capture = enh._block_variance(img.pixels, orient.block_size)
     assert_same_bits(got_variance, variance)
     assert got_capture == capture > 0
-    mask = enh.compute_region_mask(img, orient, freq, 0.0)
     scaled = variance * enh.NORMALIZED_VARIANCE / capture
-    assert np.array_equal(mask.labels, (scaled >= enh.DEFAULT_VARIANCE_FLOOR)
-                          & (coherence >= enh.DEFAULT_COHERENCE_FLOOR)
-                          & np.isfinite(freq.freq))
-    gated = enh.compute_region_mask(img, orient, freq)
+    for floor in (0.6, PipelineConfig.coherence_floor):  # the default last: the gate reads its mask
+        mask = enh.compute_region_mask(img, orient, freq, replace(NO_GATE, coherence_floor=floor))
+        assert np.array_equal(mask.labels, (scaled >= PipelineConfig.variance_floor)
+                              & (coherence >= floor)
+                              & np.isfinite(freq.freq))
+    gated = enh.compute_region_mask(img, orient, freq, CONFIG)
     assert isinstance(gated, enh.Rejection) == (mask.recoverable_fraction
-                                                < enh.DEFAULT_REJECT_THRESHOLD)
+                                                < PipelineConfig.reject_threshold)
 
 
 def _gate_blank(seed):
@@ -837,6 +850,7 @@ def test_front_end_bit_identical_to_reference_on_filter_grids(name, monkeypatch)
     assert_front_end_matches_reference(SOBEL_GRIDS[name](), monkeypatch)
 
 
+
 @pytest.mark.parametrize("shape", [(16, 16), (40, 61)])
 def test_block_variance_of_the_8bit_extremes_is_exact(shape):
     # 0/255 stripes, whose squares wrap in uint8; the partial blocks of
@@ -852,14 +866,14 @@ def test_block_variance_of_the_8bit_extremes_is_exact(shape):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("variance_floor", [enh.DEFAULT_VARIANCE_FLOOR, 0.0])
+@pytest.mark.parametrize("variance_floor", [PipelineConfig.variance_floor, 0.0])
 def test_constant_capture_has_no_recoverable_block(variance_floor):
     # no capture variance to scale a block's by: every block is low-variance
     img = GrayImage(np.full((64, 80), 77, np.uint8))
     assert enh._block_variance(img.pixels, 16)[1] == 0.0
     orient = enh.OrientationField(16, np.zeros((4, 5)), np.ones((4, 5)))
     freq = enh.FrequencyMap(16, np.full((4, 5), 0.125))
-    mask = enh.compute_region_mask(img, orient, freq, 0.0, variance_floor=variance_floor)
+    mask = enh.compute_region_mask(img, orient, freq, replace(NO_GATE, variance_floor=variance_floor))
     assert isinstance(mask, enh.RegionMask) and not mask.labels.any()
 
 
@@ -878,8 +892,9 @@ def _floor_variances(img, bs):
     orient = enh.OrientationField(bs, np.zeros(scaled.shape), np.ones(scaled.shape))
     freq = enh.FrequencyMap(bs, np.full(scaled.shape, 0.125))
     values = np.unique(scaled[np.isfinite(scaled)])
-    for floor in (-math.inf, 0.0, *values, *np.nextafter(values, math.inf)):
-        mask = enh.compute_region_mask(img, orient, freq, 0.0, variance_floor=floor)
+    # the lowest finite floor: a config refuses -inf
+    for floor in (-np.finfo(float).max, 0.0, *values, *np.nextafter(values, math.inf)):
+        mask = enh.compute_region_mask(img, orient, freq, replace(NO_GATE, variance_floor=floor))
         assert np.array_equal(mask.labels, scaled >= floor)
     return scaled
 
@@ -970,7 +985,7 @@ def test_variance_floor_scale_matches_pvariance_bit_for_bit(name):
 
 def test_frequency_window_longer_than_the_diagonal_is_absent_unsampled(monkeypatch):
     img = oriented_image(30.0, size=64)
-    orient = enh.estimate_orientation(img)
+    orient = enh.estimate_orientation(img, NO_GATE)
     rows = slice(0, orient.theta.shape[0])
     # the diagonal is 63 sqrt 2 = 89.1 px; a 91-px window's end columns lie 90 px apart
     assert not enh._projection_signatures(img.pixels, orient, 91, rows)[1].any()
@@ -980,10 +995,10 @@ def test_frequency_window_longer_than_the_diagonal_is_absent_unsampled(monkeypat
 
     monkeypatch.setattr(enh, "_projection_signatures", fail)
     for window in (91, 100000):
-        freq = enh.estimate_frequency(img, orient, window)
+        freq = enh.estimate_frequency(img, orient, PipelineConfig(freq_window=window))
         assert freq.freq.shape == orient.theta.shape and np.isnan(freq.freq).all()
     with pytest.raises(AssertionError, match="^window sampled$"):  # 89 px apart: sampled
-        enh.estimate_frequency(img, orient, 90)
+        enh.estimate_frequency(img, orient, PipelineConfig(freq_window=90))
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2])
@@ -991,10 +1006,10 @@ def test_frequency_window_longer_than_the_diagonal_is_absent_unsampled(monkeypat
 def test_frequency_bit_identical_to_reference_at_edge_exact_angles(name, theta, monkeypatch):
     img = PIN_IMAGES[name]()
     h, w = img.pixels.shape
-    shape = enh.estimate_orientation(img).theta.shape
+    shape = enh.estimate_orientation(img, NO_GATE).theta.shape
     orient = enh.OrientationField(16, np.full(shape, theta), np.ones(shape))
     # some samples fall exactly on the last row or column, where the +1 tap
     # lies outside the image at weight 0
-    points = [_sample_points(h, w, orient, enh.DEFAULT_FREQ_WINDOW, r) for r in range(shape[0])]
+    points = [_sample_points(h, w, orient, PipelineConfig.freq_window, r) for r in range(shape[0])]
     assert any((ys == h - 1).any() or (xs == w - 1).any() for ys, xs in points)
     assert_frequency_matches_reference(img, orient, monkeypatch)

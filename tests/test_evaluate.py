@@ -74,6 +74,14 @@ def test_match_respects_tolerance():
     assert match_minutiae(d, t, 9.0).matched == 1
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan])
+def test_match_refuses_a_tolerance_that_is_not_positive(tolerance):
+    # a NaN tolerance compares false with every distance: a perfect match would score 0
+    pts = [(10, 10), (40, 40)]
+    with pytest.raises(ValueError, match="^tolerance must be positive$"):
+        match_minutiae(mset("a", pts), mset("a", pts), tolerance)
+
+
 def test_match_image_id_mismatch():
     with pytest.raises(ValueError):
         match_minutiae(mset("a", [(1, 1)]), mset("b", [(1, 1)]), 8.0)

@@ -3,11 +3,13 @@ inside orientation estimation, straight after the per-block gradient sums
 and before the orientation field is formed, and prints, clean or degraded,
 pass it."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from conftest import _blurred_noise, corpus_spec
+from conftest import NO_GATE, _blurred_noise, corpus_spec
 from test_enhance import _gate_blank, _gate_partial_touch
 from ridgekit import enhance as enh
 from ridgekit.config import PipelineConfig
@@ -68,7 +70,7 @@ def test_coherence_gate_rejects_before_frequency_estimation(monkeypatch):
 def test_coherence_gate_rejects_before_the_orientation_field_is_smoothed(monkeypatch):
     shares = {}
     for name in sorted(CAPTURES):
-        orient = enh.estimate_orientation(CAPTURES[name]())
+        orient = enh.estimate_orientation(CAPTURES[name](), NO_GATE)
         shares[name] = enh._coherent_share_gate(
             orient.coherence, PipelineConfig().reject_threshold).recoverable_fraction
 
@@ -86,9 +88,9 @@ def test_coherence_gate_rejects_before_the_orientation_field_is_smoothed(monkeyp
 @pytest.mark.parametrize("name", ["blurred_noise_0", "partial_touch_0", "clean_00"])
 def test_estimate_orientation_gates_as_coherence_gate_does(name, threshold):
     img = {**CAPTURES, **PRINTS}[name]()
-    field = enh.estimate_orientation(img)  # the default threshold of 0 never rejects
+    field = enh.estimate_orientation(img, NO_GATE)  # a threshold of 0 never rejects
     assert isinstance(field, enh.OrientationField)
-    gated = enh.estimate_orientation(img, reject_threshold=threshold)
+    gated = enh.estimate_orientation(img, PipelineConfig(reject_threshold=threshold))
     want = enh._coherent_share_gate(field.coherence, threshold)
     if want is None:
         assert np.array_equal(gated.theta, field.theta)
@@ -99,9 +101,11 @@ def test_estimate_orientation_gates_as_coherence_gate_does(name, threshold):
 
 @pytest.mark.parametrize("threshold", [1.5, -0.5, float("nan")])
 def test_gate_thresholds_outside_zero_one_are_refused(threshold):
-    img = _blurred_noise(0)
-    with pytest.raises(ValueError, match=r"^reject_threshold must lie in \[0, 1\]$"):
-        enh.estimate_orientation(img, reject_threshold=threshold)
+    # the config is the one gate on the threshold that both stages read
+    message = ("reject_threshold: must be finite" if math.isnan(threshold)
+               else r"reject_threshold must lie in \[0, 1\]")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PipelineConfig(reject_threshold=threshold)
 
 
 @pytest.mark.parametrize("name", sorted(PRINTS))

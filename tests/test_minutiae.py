@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from conftest import _blurred_noise, classify_pixel, make_blob_image, neighborhood_count
+from conftest import CONFIG, NO_GATE, _blurred_noise, classify_pixel, make_blob_image, neighborhood_count
 from ridgekit import enhance as enh
 from ridgekit.binary import BinaryImage, Skeleton, auto_threshold, binarize, thin
 from ridgekit.config import PipelineConfig
@@ -747,11 +747,11 @@ def blurred_noise_skeletons():
     out = []
     for seed in (1, 8):
         img = _blurred_noise(seed)
-        orient = enh.estimate_orientation(img)
-        freq = enh.estimate_frequency(img, orient)
-        mask = enh.compute_region_mask(img, orient, freq)
+        orient = enh.estimate_orientation(img, NO_GATE)
+        freq = enh.estimate_frequency(img, orient, CONFIG)
+        mask = enh.compute_region_mask(img, orient, freq, CONFIG)
         assert isinstance(mask, enh.RegionMask)
-        work = invert(enh.gabor_enhance(img, orient, freq, mask))
+        work = invert(enh.gabor_enhance(img, orient, freq, mask, CONFIG))
         out.append((f"blurred_noise_{seed}", thin(binarize(work, auto_threshold(work, mask)))))
     return out
 

@@ -808,7 +808,7 @@ def test_extract_passes_sigma_to_gabor(monkeypatch):
     gabor_response = enh.gabor_response
 
     def recording(*args):
-        seen.append(args[4])
+        seen.append(args[4].sigma)
         return gabor_response(*args)
 
     monkeypatch.setattr(enh, "gabor_response", recording)
@@ -826,6 +826,20 @@ def test_config_refuses_non_finite_floats():
     for key in float_keys:
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=rf"^{key}: must be finite$"):
+                PipelineConfig(**{key: value})
+
+
+def test_config_refuses_non_integer_ints():
+    # a float reached range() in the stages and crashed extraction
+    int_keys = [f.name for f in fields(PipelineConfig) if type(f.default) is int]
+    assert sorted(int_keys) == [
+        "adjacency_window", "block_size", "border_distance", "freq_window",
+        "reconnect_gap", "spur_length",
+    ]
+    for key in int_keys:
+        default = getattr(PipelineConfig, key)
+        for value in (float(default), True, str(default)):
+            with pytest.raises(ValueError, match=rf"^{key} must be an integer$"):
                 PipelineConfig(**{key: value})
 
 
