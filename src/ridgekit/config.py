@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Real
 from pathlib import Path
 
 from .enhance import MAX_RIDGE_PERIOD
@@ -29,10 +30,16 @@ class PipelineConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name}: must be finite")
-            if type(f.default) is int and type(getattr(self, f.name)) is not int:
+            value, kind = getattr(self, f.name), type(f.default)
+            if kind is float:
+                if isinstance(value, bool) or not isinstance(value, Real):
+                    raise ValueError(f"{f.name} must be a real number")
+                if not math.isfinite(value):
+                    raise ValueError(f"{f.name}: must be finite")
+            elif kind is int and type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer")
+            elif kind is bool and type(value) is not bool:
+                raise ValueError(f"{f.name} must be a bool")
         if self.block_size < 4:
             raise ValueError("block_size must be >= 4")
         if self.smooth_sigma < 0:

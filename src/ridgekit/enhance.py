@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .image import GrayImage, _bands
+from .image import BAND_PIXELS, GrayImage, _bands
 
 if TYPE_CHECKING:  # config imports this module
     from .config import PipelineConfig
@@ -418,18 +418,24 @@ def _block_variance(data: np.ndarray, block_size: int) -> tuple[np.ndarray, floa
 
 def _kernel_keys(theta: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Gabor kernel key of each (theta, freq) pair, as two arrays: theta
-    rounded to whole degrees mod 180, freq to 6 decimals. The freq keeps
-    Python's round: np.round scales by 1e6 and can round otherwise."""
+    rounded to whole degrees mod 180, freq to 6 decimals as Python's round
+    does. rint(f * 1e6) / 1e6 is that value (c / 1e6 is the correctly
+    rounded double of c * 1e-6) unless the rounding error of f * 1e6 crosses
+    a half: for |f| < 1e3 it is below 1e-6, so only products that near a
+    half, and larger f, take Python's round."""
     degrees = np.rint(np.degrees(theta)) % 180
-    return degrees, np.array([round(f, 6) for f in freq.tolist()], dtype=np.float64)
+    scaled = freq * 1e6
+    keys = np.rint(scaled) / 1e6
+    near = (np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6) | ~(np.abs(freq) < 1e3)
+    keys[near] = [round(f, 6) for f in freq[near].tolist()]
+    return degrees, keys
 
 
 def _separable_bank(
     degrees: np.ndarray, freqs: np.ndarray, sigma: float, half: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The Gabor kernel of each (degrees, freq) key as an x-pass and a
-    y-pass filter, each (len(degrees), 3 (K + 1)): three channels of K taps,
-    each followed by a zero tap.
+    y-pass filter, each (len(degrees), K, 3): K taps of three channels.
 
     The kernel on the K x K grid dx, dy in [-half, half] is
     exp(-(dx^2 + dy^2) / 2 sigma^2) cos(2 pi freq (dx ux + dy uy)) minus its
@@ -447,19 +453,18 @@ def _separable_bank(
     envelope = np.exp(-0.5 * t**2 / sigma**2)
     phase = 2 * np.pi * freqs[:, None] * t * np.stack((np.cos(across), np.sin(across)))[:, :, None]
     size = 2 * half + 1
-    banks = np.zeros((2, len(degrees), 3, size + 1))  # x, y
-    re, im = banks[:, :, 0, :size], banks[:, :, 1, :size]
+    x_bank, y_bank = banks = np.empty((2, len(degrees), size, 3))
+    re, im = banks[..., 0], banks[..., 1]
     np.multiply(envelope, np.cos(phase), out=re[..., half:])
     np.multiply(envelope, np.sin(phase), out=im[..., half:])
     re[..., :half] = re[..., :half:-1]  # h(-t) is the conjugate of h(t)
     np.negative(im[..., :half:-1], out=im[..., :half])
     # summed as complex numbers: numpy orders a complex sum unlike a real one
     sums = (re + 1j * im).sum(axis=2)
-    x_bank, y_bank = banks
-    x_bank[:, 2, :size] = 1.0
-    np.negative(y_bank[:, 1], out=y_bank[:, 1])
-    y_bank[:, 2, :size] = -((sums[0] * sums[1]).real / size**2)[:, None]
-    return x_bank.reshape(len(degrees), -1), y_bank.reshape(len(degrees), -1)
+    x_bank[..., 2] = 1.0
+    np.negative(y_bank[..., 1], out=y_bank[..., 1])
+    y_bank[..., 2] = -((sums[0] * sums[1]).real / size**2)[:, None]
+    return x_bank, y_bank
 
 
 def gabor_response(
@@ -482,6 +487,16 @@ def gabor_response(
     B[u, j] = k[u - j] (0 <= u - j <= 2 half, else 0). X holds a block's
     three x-channel B side by side, Y its three y-channel B transposed,
     their columns interleaved to match the rows of windows @ X per channel.
+    A group is a run of recoverable blocks in one block row whose windows
+    hold at most BAND_PIXELS / 2 pixels; the first product reads them from
+    the slab and the second writes the response. X and Y live in two zeroed
+    buffers allocated once, and a group writes only their bands, each row a
+    contiguous run through a diagonal view: X stored transposed, row (ch, j)
+    holding x_ch at columns j .. j + 2 half, Y as (bs, span, 3), row i
+    holding the (t, ch) taps at u = i .. i + 2 half. The slab is
+    column-major like X: with X alone transposed, the first product takes
+    1.5x as long under OpenBLAS's SkylakeX kernels. Neither layout changes
+    a bit.
     """
     data, sigma = img.pixels, config.sigma
     if not (
@@ -501,10 +516,16 @@ def gabor_response(
     size, span = 2 * half + 1, bs + 2 * half
     # rows of the image reflect-padded to whole blocks: every block has a full window
     padded_rows = np.pad(np.arange(h), (half, half + rows * bs - h), mode="reflect")
-    u, ch, j = np.ogrid[:span, :3, :bs]
-    lag = np.where((u >= j) & (u - j < size), u - j, size) + ch * (size + 1)
-    x_lag = lag.reshape(span, 3 * bs)  # X[u, ch bs + j] = x_ch[u - j]
-    y_lag = lag.transpose(2, 0, 1).reshape(bs, 3 * span)  # Y[i, 3u + ch] = y_ch[u - i]
+    group = max(1, BAND_PIXELS // (2 * span * span))
+    x_mats = np.zeros((group, 3, bs, span))
+    y_mats = np.zeros((group, bs, span, 3))
+    # the bands: each row of a block's X (Y) starts one column (u) right of the last
+    s = x_mats.strides
+    x_band = as_strided(x_mats, (group, 3, bs, size), (s[0], s[1], s[2] + s[3], s[3]))
+    s = y_mats.strides
+    y_band = as_strided(y_mats, (group, bs, 3 * size), (s[0], s[1] + s[2], s[3]))
+    x = x_mats.reshape(group, 3 * bs, span).swapaxes(1, 2)
+    y = y_mats.reshape(group, bs, 3 * span)
 
     response = np.zeros((rows * bs, cols * bs))
     blocks = response.reshape(rows, bs, cols, bs).swapaxes(1, 2)
@@ -515,16 +536,22 @@ def gabor_response(
         degrees, freqs = _kernel_keys(orient.theta[r0:r1][labels], freq.freq[r0:r1][labels])
         if not len(degrees):
             continue
-        # every lag outside the band reads the zero tap after each channel
         x_taps, y_taps = _separable_bank(degrees, freqs, sigma, half)
+        x_taps, y_taps = x_taps.swapaxes(1, 2), y_taps.reshape(len(degrees), 3 * size)
         slab = np.pad(data.take(padded_rows[top : r1 * bs + 2 * half], axis=0),
-                      ((0, 0), (half, half + cols * bs - w)), mode="reflect").astype(np.float64)
+                      ((0, 0), (half, half + cols * bs - w)), mode="reflect").astype(np.float64, order="F")
         windows = sliding_window_view(slab, (span, span))[::bs, ::bs]  # [r, c] at (r bs, c bs)
-        rs, cs = np.nonzero(labels)  # row-major, the order of the filter pairs
-        # in groups of blocks whose windows hold at most BAND_PIXELS / 2 pixels
-        for a, b in _bands(len(rs), 2 * span * span):
-            xs = windows[rs[a:b], cs[a:b]] @ x_taps[a:b].take(x_lag, axis=1)
-            blocks[r0 + rs[a:b], cs[a:b]] = y_taps[a:b].take(y_lag, axis=1) @ xs.reshape(-1, 3 * span, bs)
+        # the runs of recoverable blocks, row-major: start and stop alternate
+        rs, edges = np.nonzero(np.diff(labels, axis=1, prepend=False, append=False))
+        k = 0  # the first filter pair of the group
+        for r, start, stop in zip(rs[::2], edges[::2], edges[1::2]):
+            for a in range(start, stop, group):
+                n = min(group, stop - a)
+                x_band[:n] = x_taps[k : k + n, :, None]
+                y_band[:n] = y_taps[k : k + n, None]
+                xs = windows[r, a : a + n] @ x[:n]
+                np.matmul(y[:n], xs.reshape(n, 3 * span, bs), out=blocks[r0 + r, a : a + n])
+                k += n
         del x_taps, y_taps, slab, windows, xs  # before the next band's arrays
     return response[:h, :w]
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import CONFIG, NO_GATE, _blurred_noise
 from test_enhance import (
     _dense_reference,
+    _reference_banded,
     _reference_block_variance,
     _reference_orientation,
     _reference_signatures,
@@ -83,6 +84,7 @@ def test_bands_split_the_front_end_bit_identically(name, monkeypatch):
     mask = enh.RegionMask(orient.block_size, labels)
     enhanced = enh.gabor_enhance(img, orient, freq, mask, CONFIG)
     response = enh.gabor_response(img, orient, freq, mask, CONFIG)
+    assert_same_bits(response, _reference_banded(img, orient, freq, mask, CONFIG))
     sel = mask.pixel_mask(h, w)
     assert np.array_equal(enhanced.pixels, _parent_enhance(response, sel))
     with monkeypatch.context() as m:

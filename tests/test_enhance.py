@@ -10,7 +10,7 @@ from scipy import ndimage
 from conftest import CONFIG, NO_GATE, _blurred_noise, corpus_spec
 from ridgekit import enhance as enh
 from ridgekit.config import PipelineConfig
-from ridgekit.image import GrayImage
+from ridgekit.image import GrayImage, _bands
 from ridgekit.synth import ParallelPattern, SynthSpec, generate
 
 
@@ -400,9 +400,49 @@ def _dense_reference(img, orient, freq, mask, config):
     return response
 
 
+def _reference_banded(img, orient, freq, mask, config):
+    """gabor_response by the same two matrix products per block, windows @ X,
+    then Y @ that, with every operand gathered per group: the windows by
+    fancy indexing, X and Y by taking each channel's taps through lag
+    tables (a lag outside the band reads a zero tap after the channel), and
+    the responses scattered back. The realization gabor_response is pinned
+    against bit for bit."""
+    data, sigma = img.pixels, config.sigma
+    h, w = data.shape
+    bs = orient.block_size
+    rows, cols = mask.labels.shape
+    half = math.ceil(3.0 * sigma)
+    size, span = 2 * half + 1, bs + 2 * half
+    padded_rows = np.pad(np.arange(h), (half, half + rows * bs - h), mode="reflect")
+    u, ch, j = np.ogrid[:span, :3, :bs]
+    lag = np.where((u >= j) & (u - j < size), u - j, size) + ch * (size + 1)
+    x_lag = lag.reshape(span, 3 * bs)  # X[u, ch bs + j] = x_ch[u - j]
+    y_lag = lag.transpose(2, 0, 1).reshape(bs, 3 * span)  # Y[i, 3u + ch] = y_ch[u - i]
+    response = np.zeros((rows * bs, cols * bs))
+    blocks = response.reshape(rows, bs, cols, bs).swapaxes(1, 2)
+    for top, bottom in _bands(h, w, bs):
+        r0, r1 = top // bs, -(-bottom // bs)
+        labels = mask.labels[r0:r1]
+        keys = [_kernel_key(t, f) for t, f in zip(orient.theta[r0:r1][labels], freq.freq[r0:r1][labels])]
+        if not keys:
+            continue
+        degrees, freqs = np.array(keys).T
+        x_taps, y_taps = (np.pad(b.swapaxes(1, 2), ((0, 0), (0, 0), (0, 1))).reshape(len(keys), -1)
+                          for b in _complex_bank(degrees, freqs, sigma, half))
+        slab = np.pad(data.take(padded_rows[top : r1 * bs + 2 * half], axis=0),
+                      ((0, 0), (half, half + cols * bs - w)), mode="reflect").astype(np.float64)
+        windows = sliding_window_view(slab, (span, span))[::bs, ::bs]
+        rs, cs = np.nonzero(labels)
+        for a, b in _bands(len(rs), 2 * span * span):
+            xs = windows[rs[a:b], cs[a:b]] @ x_taps[a:b].take(x_lag, axis=1)
+            blocks[r0 + rs[a:b], cs[a:b]] = y_taps[a:b].take(y_lag, axis=1) @ xs.reshape(-1, 3 * span, bs)
+    return response[:h, :w]
+
+
 def assert_matches_dense(img, orient, freq, mask):
     for config in (CONFIG, replace(CONFIG, sigma=3.5)):  # the default envelope and a narrower one
         got = enh.gabor_response(img, orient, freq, mask, config)
+        assert_same_bits(got, _reference_banded(img, orient, freq, mask, config))
         want = _dense_reference(img, orient, freq, mask, config)
         scale = np.abs(want).max()
         assert scale > 0
@@ -454,8 +494,8 @@ def test_gabor_separable_one_kernel_key_matches_dense_path():
 
 
 def _complex_bank(degrees, freqs, sigma, half):
-    """_separable_bank's taps from the complex exp over all K taps, each
-    channel followed by a zero tap: the reference for its real half-kernels."""
+    """_separable_bank's taps from the complex exp over all K taps: the
+    reference for its real half-kernels."""
     across = np.radians(degrees) + np.pi / 2
     t = np.arange(-half, half + 1, dtype=np.float64)
     envelope = np.exp(-0.5 * t**2 / sigma**2)
@@ -464,9 +504,8 @@ def _complex_bank(degrees, freqs, sigma, half):
     hy = envelope * np.exp(phase * np.sin(across)[:, None])
     mean = (hx.sum(axis=1) * hy.sum(axis=1)).real / t.size**2
     ones = np.ones_like(hx.real)
-    banks = (np.stack([hx.real, hx.imag, ones], axis=1),
-             np.stack([hy.real, -hy.imag, -mean[:, None] * ones], axis=1))
-    return tuple(np.pad(b, ((0, 0), (0, 0), (0, 1))).reshape(len(degrees), -1) for b in banks)
+    return (np.stack([hx.real, hx.imag, ones], axis=2),
+            np.stack([hy.real, -hy.imag, -mean[:, None] * ones], axis=2))
 
 
 @pytest.mark.parametrize("sigma", [PipelineConfig.sigma, 3.5, 1.0, 0.3, 7.25])
@@ -477,7 +516,7 @@ def test_separable_bank_equals_complex_taps_bit_for_bit(sigma):
     half = math.ceil(3.0 * sigma)
     got = enh._separable_bank(degrees, freqs, sigma, half)
     for g, want in zip(got, _complex_bank(degrees, freqs, sigma, half)):
-        assert g.shape == want.shape == (degrees.size, 3 * (2 * half + 2))
+        assert g.shape == want.shape == (degrees.size, 2 * half + 1, 3)
         assert np.array_equal(g, want)
 
 
@@ -520,6 +559,13 @@ def test_kernel_keys_equal_kernel_key(corpus_enhance_inputs):
     want = [_kernel_key(t, f) for t, f in zip(theta, freq)]
     assert degrees.tolist() == [float(d) for d, _ in want]
     assert rounded.tolist() == [f for _, f in want]
+
+
+def test_kernel_keys_round_large_frequencies_as_python():
+    # beyond 1e3 the rounding error of freq * 1e6 can cross a half
+    freq = np.random.default_rng(3).uniform(1e3, 1e15, 2000)
+    _, rounded = enh._kernel_keys(np.zeros_like(freq), freq)
+    assert rounded.tolist() == [round(f, 6) for f in freq.tolist()]
 
 
 def test_unrecoverable_pixels_are_background():

@@ -843,6 +843,23 @@ def test_config_refuses_non_integer_ints():
                 PipelineConfig(**{key: value})
 
 
+def test_config_refuses_non_real_floats_and_non_bool_bools():
+    # True ran Gabor with sigma 1, and a str reached math.isfinite as a TypeError
+    float_keys = [f.name for f in fields(PipelineConfig) if type(f.default) is float]
+    for key in float_keys:
+        default = getattr(PipelineConfig, key)
+        for value in (True, False, str(default), None, complex(default)):
+            with pytest.raises(ValueError, match=rf"^{key} must be a real number$"):
+                PipelineConfig(**{key: value})
+        for value in (math.ceil(default), np.float64(default)):
+            assert getattr(PipelineConfig(**{key: value}), key) == value
+    bool_keys = [f.name for f in fields(PipelineConfig) if type(f.default) is bool]
+    assert bool_keys == ["dump_intermediates"]
+    for value in (1, 0, "true", None, np.bool_(True)):
+        with pytest.raises(ValueError, match=r"^dump_intermediates must be a bool$"):
+            PipelineConfig(dump_intermediates=value)
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("key", ["smooth_sigma", "sigma", "variance_floor", "tolerance"])
 def test_cli_non_finite_config_value_is_an_input_error(tmp_path, capsys, key, value):
