@@ -42,6 +42,8 @@ class PipelineConfig:
                 raise ValueError(f"{f.name} must be a bool")
         if self.block_size < 4:
             raise ValueError("block_size must be >= 4")
+        if self.block_size > 2048:  # the int32 gradient sums: 2048 x 1020^2 < 2^31
+            raise ValueError("block_size must be <= 2048")
         if self.smooth_sigma < 0:
             raise ValueError("smooth_sigma must be >= 0")
         if self.freq_window < 1:

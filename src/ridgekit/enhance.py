@@ -84,45 +84,54 @@ def _block_grid(height: int, width: int, block_size: int) -> tuple[int, int]:
     return math.ceil(height / block_size), math.ceil(width / block_size)
 
 
-def _block_sum(arr: np.ndarray, block_size: int) -> np.ndarray:
-    """int64 sums of the block_size x block_size blocks of an integer array
-    that holds a whole number of blocks."""
-    rows, cols = arr.shape[0] // block_size, arr.shape[1] // block_size
-    by_rows = arr.reshape(rows, block_size, -1).sum(axis=1, dtype=np.int64)
-    return by_rows.reshape(rows, cols, block_size).sum(axis=2)
+def _block_sums(shape: tuple[int, int], block_size: int, planes, terms) -> np.ndarray:
+    """Exact int64 sums, (len(terms), rows, cols), over the block_size px
+    blocks of an image of `shape` (partial at the right and bottom edges)
+    of each term: a tuple of one plane index, or of two whose planes are
+    multiplied. planes(y0, y1) gives the integer planes of rows y0:y1.
 
-
-def _block_bands(height: int, width: int, block_size: int):
-    """The bands of block rows (_bands) as (y0, y1, blocks, buf): blocks is
-    the slice of block rows, buf an int32 buffer of those whole blocks,
-    shared between bands and zero but for the pixels a caller writes, its
-    [:y1 - y0, :width], so _block_sum(buf) sums a partial block's pixels."""
+    Per band of block rows (_bands) the planes are written into zero-padded
+    int32 buffers of whole blocks, the rows of each block are summed per
+    column in int32 by einsum's sum-of-products loop, and the block columns
+    of every term in int64 at the end. The int32 stage is exact while a
+    column's block_size |term| stay below 2^31: for Sobel products
+    (|g g| <= 1020^2) up to 2,064 rows, above PipelineConfig's 2048 bound.
+    """
+    h, w = shape
     bs = block_size
-    bands = list(_bands(height, width, bs))
-    buf = np.zeros((-(-bands[0][1] // bs) * bs, _block_grid(height, width, bs)[1] * bs), np.int32)
+    rows, cols = _block_grid(h, w, bs)
+    columns = np.empty((len(terms), rows, cols * bs), np.int32)
+    bands = list(_bands(h, w, bs))
+    count = 1 + max(max(term) for term in terms)
+    bufs = np.zeros((count, -(-bands[0][1] // bs) * bs, cols * bs), np.int32)
     for y0, y1 in bands:
         blocks = slice(y0 // bs, -(-y1 // bs))
-        whole = buf[: (blocks.stop - blocks.start) * bs]
-        whole[y1 - y0 :] = 0  # the rows past a partial last block row
-        yield y0, y1, blocks, whole
+        whole = bufs[:, : (blocks.stop - blocks.start) * bs]
+        whole[:, y1 - y0 :] = 0  # the rows past a partial last block row
+        for buf, plane in zip(whole, planes(y0, y1)):
+            buf[: y1 - y0, :w] = plane
+        stacked = whole.reshape(count, -1, bs, cols * bs)
+        for out, term in zip(columns[:, blocks], terms):
+            spec = "ijk,ijk->ik" if len(term) == 2 else "ijk->ik"
+            np.einsum(spec, *(stacked[p] for p in term), out=out)
+    return columns.reshape(len(terms), rows, cols, bs).sum(axis=-1, dtype=np.int64)
 
 
 def _gradients(data: np.ndarray, y0: int, y1: int) -> tuple[np.ndarray, np.ndarray]:
     """Sobel gradients (gx, gy) of rows y0:y1 of 8-bit pixels, read with one
     halo row on each side and the edges replicated: the values that
     ndimage.sobel(mode="nearest") gives along axis 1 and 0 on them as
-    floats, as int16 (|g| <= 4 * 255)."""
+    floats, as int16 (|g| <= 4 * 255). Sobel's [1, 2, 1] is two [1, 1]
+    passes."""
     h, w = data.shape
     p = np.empty((y1 - y0 + 2, w + 2), np.int16)
     p[1:-1, 1:-1] = data[y0:y1]
     p[0, 1:-1], p[-1, 1:-1] = data[max(y0 - 1, 0)], data[min(y1, h - 1)]
     p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
-    across = p[:-2] + p[2:]  # [1, 2, 1] down the columns, then the x difference
-    across += p[1:-1]
-    across += p[1:-1]
-    down = p[:, :-2] + p[:, 2:]  # [1, 2, 1] along the rows, then the y difference
-    down += p[:, 1:-1]
-    down += p[:, 1:-1]
+    pairs = p[:-1] + p[1:]  # [1, 2, 1] down the columns, then the x difference
+    across = pairs[:-1] + pairs[1:]
+    pairs = p[:, :-1] + p[:, 1:]  # [1, 2, 1] along the rows, then the y difference
+    down = pairs[:, :-1] + pairs[:, 1:]
     return across[:, 2:] - across[:, :-2], down[2:] - down[:-2]
 
 
@@ -155,23 +164,18 @@ def estimate_orientation(img: GrayImage, config: PipelineConfig) -> OrientationF
     direction orthogonal to the dominant gradient, folded into [0, pi).
     The field is then smoothed with a Gaussian (config.smooth_sigma, in
     block units) on the doubled-angle unit vectors so antipodal angles
-    average correctly. The gradients of the 8-bit pixels are int16, their
-    products int32 and the block sums int64, taken per band of block rows
-    (_bands), so the sums are exact. The gate reads only the coherence, so
-    it decides straight after the gradient sums, before theta is formed.
+    average correctly. The gradients of the 8-bit pixels are int16 and
+    their products are summed exactly per band of block rows (_block_sums).
+    The gate reads only the coherence, so it decides straight after the
+    gradient sums, before theta is formed.
     """
     block_size, smooth_sigma = config.block_size, config.smooth_sigma
     data = img.pixels
     h, w = data.shape
     if h < block_size or w < block_size:
         raise ValueError(f"image {w}x{h} smaller than one {block_size}px block")
-    sums = np.empty((3, *_block_grid(h, w, block_size)), np.int64)
-    for y0, y1, blocks, buf in _block_bands(h, w, block_size):
-        gx, gy = _gradients(data, y0, y1)
-        for i, (a, b) in enumerate(((gx, gy), (gx, gx), (gy, gy))):
-            np.multiply(a, b, out=buf[: y1 - y0, :w], dtype=np.int32)
-            sums[i, blocks] = _block_sum(buf, block_size)
-    xy, xx, yy = sums
+    xy, xx, yy = _block_sums(data.shape, block_size, lambda y0, y1: _gradients(data, y0, y1),
+                             ((0, 1), (0, 0), (1, 1)))
     sum_cross, sum_diff = 2 * xy, xx - yy
     coherence = np.hypot(sum_diff, sum_cross) / np.maximum(xx + yy, 1e-12)
     rejection = _coherent_share_gate(coherence, config.reject_threshold)
@@ -399,17 +403,11 @@ def _block_variance(data: np.ndarray, block_size: int) -> tuple[np.ndarray, floa
     """Population intensity variance of each block of 8-bit pixels, and of
     the whole capture, each (n sum I^2 - (sum I)^2) / n^2 from exact
     integer sums; n, a block's pixel count, comes from its extent (partial
-    at the edges). The sums are taken per band of block rows (_bands)."""
+    at the edges). The sums are taken per band of block rows (_block_sums)."""
     h, w = data.shape
     extent = [np.diff(np.minimum(np.arange(0, n + block_size, block_size), n)) for n in (h, w)]
     counts = np.multiply.outer(*extent)
-    sums, sqsums = np.empty((2, *counts.shape), np.int64)
-    for y0, y1, blocks, buf in _block_bands(h, w, block_size):
-        band, pixels = data[y0:y1], buf[: y1 - y0, :w]
-        np.copyto(pixels, band)
-        sums[blocks] = _block_sum(buf, block_size)
-        np.multiply(band, band, out=pixels, dtype=np.int32)
-        sqsums[blocks] = _block_sum(buf, block_size)
+    sums, sqsums = _block_sums(data.shape, block_size, lambda y0, y1: (data[y0:y1],), ((0,), (0, 0)))
     # the capture's in Python ints: n sum I^2 outgrows int64 near 4096^2 pixels
     n, total, sqtotal = h * w, int(sums.sum()), int(sqsums.sum())
     capture = (n * sqtotal - total * total) / (n * n)
@@ -514,8 +512,9 @@ def gabor_response(
     rows, cols = mask.labels.shape
     half = math.ceil(3.0 * sigma)
     size, span = 2 * half + 1, bs + 2 * half
-    # rows of the image reflect-padded to whole blocks: every block has a full window
+    # rows and columns of the image reflect-padded to whole blocks: every block has a full window
     padded_rows = np.pad(np.arange(h), (half, half + rows * bs - h), mode="reflect")
+    padded_cols = np.pad(np.arange(w), (half, half + cols * bs - w), mode="reflect")
     group = max(1, BAND_PIXELS // (2 * span * span))
     x_mats = np.zeros((group, 3, bs, span))
     y_mats = np.zeros((group, bs, span, 3))
@@ -538,8 +537,9 @@ def gabor_response(
             continue
         x_taps, y_taps = _separable_bank(degrees, freqs, sigma, half)
         x_taps, y_taps = x_taps.swapaxes(1, 2), y_taps.reshape(len(degrees), 3 * size)
-        slab = np.pad(data.take(padded_rows[top : r1 * bs + 2 * half], axis=0),
-                      ((0, 0), (half, half + cols * bs - w)), mode="reflect").astype(np.float64, order="F")
+        # column-major: the band's rows, transposed while uint8, then cast contiguously
+        slab = (data.take(padded_rows[top : r1 * bs + 2 * half], axis=0).T
+                .take(padded_cols, axis=0).astype(np.float64).T)
         windows = sliding_window_view(slab, (span, span))[::bs, ::bs]  # [r, c] at (r bs, c bs)
         # the runs of recoverable blocks, row-major: start and stop alternate
         rs, edges = np.nonzero(np.diff(labels, axis=1, prepend=False, append=False))

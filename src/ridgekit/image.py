@@ -28,6 +28,8 @@ class GrayImage:
         if px.ndim != 2:
             raise ValueError(f"expected 2-D pixel array, got shape {px.shape}")
         if px.dtype != np.uint8:
+            if not np.isfinite(px).all() or (px != np.round(px)).any():
+                raise ValueError("intensities must be finite integers")
             if px.min() < 0 or px.max() > 255:
                 raise ValueError("intensities must lie in [0, 255]")
             px = px.astype(np.uint8)

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
@@ -895,6 +897,39 @@ def test_front_end_bit_identical_to_reference(name, monkeypatch):
 def test_front_end_bit_identical_to_reference_on_filter_grids(name, monkeypatch):
     assert_front_end_matches_reference(SOBEL_GRIDS[name](), monkeypatch)
 
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 300), w=st.integers(1, 300), bs=st.integers(4, 64),
+       seed=st.integers(0, 2**16))
+def test_block_sums_equal_the_reference(h, w, bs, seed):
+    # two planes of Sobel-sized values, in bands of block rows whose last
+    # block row and column may be partial
+    a, b = np.random.default_rng(seed).integers(-1020, 1021, (2, h, w), dtype=np.int32)
+    terms = ((0,), (1,), (0, 1), (0, 0), (1, 1))
+    got = enh._block_sums((h, w), bs, lambda y0, y1: (a[y0:y1], b[y0:y1]), terms)
+    assert got.dtype == np.int64
+    a, b = a.astype(np.float64), b.astype(np.float64)  # exact: every sum is below 2^53
+    want = [_reference_block_sum(t, bs) for t in (a, b, a * b, a * a, b * b)]
+    assert np.array_equal(got, want)
+
+
+def test_block_sums_are_exact_at_the_largest_block():
+    # 2048 rows of |g g| = 1020^2: a column of one sign sums to 2,130,739,200,
+    # just below 2^31, and a block of 4 columns to 4x that
+    bs = 2048
+    assert 2064 * 1020**2 < 2**31 <= 2065 * 1020**2  # the bound leaves 16 rows spare
+    with pytest.raises(ValueError, match=r"^block_size must be <= 2048$"):
+        PipelineConfig(block_size=bs + 1)
+    assert PipelineConfig(block_size=bs).block_size == bs
+    gx = np.full((bs, 4), 1020, np.int16)
+    gy = np.full((bs, 4), 1020, np.int16)
+    gy[:, 1] = -1020  # mixed signs: columns of +, - and alternating products
+    gy[::2, 2] = -1020
+    gy[bs // 4 :, 3] = -1020
+    got = enh._block_sums((bs, 4), bs, lambda y0, y1: (gx[y0:y1], gy[y0:y1]),
+                          ((0, 1), (0, 0), (1, 1)))
+    column = bs * 1020**2
+    assert got.tolist() == [[[column - column + 0 - column // 2]], [[4 * column]], [[4 * column]]]
 
 
 @pytest.mark.parametrize("shape", [(16, 16), (40, 61)])

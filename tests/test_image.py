@@ -141,6 +141,14 @@ def test_gray_image_rejects_bad_values():
         GrayImage(np.zeros(16))
 
 
+@pytest.mark.parametrize("values", [[[np.nan, 1.0]], [[12.7, 3.2]], [[np.inf, 0.0]], [[0.5, 255.0]]])
+def test_gray_image_refuses_non_finite_or_fractional_intensities(values):
+    # a cast would read NaN as 0 and truncate 12.7 to 12
+    with pytest.raises(ValueError, match=r"^intensities must be finite integers$"):
+        GrayImage(np.array(values))
+    assert GrayImage(np.array([[12.0, 255.0], [-0.0, 3.0]])).pixels.tolist() == [[12, 255], [0, 3]]
+
+
 def test_invert():
     img = GrayImage(np.array([[0, 255], [100, 1]], np.uint8))
     assert invert(img).pixels.ravel().tolist() == [255, 0, 155, 254]

@@ -776,6 +776,7 @@ def test_run_eval_csv_reads_back_ids_with_a_comma(tmp_path):
     ("smooth_sigma = -2", "smooth_sigma must be >= 0"),
     ("sigma = 1000", "sigma must be <= 25"),
     ("smooth_sigma = 1e6", "smooth_sigma must be <= 16"),
+    ("block_size = 4096", "block_size must be <= 2048"),
 ])
 def test_cli_config_file_range_error_names_file_and_key(tmp_path, capsys, line, message):
     path, _, _ = write_synth_fixture(tmp_path)
