@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -84,18 +85,20 @@ def _block_grid(height: int, width: int, block_size: int) -> tuple[int, int]:
     return math.ceil(height / block_size), math.ceil(width / block_size)
 
 
-def _block_sums(shape: tuple[int, int], block_size: int, planes, terms) -> np.ndarray:
+def _block_sums(shape: tuple[int, int], block_size: int, fill, terms) -> np.ndarray:
     """Exact int64 sums, (len(terms), rows, cols), over the block_size px
     blocks of an image of `shape` (partial at the right and bottom edges)
     of each term: a tuple of one plane index, or of two whose planes are
-    multiplied. planes(y0, y1) gives the integer planes of rows y0:y1.
+    multiplied. fill(y0, y1, out) writes the integer planes of rows y0:y1
+    into out[:, :y1 - y0, :w], int32 rows two columns longer than the
+    blocks, and may use the columns past w as scratch.
 
-    Per band of block rows (_bands) the planes are written into zero-padded
-    int32 buffers of whole blocks, the rows of each block are summed per
-    column in int32 by einsum's sum-of-products loop, and the block columns
-    of every term in int64 at the end. The int32 stage is exact while a
-    column's block_size |term| stay below 2^31: for Sobel products
-    (|g g| <= 1020^2) up to 2,064 rows, above PipelineConfig's 2048 bound.
+    Per band of block rows (_bands), the rows and columns past partial
+    blocks zeroed, einsum's sum-of-products loop sums each block's rows per
+    column in int32: exact while block_size |term| < 2^31, for Sobel
+    products (|g g| <= 1020^2) up to 2,064 rows, above PipelineConfig's
+    2048 bound. One float64 matrix-vector product then sums the block
+    columns, exactly in any order: every partial sum is an integer < 2^42.
     """
     h, w = shape
     bs = block_size
@@ -103,36 +106,43 @@ def _block_sums(shape: tuple[int, int], block_size: int, planes, terms) -> np.nd
     columns = np.empty((len(terms), rows, cols * bs), np.int32)
     bands = list(_bands(h, w, bs))
     count = 1 + max(max(term) for term in terms)
-    bufs = np.zeros((count, -(-bands[0][1] // bs) * bs, cols * bs), np.int32)
+    bufs = np.empty((count, -(-bands[0][1] // bs) * bs, cols * bs + 2), np.int32)
     for y0, y1 in bands:
         blocks = slice(y0 // bs, -(-y1 // bs))
         whole = bufs[:, : (blocks.stop - blocks.start) * bs]
-        whole[:, y1 - y0 :] = 0  # the rows past a partial last block row
-        for buf, plane in zip(whole, planes(y0, y1)):
-            buf[: y1 - y0, :w] = plane
-        stacked = whole.reshape(count, -1, bs, cols * bs)
+        fill(y0, y1, whole)
+        whole[:, y1 - y0 :], whole[:, :, w : cols * bs] = 0, 0  # past partial last blocks
+        stacked = whole[..., : cols * bs].reshape(count, -1, bs, cols * bs)
         for out, term in zip(columns[:, blocks], terms):
             spec = "ijk,ijk->ik" if len(term) == 2 else "ijk->ik"
             np.einsum(spec, *(stacked[p] for p in term), out=out)
-    return columns.reshape(len(terms), rows, cols, bs).sum(axis=-1, dtype=np.int64)
+    sums = columns.reshape(-1, bs) @ np.ones(bs)
+    return sums.astype(np.int64).reshape(len(terms), rows, cols)
 
 
-def _gradients(data: np.ndarray, y0: int, y1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sobel gradients (gx, gy) of rows y0:y1 of 8-bit pixels, read with one
-    halo row on each side and the edges replicated: the values that
-    ndimage.sobel(mode="nearest") gives along axis 1 and 0 on them as
-    floats, as int16 (|g| <= 4 * 255). Sobel's [1, 2, 1] is two [1, 1]
-    passes."""
+def _gradients(data: np.ndarray, y0: int, y1: int, out: np.ndarray) -> None:
+    """Sobel gradients of rows y0:y1 of 8-bit pixels, read with one halo
+    row on each side and the edges replicated, into out[0, :n, :w] (gx) and
+    out[1, :n, :w] (gy), n = y1 - y0, as ndimage.sobel(mode="nearest") gives
+    them. out's rows must be at least w + 2 long; past w they are scratch.
+    The band lies flat in int16 at that row length, each row's edges copied
+    into its column w and the last column of the row before, so Sobel's
+    [1, 1] passes and differences (|g| <= 4 * 255) run over it at offsets
+    of one row or one column; only the last differences widen, into out."""
     h, w = data.shape
-    p = np.empty((y1 - y0 + 2, w + 2), np.int16)
-    p[1:-1, 1:-1] = data[y0:y1]
-    p[0, 1:-1], p[-1, 1:-1] = data[max(y0 - 1, 0)], data[min(y1, h - 1)]
-    p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
-    pairs = p[:-1] + p[1:]  # [1, 2, 1] down the columns, then the x difference
-    across = pairs[:-1] + pairs[1:]
-    pairs = p[:, :-1] + p[:, 1:]  # [1, 2, 1] along the rows, then the y difference
-    down = pairs[:, :-1] + pairs[:, 1:]
-    return across[:, 2:] - across[:, :-2], down[2:] - down[:-2]
+    n, x = y1 - y0, out.shape[-1]
+    q = np.empty((n + 2) * x + 2, np.int16)  # one spare value at each end
+    band = q[1:-1].reshape(n + 2, x)
+    band[1:-1, :w] = data[y0:y1]
+    band[0, :w], band[-1, :w] = data[max(y0 - 1, 0)], data[min(y1, h - 1)]
+    band[:, w], q[:-2:x] = band[:, w - 1], band[:, 0]
+    s = np.empty_like(q)
+    np.add(q[:-x], q[x:], out=s[:-x])  # [1, 2, 1] down the columns, then the x difference
+    np.add(s[: -2 * x], s[x:-x], out=s[: -2 * x])
+    np.subtract(s[2 : n * x + 2].reshape(n, x), s[: n * x].reshape(n, x), out=out[0, :n])
+    np.add(q[:-1], q[1:], out=s[:-1])  # [1, 2, 1] along the rows, then the y difference
+    np.add(s[:-2], s[1:-1], out=q[:-2])
+    np.subtract(q[2 * x : (n + 2) * x].reshape(n, x), q[: n * x].reshape(n, x), out=out[1, :n])
 
 
 def _gaussian(data: np.ndarray, sigma: float) -> np.ndarray:
@@ -174,8 +184,7 @@ def estimate_orientation(img: GrayImage, config: PipelineConfig) -> OrientationF
     h, w = data.shape
     if h < block_size or w < block_size:
         raise ValueError(f"image {w}x{h} smaller than one {block_size}px block")
-    xy, xx, yy = _block_sums(data.shape, block_size, lambda y0, y1: _gradients(data, y0, y1),
-                             ((0, 1), (0, 0), (1, 1)))
+    xy, xx, yy = _block_sums(data.shape, block_size, partial(_gradients, data), ((0, 1), (0, 0), (1, 1)))
     sum_cross, sum_diff = 2 * xy, xx - yy
     coherence = np.hypot(sum_diff, sum_cross) / np.maximum(xx + yy, 1e-12)
     rejection = _coherent_share_gate(coherence, config.reject_threshold)
@@ -346,14 +355,8 @@ def _fill_absent(freq: np.ndarray) -> np.ndarray:
         if not missing.any():
             break
         padded = np.pad(freq, 1, constant_values=np.nan)
-        stack = np.stack(
-            [
-                padded[dr : dr + rows, dc : dc + cols]
-                for dr in (0, 1, 2)
-                for dc in (0, 1, 2)
-                if not (dr == 1 and dc == 1)
-            ]
-        )
+        stack = np.stack([padded[dr : dr + rows, dc : dc + cols]
+                          for dr in (0, 1, 2) for dc in (0, 1, 2) if (dr, dc) != (1, 1)])
         present = np.isfinite(stack)
         counts = present.sum(axis=0)
         sums = np.where(present, stack, 0.0).sum(axis=0)
@@ -407,7 +410,8 @@ def _block_variance(data: np.ndarray, block_size: int) -> tuple[np.ndarray, floa
     h, w = data.shape
     extent = [np.diff(np.minimum(np.arange(0, n + block_size, block_size), n)) for n in (h, w)]
     counts = np.multiply.outer(*extent)
-    sums, sqsums = _block_sums(data.shape, block_size, lambda y0, y1: (data[y0:y1],), ((0,), (0, 0)))
+    sums, sqsums = _block_sums(data.shape, block_size, lambda y0, y1, out: np.copyto(
+        out[0, : y1 - y0, :w], data[y0:y1]), ((0,), (0, 0)))
     # the capture's in Python ints: n sum I^2 outgrows int64 near 4096^2 pixels
     n, total, sqtotal = h * w, int(sums.sum()), int(sqsums.sum())
     capture = (n * sqtotal - total * total) / (n * n)
@@ -585,16 +589,12 @@ def gabor_enhance(
 
 def orientation_to_text(orient: OrientationField) -> str:
     """Debug dump: block grid of ridge angles in degrees."""
-    lines = [
-        " ".join(f"{math.degrees(t):6.1f}" for t in row) for row in orient.theta
-    ]
+    lines = [" ".join(f"{math.degrees(t):6.1f}" for t in row) for row in orient.theta]
     return "\n".join(lines) + "\n"
 
 
 def frequency_to_text(freq: FrequencyMap) -> str:
     """Debug dump: block grid of frequencies; '-' marks absent blocks."""
-    lines = [
-        " ".join("     -" if not np.isfinite(f) else f"{f:6.4f}" for f in row)
-        for row in freq.freq
-    ]
+    lines = [" ".join("     -" if not np.isfinite(f) else f"{f:6.4f}" for f in row)
+             for row in freq.freq]
     return "\n".join(lines) + "\n"

@@ -27,6 +27,8 @@ class GrayImage:
         px = np.asarray(self.pixels)
         if px.ndim != 2:
             raise ValueError(f"expected 2-D pixel array, got shape {px.shape}")
+        if px.size == 0:
+            raise ValueError(f"pixel array is empty, shape {px.shape}")
         if px.dtype != np.uint8:
             if not np.isfinite(px).all() or (px != np.round(px)).any():
                 raise ValueError("intensities must be finite integers")
@@ -96,17 +98,13 @@ def load_pgm(path: str | Path) -> GrayImage:
     if magic == b"P5":
         raster = data[offset : offset + npix]
         if len(raster) < npix:
-            raise PgmError(
-                f"truncated pixel data: expected {npix} bytes, got {len(raster)}"
-            )
+            raise PgmError(f"truncated pixel data: expected {npix} bytes, got {len(raster)}")
         arr = np.frombuffer(raster, dtype=np.uint8, count=npix)
     else:
         body = re.sub(rb"#[^\n]*", b"", data[offset:])
         values = body.split()
         if len(values) < npix:
-            raise PgmError(
-                f"truncated pixel data: expected {npix} samples, got {len(values)}"
-            )
+            raise PgmError(f"truncated pixel data: expected {npix} samples, got {len(values)}")
         samples = values[:npix]
         # like a P5 byte, a P2 sample is a decimal 0..255 (at most 3 digits)
         bad = next((v for v in samples if not (v.isdigit() and len(v) <= 3 and int(v) <= 255)), None)

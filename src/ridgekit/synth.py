@@ -96,12 +96,9 @@ class SynthSpec:
                 raise ValueError(f"injected points {p} and {q} closer than 3*period")
 
 
-def generate(spec: SynthSpec) -> tuple[GrayImage, MinutiaeSet]:
-    """Render the pattern, inject minutiae, add seeded noise.
-
-    Identical specs produce bit-identical images. The returned ground truth
-    holds exactly the injected points at their requested coordinates.
-    """
+def ridge_phase(spec: SynthSpec) -> tuple[np.ndarray, list[Minutia]]:
+    """generate's phase field phi, rendered as 127.5 - 100 cos phi before
+    noise (ridges where cos phi > 0), and its injected minutiae."""
     p = spec.period
     ys, xs = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
 
@@ -134,19 +131,23 @@ def generate(spec: SynthSpec) -> tuple[GrayImage, MinutiaeSet]:
             direction = math.atan2(math.cos(phi0), -math.sin(phi0)) % (2 * math.pi)
         phase = phase + _VORTEX_SIGN[kind] * np.arctan2(ds, dt)
         truth.append(Minutia(x0, y0, kind, direction))
+    return phase, truth
 
+
+def generate(spec: SynthSpec) -> tuple[GrayImage, MinutiaeSet]:
+    """Render the pattern, inject minutiae, add seeded noise.
+
+    Identical specs produce bit-identical images. The returned ground truth
+    holds exactly the injected points at their requested coordinates.
+    """
+    phase, truth = ridge_phase(spec)
     canvas = MID_INTENSITY - RIDGE_AMPLITUDE * np.cos(phase)
     if spec.noise_amplitude > 0:
         rng = np.random.default_rng(spec.seed)
-        canvas = canvas + rng.uniform(
-            -spec.noise_amplitude, spec.noise_amplitude, canvas.shape
-        )
+        canvas = canvas + rng.uniform(-spec.noise_amplitude, spec.noise_amplitude, canvas.shape)
     pixels = np.clip(np.rint(canvas), 0, 255).astype(np.uint8)
     image_id = f"synth_{spec.seed:04d}"
-    return (
-        GrayImage(pixels),
-        MinutiaeSet(image_id, tuple(truth), POSTPROCESSED),
-    )
+    return GrayImage(pixels), MinutiaeSet(image_id, tuple(truth), POSTPROCESSED)
 
 
 def parse_synth_spec(path: str | Path) -> SynthSpec:

@@ -7,7 +7,7 @@ from scipy import ndimage
 from ridgekit.config import PipelineConfig
 from ridgekit.image import GrayImage
 from ridgekit.minutiae import BIFURCATION, ENDING
-from ridgekit.synth import ConcentricPattern, ParallelPattern, SynthSpec, generate
+from ridgekit.synth import ConcentricPattern, ParallelPattern, SynthSpec, generate, ridge_phase
 
 CONFIG = PipelineConfig()
 NO_GATE = PipelineConfig(reject_threshold=0.0)  # neither gate rejects at a threshold of 0
@@ -84,6 +84,40 @@ def corpus_spec(k: int, n_total: int = 20, max_noise: float = 40.0) -> SynthSpec
         256, 256, pattern, 8.0,
         injected=GRID_10, noise_amplitude=noise, seed=100 + k,
     )
+
+
+def stage_truth(spec: SynthSpec, block_size: int = CONFIG.block_size):
+    """What the generator knows exactly of spec's print, from its phase phi:
+    (theta, freq, ridges), each block's ridge orientation in [0, pi) and
+    ridge frequency in cycles/px, and the ridge map, cos phi > 0 (the dark
+    pixels). grad phi comes from wrapped central differences. A block's
+    orientation is half the angle of the mean of exp(2i (psi + pi/2)), psi
+    the angle of grad phi, and its frequency the median of |grad phi| / 2 pi
+    over the block's pixels."""
+    phase, _ = ridge_phase(spec)
+    gy, gx = (np.gradient(np.unwrap(phase, axis=axis), axis=axis) for axis in (0, 1))
+    h, w = phase.shape
+    rows, cols = -(-h // block_size), -(-w // block_size)
+
+    def blocks(a):  # (rows, cols, block_size^2), NaN past the image
+        out = np.full((rows * block_size, cols * block_size), np.nan, a.dtype)
+        out[:h, :w] = a
+        return out.reshape(rows, block_size, cols, block_size).swapaxes(1, 2).reshape(rows, cols, -1)
+
+    doubled = np.exp(2j * (np.arctan2(gy, gx) + np.pi / 2))
+    theta = np.mod(0.5 * np.angle(np.nanmean(blocks(doubled), axis=-1)), np.pi)
+    freq = np.nanmedian(blocks(np.hypot(gx, gy) / (2 * np.pi)), axis=-1)
+    return theta, freq, np.cos(phase) > 0
+
+
+def far_from_points(spec: SynthSpec, shape, block_size: int = CONFIG.block_size):
+    """(rows, cols) bool: the blocks more than one block from the block of
+    every injected point."""
+    far = np.ones(shape, bool)
+    for x, y, _ in spec.injected:
+        r, c = y // block_size, x // block_size
+        far[max(r - 1, 0) : r + 2, max(c - 1, 0) : c + 2] = False
+    return far
 
 
 @pytest.fixture

@@ -150,6 +150,16 @@ def test_rejected_512_capture_allocates_no_image_sized_float_array():
     assert peak < 512 * 512 * 8, peak
 
 
+def test_rejected_256_capture_peaks_below_half_a_mib():
+    # the gate writes the Sobel gradients of each band straight into the
+    # int32 block-sum buffers, through one int16 scratch band: no int16
+    # gradient planes and no copies of them
+    img = _blurred_noise(0)
+    outcome, peak = _peak(lambda: extract_from_image(img, "blurred_noise", PipelineConfig()))
+    assert outcome.rejected and outcome.rejection.measure == "coherent share"
+    assert peak < 512 * 1024, peak
+
+
 _CONTENT = st.sampled_from(["blank", "saturated", "noise", "grating", "noisy_grating"])
 
 

@@ -10,7 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from conftest import CONFIG, NO_GATE, _blurred_noise, corpus_spec
-from ridgekit import enhance as enh
+from ridgekit import enhance as enh, image
 from ridgekit.config import PipelineConfig
 from ridgekit.image import GrayImage, _bands
 from ridgekit.synth import ParallelPattern, SynthSpec, generate
@@ -658,11 +658,13 @@ def test_sobel_matches_scipy(name, axis):
     # the int16 gradients of every band of rows, read with its halo rows,
     # equal scipy's float Sobel of the whole capture
     pixels = SOBEL_GRIDS[name]().pixels
-    h = len(pixels)
+    h, w = pixels.shape
     want = ndimage.sobel(pixels.astype(np.float64), axis=axis, mode="nearest")
     assert np.abs(want).max() <= 4 * 255
     for y0, y1 in {(0, h), (0, 1), (h - 1, h), (h // 3, max(h // 2, h // 3 + 1))}:
-        got = enh._gradients(pixels, y0, y1)[1 - axis]
+        out = np.empty((2, y1 - y0, w + 2), np.int16)
+        enh._gradients(pixels, y0, y1, out)
+        got = out[1 - axis, :, :w]
         assert got.dtype == np.int16
         assert np.array_equal(got, want[y0:y1])
 
@@ -672,7 +674,9 @@ def test_sobel_reaches_the_extremes_of_int16_gradients():
     pixels = np.zeros((6, 6), np.uint8)
     pixels[:, 3:] = 255
     for data, g in ((pixels, 0), (pixels.T, 1), (255 - pixels, 0), (255 - pixels.T, 1)):
-        grad = enh._gradients(np.ascontiguousarray(data), 0, 6)[g]
+        out = np.empty((2, 6, 8), np.int16)
+        enh._gradients(np.ascontiguousarray(data), 0, 6, out)
+        grad = out[g, :, :6]
         want = ndimage.sobel(data.astype(np.float64), axis=1 - g, mode="nearest")
         assert np.array_equal(grad, want) and np.abs(grad).max() == 4 * 255
 
@@ -906,11 +910,37 @@ def test_block_sums_equal_the_reference(h, w, bs, seed):
     # block row and column may be partial
     a, b = np.random.default_rng(seed).integers(-1020, 1021, (2, h, w), dtype=np.int32)
     terms = ((0,), (1,), (0, 1), (0, 0), (1, 1))
-    got = enh._block_sums((h, w), bs, lambda y0, y1: (a[y0:y1], b[y0:y1]), terms)
+
+    def fill(y0, y1, out):  # scribbles on the rows and columns past the planes first
+        out[...] = -12345
+        out[:, : y1 - y0, :w] = a[y0:y1], b[y0:y1]
+
+    got = enh._block_sums((h, w), bs, fill, terms)
     assert got.dtype == np.int64
     a, b = a.astype(np.float64), b.astype(np.float64)  # exact: every sum is below 2^53
     want = [_reference_block_sum(t, bs) for t in (a, b, a * b, a * a, b * b)]
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 300), w=st.integers(1, 300), bs=st.integers(4, 64),
+       band_pixels=st.integers(1, 2**16), levels=st.sampled_from([2, 3, 256]),
+       seed=st.integers(0, 2**16))
+def test_sobel_filled_block_sums_equal_the_reference(h, w, bs, band_pixels, levels, seed):
+    # the gradients written straight into the block-sum buffers, in bands
+    # of one or more block rows: the scratch columns past w and the rows
+    # and columns past partial last blocks add nothing; 2 levels (0, 255)
+    # reach |g| = 4 * 255
+    rng = np.random.default_rng(seed)
+    pixels = (rng.integers(0, levels, (h, w)) * (255 // (levels - 1))).astype(np.uint8)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(image, "BAND_PIXELS", band_pixels)
+        got = enh._block_sums((h, w), bs, lambda y0, y1, out: enh._gradients(pixels, y0, y1, out),
+                              ((0, 1), (0, 0), (1, 1)))
+    gx = ndimage.sobel(pixels.astype(np.float64), axis=1, mode="nearest")
+    gy = ndimage.sobel(pixels.astype(np.float64), axis=0, mode="nearest")
+    want = [_reference_block_sum(t, bs) for t in (gx * gy, gx * gx, gy * gy)]
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_block_sums_are_exact_at_the_largest_block():
@@ -926,7 +956,7 @@ def test_block_sums_are_exact_at_the_largest_block():
     gy[:, 1] = -1020  # mixed signs: columns of +, - and alternating products
     gy[::2, 2] = -1020
     gy[bs // 4 :, 3] = -1020
-    got = enh._block_sums((bs, 4), bs, lambda y0, y1: (gx[y0:y1], gy[y0:y1]),
+    got = enh._block_sums((bs, 4), bs, lambda y0, y1, out: np.copyto(out[:, : y1 - y0, :4], (gx[y0:y1], gy[y0:y1])),
                           ((0, 1), (0, 0), (1, 1)))
     column = bs * 1020**2
     assert got.tolist() == [[[column - column + 0 - column // 2]], [[4 * column]], [[4 * column]]]

@@ -149,6 +149,14 @@ def test_gray_image_refuses_non_finite_or_fractional_intensities(values):
     assert GrayImage(np.array([[12.0, 255.0], [-0.0, 3.0]])).pixels.tolist() == [[12, 255], [0, 3]]
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_gray_image_refuses_an_empty_pixel_array(shape, dtype):
+    # one message whatever the dtype: a float array has no min() to check
+    with pytest.raises(ValueError, match=rf"^pixel array is empty, shape \({shape[0]}, {shape[1]}\)$"):
+        GrayImage(np.zeros(shape, dtype))
+
+
 def test_invert():
     img = GrayImage(np.array([[0, 255], [100, 1]], np.uint8))
     assert invert(img).pixels.ravel().tolist() == [255, 0, 155, 254]

@@ -11,6 +11,7 @@ from ridgekit.synth import (
     SynthSpec,
     generate,
     parse_synth_spec,
+    ridge_phase,
 )
 
 
@@ -32,6 +33,15 @@ def test_different_seeds_differ():
     img2, _ = generate(SynthSpec(seed=2, **base))
     assert img1.pixels.tobytes() != img2.pixels.tobytes()
 
+
+@pytest.mark.parametrize("pattern", [ParallelPattern(0.4), ConcentricPattern(-30.0, 200.0)])
+def test_generate_renders_the_ridge_phase(pattern):
+    # the phase that the stage-level truth reads is the one rendered
+    spec = SynthSpec(120, 90, pattern, 7.0, injected=((60, 45, ENDING),))
+    phase, truth = ridge_phase(spec)
+    img, want = generate(spec)
+    assert np.array_equal(img.pixels, np.clip(np.rint(127.5 - 100.0 * np.cos(phase)), 0, 255))
+    assert tuple(truth) == want.minutiae
 
 def test_truth_at_requested_coordinates():
     pts = tuple((40 + 30 * k, 60, ENDING if k % 2 else BIFURCATION) for k in range(3))
