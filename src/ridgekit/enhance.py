@@ -264,32 +264,29 @@ def _projection_signatures(
     Samples are scipy's map_coordinates (order 1, mode "constant") bit for
     bit, (a wy0) wx0 + (b wy0) wx1 + (c wy1) wx0 + (e wy1) wx1 with
     w1 = 1 - w0, and the signature is their np.nanmean over the inside
-    samples. The rows the samples can reach are copied once into a float
-    slab: a 1-px edge-replicated ring (a sample on the last row or column
-    reads it at weight 0, as scipy's clamped tap does) in a zero margin
-    wide enough for the farthest sample, so the taps are the flat indices
-    i, i+1, i+pw, i+pw+1, shifted by the slab's first row. Blocks are
-    sampled in row-major groups of at most BAND_PIXELS / 4 samples, into
-    buffers allocated once; outside samples are multiplied by 0.
+    samples. The image rows that inside samples can reach are copied once
+    into a float slab of the image's width, so the taps are the flat
+    indices i, i+1, i+w, i+w+1 counted from the slab's first row. A tap
+    that is not its pixel (past the last column it reads the next row,
+    past the slab it is off the slab) is read only by an outside sample,
+    which the 0/1 weights zero, or by an inside sample on the last row or
+    column, at a weight of exactly 0. Pixels are finite and non-negative,
+    so each such product is +0.0, and mode "wrap" folds an off-slab index
+    into bounds. Blocks are sampled in row-major groups of at most
+    BAND_PIXELS / 4 samples, into buffers allocated once.
     """
     h, w = data.shape
     bs = orient.block_size
     rows, cols = orient.theta[blocks].shape
     theta = orient.theta[blocks].ravel()
-    margin = math.ceil(math.hypot(window, bs) / 2.0) + 1
-    off = margin + 1  # image column x is slab column x + off
+    # hypot(window, bs) exceeds hypot(window - 1, bs - 1) by more than 1, so
+    # a sample lies less than reach - 1/2 from its block's center cy, and
+    # its taps lie within reach rows of floor(cy)
+    reach = math.ceil(math.hypot(window, bs) / 2.0)
     y0 = np.arange(blocks.start, blocks.start + rows) * bs
     cy = (y0 + np.minimum(y0 + bs, h) - 1) / 2.0
-    top = math.floor(cy[0]) - margin  # image row y is slab row y - top
-    slab = np.zeros((math.floor(cy[-1]) + margin + 1 - top, w + 2 * off))
-    pw, flat = slab.shape[1], slab.ravel()
-    a, z = max(top, 0), min(top + len(slab), h)
-    slab[a - top : z - top, off : off + w] = data[a:z]
-    if top < 0:  # the ring rows above and below the image
-        slab[-1 - top, off : off + w] = data[0]
-    if z - top < len(slab):
-        slab[h - top, off : off + w] = data[h - 1]
-    slab[:, margin], slab[:, off + w] = slab[:, off], slab[:, off + w - 1]
+    top = max(math.floor(cy[0]) - reach, 0)  # image row y is slab row y - top
+    flat = data[top : math.floor(cy[-1]) + reach + 1].astype(float).ravel()
 
     # sample offsets across (k) and along (d) the ridge, per block
     k = (np.arange(window) - (window - 1) / 2.0)[None, :, None]
@@ -319,9 +316,9 @@ def _projection_signatures(
         np.floor(wx0, out=wx1)
         wy -= tap
         wx0 -= wx1
-        tap *= pw
+        tap -= top
+        tap *= w
         tap += wx1
-        tap += off - top * pw
         np.copyto(idx, tap, casting="unsafe")
         np.subtract(1.0, wy, out=wy)
         np.subtract(1.0, wx0, out=wx0)
@@ -331,10 +328,12 @@ def _projection_signatures(
         flat.take(idx, out=val, mode="wrap")
         val *= wy
         val *= wx0
-        for shift, wx in ((1, wx1), (pw, wx0), (pw + 1, wx1)):
-            if shift == pw:  # the lower taps: wy0 becomes wy1 in place
+        for shift, wx in ((1, wx1), (w, wx0), (w + 1, wx1)):
+            if wx is wx0:  # the lower taps: wy0 becomes wy1 in place
                 np.subtract(1.0, wy, out=wy)
-            flat[shift:].take(idx, out=tap, mode="wrap")
+            # a shift past the slab's end (a slab of one row, or of two rows
+            # one column wide) is read only at weight 0; % keeps the view non-empty
+            flat[shift % len(flat) :].take(idx, out=tap, mode="wrap")
             tap *= wy
             tap *= wx
             val += tap
@@ -475,10 +474,11 @@ def gabor_response(
 ) -> np.ndarray:
     """Raw Gabor filter response; zero outside the recoverable region.
 
-    Each recoverable block is filtered with one even-symmetric kernel tuned
-    to its (theta, freq) under an isotropic envelope of width config.sigma;
-    theta is quantized to 1 degree steps and freq to 1e-6, so blocks with
-    the same quantized pair get the same kernel. Each kernel is separable
+    Each recoverable block is filtered with its own even-symmetric kernel
+    tuned to its (theta, freq) under an isotropic envelope of width
+    config.sigma. theta is quantized to 1 degree and freq to 1e-6
+    (_kernel_keys), as the dense K x K reference keys its kernels, so the
+    taps equal that reference's kernels. Each kernel is separable
     into a complex 1-D pair (Areekul et al., "Separable Gabor filter
     realization for fast fingerprint enhancement", ICIP 2005), applied by
     two matrix products, windows @ X, then Y @ that, batched over groups of

@@ -53,28 +53,19 @@ def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[int],
     terminates the last token.
     """
     tokens: list[int] = []
-    i = start
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] != ord("\n"):
-                i += 1
+    for match in re.compile(rb"#[^\n]*|\S+").finditer(data, start):
+        tok = match.group()
+        if tok.startswith(b"#"):  # a comment runs to the end of its line
             continue
-        j = i
-        while j < n and not data[j : j + 1].isspace():
-            j += 1
-        if j == i:
-            raise PgmError("malformed header: truncated before all fields were read")
-        tok = data[i:j]
-        if not re.fullmatch(rb"\d+", tok):
+        if not tok.isdigit():
             raise PgmError(f"malformed header: expected integer, got {tok!r}")
         tokens.append(int(tok))
-        i = j
-    if i >= n or not data[i : i + 1].isspace():
-        raise PgmError("malformed header: missing whitespace after maxval")
-    return tokens, i + 1
+        if len(tokens) == count:
+            end = match.end()
+            if not data[end : end + 1].isspace():
+                raise PgmError("malformed header: missing whitespace after maxval")
+            return tokens, end + 1
+    raise PgmError("malformed header: truncated before all fields were read")
 
 
 def load_pgm(path: str | Path) -> GrayImage:

@@ -375,7 +375,7 @@ def postprocess(
         live[[at[p] for p in branch.tolist() if p in at]] = False
         near_erased[branch[:, None] + np.append(offsets, 0)] = True
         stale |= near_erased[trail].any(axis=1)
-    bits = grid.reshape(h + 2, pw)[1:-1, 1:-1].copy()
+    bits = grid.reshape(h + 2, pw)[1:-1, 1:-1]  # a view: reconnections are drawn into grid
 
     # (2) border
     edge = np.minimum(np.minimum(xs, ys), np.minimum(w - 1 - xs, h - 1 - ys))

@@ -128,28 +128,32 @@ def clean_stripes():
 
 
 @pytest.fixture(scope="session")
-def corpus_bitmaps():
+def corpus_prints():
+    """(image, truth) of each acceptance-corpus print, generated once."""
+    return [generate(corpus_spec(k)) for k in range(20)]
+
+
+@pytest.fixture(scope="session")
+def corpus_bitmaps(corpus_prints):
     """(image_id, binary bits, skeleton bits) of each acceptance-corpus print,
     as the pipeline produces them."""
     from ridgekit.pipeline import extract_from_image
 
     out = []
-    for k in range(20):
-        img, truth = generate(corpus_spec(k))
+    for img, truth in corpus_prints:
         stages = extract_from_image(img, truth.image_id, PipelineConfig()).intermediates
         out.append((truth.image_id, stages["binary"].bits, stages["skeleton"].bits))
     return out
 
 
 @pytest.fixture(scope="session")
-def corpus_enhance_inputs():
+def corpus_enhance_inputs(corpus_prints):
     """(image_id, image, orientation, frequency, mask) of each
     acceptance-corpus print, from the default estimators."""
     from ridgekit import enhance as enh
 
     out = []
-    for k in range(20):
-        img, truth = generate(corpus_spec(k))
+    for img, truth in corpus_prints:
         orient = enh.estimate_orientation(img, NO_GATE)
         freq = enh.estimate_frequency(img, orient, CONFIG)
         mask = enh.compute_region_mask(img, orient, freq, CONFIG)

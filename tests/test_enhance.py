@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
@@ -1124,3 +1124,55 @@ def test_frequency_bit_identical_to_reference_at_edge_exact_angles(name, theta, 
     points = [_sample_points(h, w, orient, PipelineConfig.freq_window, r) for r in range(shape[0])]
     assert any((ys == h - 1).any() or (xs == w - 1).any() for ys, xs in points)
     assert_frequency_matches_reference(img, orient, monkeypatch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(16, 300), w=st.integers(16, 300), bs=st.integers(4, 32),
+       window=st.integers(1, 64), exact=st.booleans(), seed=st.integers(0, 2**16),
+       band_pixels=st.integers(1, 2**15), edge=st.just(False))
+# samples exactly on the last row and column, with images below the window among them
+@example(h=37, w=45, bs=8, window=20, exact=True, seed=2, band_pixels=1, edge=True)
+@example(h=23, w=29, bs=7, window=64, exact=True, seed=0, band_pixels=2**15, edge=True)
+@example(h=100, w=100, bs=16, window=32, exact=True, seed=3, band_pixels=3000, edge=True)
+def test_projection_signatures_equal_the_reference_in_bands_of_one_block_row(
+        h, w, bs, window, exact, seed, band_pixels, edge):
+    # each band's slab holds only the image rows its inside samples reach;
+    # theta at multiples of pi/4 puts samples exactly on the last row and
+    # column, whose +1 taps lie off the slab or on the next row at weight 0
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, (h, w)).astype(np.uint8)
+    shape = (-(-h // bs), -(-w // bs))
+    theta = rng.integers(0, 4, shape) * (np.pi / 4) if exact else rng.uniform(0.0, np.pi, shape)
+    orient = enh.OrientationField(bs, theta, np.ones(shape))
+    if edge:
+        points = [_sample_points(h, w, orient, window, r) for r in range(shape[0])]
+        inside = [(ys >= 0) & (ys <= h - 1) & (xs >= 0) & (xs <= w - 1) for ys, xs in points]
+        assert any((i & (ys == h - 1)).any() for i, (ys, _) in zip(inside, points))
+        assert any((i & (xs == w - 1)).any() for i, (_, xs) in zip(inside, points))
+    with pytest.MonkeyPatch.context() as m:  # one block row per band, groups of 1 block and up
+        m.setattr(image, "BAND_PIXELS", 1 + band_pixels % (2 * w * bs - 1))
+        bands = list(_bands(h, w, bs))
+        got = [enh._projection_signatures(pixels, orient, window, slice(a // bs, -(-b // bs)))
+               for a, b in bands]
+    assert len(bands) == shape[0]
+    want_sig, want_has = _reference_signatures(pixels, orient, window)
+    assert_same_bits(np.concatenate([sig for sig, _ in got]), want_sig)
+    assert np.array_equal(np.concatenate([has for _, has in got]), want_has)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (2, 1), (9, 1), (2, 2)])
+def test_projection_signatures_equal_the_reference_on_slabs_shorter_than_a_tap_shift(shape):
+    # a slab of one row, or of two rows one column wide, ends before the
+    # lower or right taps' shift: those taps are read only at weight 0.
+    # Only the one-row images here have blocks with a signature.
+    h, w = shape
+    pixels = np.random.default_rng(5).integers(0, 256, shape).astype(np.uint8)
+    for bs in (4, 5):
+        grid = (-(-h // bs), -(-w // bs))
+        for window in (1, 2, 3):
+            for theta in np.arange(4) * (np.pi / 4):
+                orient = enh.OrientationField(bs, np.full(grid, theta), np.ones(grid))
+                sig, has_sig = enh._projection_signatures(pixels, orient, window, slice(0, grid[0]))
+                want_sig, want_has = _reference_signatures(pixels, orient, window)
+                assert_same_bits(sig, want_sig)
+                assert np.array_equal(has_sig, want_has)

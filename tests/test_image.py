@@ -82,6 +82,38 @@ def test_load_malformed_header(tmp_path):
         load_pgm(f)
 
 
+@pytest.mark.parametrize("header", [b"P5", b"P5\n2 2", b"P5 # 2 2 255\n", b"P5\n2 # 2\n\n"])
+def test_load_header_truncated_before_all_fields(tmp_path, header):
+    f = tmp_path / "a.pgm"
+    f.write_bytes(header)
+    with pytest.raises(PgmError, match=r"^malformed header: truncated before all fields were read$"):
+        load_pgm(f)
+
+
+@pytest.mark.parametrize("header, token", [(b"P5\n2 -2 255\n", b"-2"), (b"P5\n2 2#c\n255\n", b"2#c"),
+                                           (b"P5 2 2 2x5 ", b"2x5")])
+def test_load_header_names_a_non_integer_field(tmp_path, header, token):
+    f = tmp_path / "a.pgm"
+    f.write_bytes(header + bytes(4))
+    with pytest.raises(PgmError) as err:
+        load_pgm(f)
+    assert str(err.value) == f"malformed header: expected integer, got {token!r}"
+
+
+def test_load_header_needs_whitespace_after_maxval(tmp_path):
+    f = tmp_path / "a.pgm"
+    f.write_bytes(b"P5\n1 1\n# c\n255")  # the maxval runs to the end of the file
+    with pytest.raises(PgmError, match=r"^malformed header: missing whitespace after maxval$"):
+        load_pgm(f)
+
+
+def test_load_header_offset_is_one_past_the_maxval_whitespace(tmp_path):
+    # a comment after the maxval would be raster: its bytes are the pixels
+    f = tmp_path / "a.pgm"
+    f.write_bytes(b"P5 2 # w h\n1 255\t#\n")
+    assert load_pgm(f).pixels.ravel().tolist() == [ord("#"), ord("\n")]
+
+
 def test_load_truncated_data(tmp_path):
     f = tmp_path / "a.pgm"
     f.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
