@@ -77,7 +77,7 @@ def read_key_values(path: str | Path) -> list[tuple[str, str]]:
     stripped; a value may itself contain ``=``.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     pairs = []

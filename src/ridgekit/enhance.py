@@ -86,49 +86,55 @@ def _block_grid(height: int, width: int, block_size: int) -> tuple[int, int]:
 
 
 def _block_sums(shape: tuple[int, int], block_size: int, fill, terms) -> np.ndarray:
-    """Exact int64 sums, (len(terms), rows, cols), over the block_size px
-    blocks of an image of `shape` (partial at the right and bottom edges)
-    of each term: a tuple of one plane index, or of two whose planes are
-    multiplied. fill(y0, y1, out) writes the integer planes of rows y0:y1
-    into out[:, :y1 - y0, :w], int32 rows two columns longer than the
-    blocks, and may use the columns past w as scratch.
+    """Exact int64 sums, (len(terms) + planes, rows, cols), over the
+    block_size px blocks of an image of `shape` (partial at the right and
+    bottom edges) of each term, a tuple of one plane index or of two whose
+    planes are multiplied, then of each plane's square. fill(y0, y1, out)
+    writes the integer planes of rows y0:y1 into out[:, :y1 - y0, :w], int32
+    rows two columns longer than the blocks; the rest of out is its scratch.
 
     Per band of block rows (_bands), the rows and columns past partial
-    blocks zeroed, einsum's sum-of-products loop sums each block's rows per
-    column in int32: exact while block_size |term| < 2^31, for Sobel
+    blocks zeroed where the band has them, einsum's sum-of-products loop
+    sums each block's rows per column in int32, one call per term and one
+    for all squares: exact while block_size |term| < 2^31, for Sobel
     products (|g g| <= 1020^2) up to 2,064 rows, above PipelineConfig's
-    2048 bound. One float64 matrix-vector product then sums the block
-    columns, exactly in any order: every partial sum is an integer < 2^42.
+    2048 bound. One einsum then sums the block columns in int64.
     """
     h, w = shape
     bs = block_size
     rows, cols = _block_grid(h, w, bs)
-    columns = np.empty((len(terms), rows, cols * bs), np.int32)
-    bands = list(_bands(h, w, bs))
     count = 1 + max(max(term) for term in terms)
+    columns = np.empty((len(terms) + count, rows, cols * bs), np.int32)
+    bands = list(_bands(h, w, bs))
     bufs = np.empty((count, -(-bands[0][1] // bs) * bs, cols * bs + 2), np.int32)
     for y0, y1 in bands:
         blocks = slice(y0 // bs, -(-y1 // bs))
         whole = bufs[:, : (blocks.stop - blocks.start) * bs]
         fill(y0, y1, whole)
-        whole[:, y1 - y0 :], whole[:, :, w : cols * bs] = 0, 0  # past partial last blocks
+        if y1 - y0 < whole.shape[1]:  # past a partial last block row
+            whole[:, y1 - y0 :] = 0
+        if w < cols * bs:  # past a partial last block column
+            whole[:, :, w : cols * bs] = 0
         stacked = whole[..., : cols * bs].reshape(count, -1, bs, cols * bs)
         for out, term in zip(columns[:, blocks], terms):
             spec = "ijk,ijk->ik" if len(term) == 2 else "ijk->ik"
             np.einsum(spec, *(stacked[p] for p in term), out=out)
-    sums = columns.reshape(-1, bs) @ np.ones(bs)
-    return sums.astype(np.int64).reshape(len(terms), rows, cols)
+        np.einsum("tijk,tijk->tik", stacked, stacked, out=columns[len(terms) :, blocks])
+    sums = np.einsum("ijk->ij", columns.reshape(-1, cols, bs), dtype=np.int64)
+    return sums.reshape(len(columns), rows, cols)
 
 
 def _gradients(data: np.ndarray, y0: int, y1: int, out: np.ndarray) -> None:
     """Sobel gradients of rows y0:y1 of 8-bit pixels, read with one halo
     row on each side and the edges replicated, into out[0, :n, :w] (gx) and
     out[1, :n, :w] (gy), n = y1 - y0, as ndimage.sobel(mode="nearest") gives
-    them. out's rows must be at least w + 2 long; past w they are scratch.
-    The band lies flat in int16 at that row length, each row's edges copied
-    into its column w and the last column of the row before, so Sobel's
-    [1, 1] passes and differences (|g| <= 4 * 255) run over it at offsets
-    of one row or one column; only the last differences widen, into out."""
+    them. out is int32, at least 3 rows of at least w + 2 values (past w
+    they are scratch). The band lies flat in int16 at that row length, each
+    row's edges copied into its column w and the last column of the row
+    before, so Sobel's [1, 1] passes and differences (|g| <= 4 * 255) run
+    over it at offsets of one row or one column, through an int16 scratch
+    in out[1]'s bytes (R >= 3 rows of x hold 2 R x >= (n + 2) x + 2 values)
+    until gy is written there; only the last differences widen, into out."""
     h, w = data.shape
     n, x = y1 - y0, out.shape[-1]
     q = np.empty((n + 2) * x + 2, np.int16)  # one spare value at each end
@@ -136,7 +142,7 @@ def _gradients(data: np.ndarray, y0: int, y1: int, out: np.ndarray) -> None:
     band[1:-1, :w] = data[y0:y1]
     band[0, :w], band[-1, :w] = data[max(y0 - 1, 0)], data[min(y1, h - 1)]
     band[:, w], q[:-2:x] = band[:, w - 1], band[:, 0]
-    s = np.empty_like(q)
+    s = out[1].reshape(-1).view(np.int16)[: len(q)]
     np.add(q[:-x], q[x:], out=s[:-x])  # [1, 2, 1] down the columns, then the x difference
     np.add(s[: -2 * x], s[x:-x], out=s[: -2 * x])
     np.subtract(s[2 : n * x + 2].reshape(n, x), s[: n * x].reshape(n, x), out=out[0, :n])
@@ -184,7 +190,7 @@ def estimate_orientation(img: GrayImage, config: PipelineConfig) -> OrientationF
     h, w = data.shape
     if h < block_size or w < block_size:
         raise ValueError(f"image {w}x{h} smaller than one {block_size}px block")
-    xy, xx, yy = _block_sums(data.shape, block_size, partial(_gradients, data), ((0, 1), (0, 0), (1, 1)))
+    xy, xx, yy = _block_sums(data.shape, block_size, partial(_gradients, data), ((0, 1),))
     sum_cross, sum_diff = 2 * xy, xx - yy
     coherence = np.hypot(sum_diff, sum_cross) / np.maximum(xx + yy, 1e-12)
     rejection = _coherent_share_gate(coherence, config.reject_threshold)
@@ -410,7 +416,7 @@ def _block_variance(data: np.ndarray, block_size: int) -> tuple[np.ndarray, floa
     extent = [np.diff(np.minimum(np.arange(0, n + block_size, block_size), n)) for n in (h, w)]
     counts = np.multiply.outer(*extent)
     sums, sqsums = _block_sums(data.shape, block_size, lambda y0, y1, out: np.copyto(
-        out[0, : y1 - y0, :w], data[y0:y1]), ((0,), (0, 0)))
+        out[0, : y1 - y0, :w], data[y0:y1]), ((0,),))
     # the capture's in Python ints: n sum I^2 outgrows int64 near 4096^2 pixels
     n, total, sqtotal = h * w, int(sums.sum()), int(sqsums.sum())
     capture = (n * sqtotal - total * total) / (n * n)

@@ -444,7 +444,7 @@ def read_minutiae(path: str | Path) -> tuple[MinutiaeSet, int, int]:
     least 1, every point inside the width x height frame and at its own
     coordinates, and the direction finite.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path}: missing '# image_id width height' header")

@@ -412,6 +412,18 @@ def test_read_minutiae_rejects_malformed(tmp_path):
         read_minutiae(bad)
 
 
+def test_read_minutiae_accepts_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_bytes(b"\xef\xbb\xbf# a 10 10\n1 2 E 30.0\n")
+    back, width, height = read_minutiae(path)
+    assert (back.image_id, width, height) == ("a", 10, 10)
+    assert [(m.x, m.y, m.kind) for m in back.minutiae] == [(1, 2, ENDING)]
+    path.write_bytes(b"# a 10 10\n\xef\xbb\xbf1 2 E 30.0\n")
+    with pytest.raises(ValueError) as exc:
+        read_minutiae(path)
+    assert str(exc.value) == f"{path}: malformed minutia line '\\ufeff1 2 E 30.0'"
+
+
 def test_minutiae_file_round_trips_an_id_with_spaces(tmp_path):
     mset = MinutiaeSet("my  scan", (Minutia(5, 6, ENDING, 0.0),), "postprocessed")
     path = tmp_path / "my  scan.txt"

@@ -109,6 +109,18 @@ def test_read_key_values(tmp_path):
         f"{f}: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte")
 
 
+def test_config_may_start_with_a_byte_order_mark(tmp_path):
+    # editors on Windows save UTF-8 with EF BB BF first; anywhere else the
+    # mark is part of a key
+    f = tmp_path / "bom.cfg"
+    f.write_bytes(b"\xef\xbb\xbfblock_size = 12\n")
+    assert load_config(f).block_size == 12
+    f.write_bytes(b"block_size = 12\n\xef\xbb\xbfsigma = 3\n")
+    with pytest.raises(ValueError) as exc:
+        load_config(f)
+    assert str(exc.value) == f"{f}: unknown config key '\\ufeffsigma'"
+
+
 def test_config_echo_stable():
     a = PipelineConfig().echo_lines()
     b = PipelineConfig().echo_lines()

@@ -173,6 +173,16 @@ def test_parse_rejects_bad_lines(tmp_path):
             parse_synth_spec(f)
 
 
+def test_parse_spec_may_start_with_a_byte_order_mark(tmp_path):
+    f = tmp_path / "spec.txt"
+    f.write_bytes(b"\xef\xbb\xbfwidth = 200\n")
+    assert parse_synth_spec(f) == SynthSpec(width=200)
+    f.write_bytes(b"width = 200\n\xef\xbb\xbfheight = 150\n")
+    with pytest.raises(ValueError) as exc:
+        parse_synth_spec(f)
+    assert str(exc.value) == f"{f}: unknown spec key '\\ufeffheight'"
+
+
 def test_parse_empty_spec_is_the_default_spec(tmp_path):
     f = tmp_path / "spec.txt"
     f.write_text("# nothing set\n")
