@@ -85,28 +85,29 @@ def _block_grid(height: int, width: int, block_size: int) -> tuple[int, int]:
     return math.ceil(height / block_size), math.ceil(width / block_size)
 
 
-def _block_sums(shape: tuple[int, int], block_size: int, fill, terms) -> np.ndarray:
-    """Exact int64 sums, (len(terms) + planes, rows, cols), over the
-    block_size px blocks of an image of `shape` (partial at the right and
-    bottom edges) of each term, a tuple of one plane index or of two whose
-    planes are multiplied, then of each plane's square. fill(y0, y1, out)
-    writes the integer planes of rows y0:y1 into out[:, :y1 - y0, :w], int32
+def _block_sums(shape: tuple[int, int], block_size: int, fill, planes: int) -> np.ndarray:
+    """Exact int64 sums, (1 + planes, rows, cols), over the block_size px
+    blocks of an image of `shape` (partial at the right and bottom edges)
+    of the product of the planes, or of the plane itself when there is one,
+    then of each plane's square. fill(y0, y1, out) writes the `planes` (1
+    or 2) integer planes of rows y0:y1 into out[:, :y1 - y0, :w], int32
     rows two columns longer than the blocks; the rest of out is its scratch.
 
     Per band of block rows (_bands), the rows and columns past partial
     blocks zeroed where the band has them, einsum's sum-of-products loop
-    sums each block's rows per column in int32, one call per term and one
-    for all squares: exact while block_size |term| < 2^31, for Sobel
-    products (|g g| <= 1020^2) up to 2,064 rows, above PipelineConfig's
-    2048 bound. One einsum then sums the block columns in int64.
+    sums each block's rows per column in int32, one call for the product
+    and one for all squares: exact while block_size |product| < 2^31, for
+    Sobel products (|g g| <= 1020^2) up to 2,064 rows, above
+    PipelineConfig's 2048 bound. One einsum then sums the block columns in
+    int64.
     """
     h, w = shape
     bs = block_size
     rows, cols = _block_grid(h, w, bs)
-    count = 1 + max(max(term) for term in terms)
-    columns = np.empty((len(terms) + count, rows, cols * bs), np.int32)
+    columns = np.empty((1 + planes, rows, cols * bs), np.int32)
     bands = list(_bands(h, w, bs))
-    bufs = np.empty((count, -(-bands[0][1] // bs) * bs, cols * bs + 2), np.int32)
+    bufs = np.empty((planes, -(-bands[0][1] // bs) * bs, cols * bs + 2), np.int32)
+    product = ",".join(["ijk"] * planes) + "->ik"
     for y0, y1 in bands:
         blocks = slice(y0 // bs, -(-y1 // bs))
         whole = bufs[:, : (blocks.stop - blocks.start) * bs]
@@ -115,11 +116,9 @@ def _block_sums(shape: tuple[int, int], block_size: int, fill, terms) -> np.ndar
             whole[:, y1 - y0 :] = 0
         if w < cols * bs:  # past a partial last block column
             whole[:, :, w : cols * bs] = 0
-        stacked = whole[..., : cols * bs].reshape(count, -1, bs, cols * bs)
-        for out, term in zip(columns[:, blocks], terms):
-            spec = "ijk,ijk->ik" if len(term) == 2 else "ijk->ik"
-            np.einsum(spec, *(stacked[p] for p in term), out=out)
-        np.einsum("tijk,tijk->tik", stacked, stacked, out=columns[len(terms) :, blocks])
+        stacked = whole[..., : cols * bs].reshape(planes, -1, bs, cols * bs)
+        np.einsum(product, *stacked, out=columns[0, blocks])
+        np.einsum("tijk,tijk->tik", stacked, stacked, out=columns[1:, blocks])
     sums = np.einsum("ijk->ij", columns.reshape(-1, cols, bs), dtype=np.int64)
     return sums.reshape(len(columns), rows, cols)
 
@@ -190,7 +189,7 @@ def estimate_orientation(img: GrayImage, config: PipelineConfig) -> OrientationF
     h, w = data.shape
     if h < block_size or w < block_size:
         raise ValueError(f"image {w}x{h} smaller than one {block_size}px block")
-    xy, xx, yy = _block_sums(data.shape, block_size, partial(_gradients, data), ((0, 1),))
+    xy, xx, yy = _block_sums(data.shape, block_size, partial(_gradients, data), 2)
     sum_cross, sum_diff = 2 * xy, xx - yy
     coherence = np.hypot(sum_diff, sum_cross) / np.maximum(xx + yy, 1e-12)
     rejection = _coherent_share_gate(coherence, config.reject_threshold)
@@ -416,7 +415,7 @@ def _block_variance(data: np.ndarray, block_size: int) -> tuple[np.ndarray, floa
     extent = [np.diff(np.minimum(np.arange(0, n + block_size, block_size), n)) for n in (h, w)]
     counts = np.multiply.outer(*extent)
     sums, sqsums = _block_sums(data.shape, block_size, lambda y0, y1, out: np.copyto(
-        out[0, : y1 - y0, :w], data[y0:y1]), ((0,),))
+        out[0, : y1 - y0, :w], data[y0:y1]), 1)
     # the capture's in Python ints: n sum I^2 outgrows int64 near 4096^2 pixels
     n, total, sqtotal = h * w, int(sums.sum()), int(sqsums.sum())
     capture = (n * sqtotal - total * total) / (n * n)

@@ -46,7 +46,9 @@ class Minutia:
     def __post_init__(self):
         if self.kind not in (ENDING, BIFURCATION):
             raise ValueError(f"unknown minutia kind {self.kind!r}")
-        object.__setattr__(self, "direction", float(self.direction) % (2 * math.pi))
+        # float % rounds a tiny negative remainder up to the divisor itself
+        direction = float(self.direction) % (2 * math.pi)
+        object.__setattr__(self, "direction", 0.0 if direction == 2 * math.pi else direction)
 
 
 @dataclass(frozen=True)

@@ -153,9 +153,12 @@ def run_eval(
     report.txt / report.csv. Rejected images are listed separately and
     excluded from the means; images with missing or empty truth, that
     fail to load or extract, or whose worker process died are reported as
-    errors and skipped. Results are ordered by image id, so reports are
-    identical for any worker count. An empty dataset raises before out_dir
-    is created, as does a worker count below 1.
+    errors and skipped. When a worker dies, the first image not yet
+    collected runs again alone, in a fresh one-worker pool, and is an error
+    only if that worker dies too; the rest go on in a fresh pool. Results
+    are ordered by image id, so reports are identical for any worker count.
+    An empty dataset raises before out_dir is created, as does a worker
+    count below 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -176,14 +179,20 @@ def run_eval(
         # imported here: multiprocessing is needed only by a pool
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-        raw = []
-        try:
-            # ProcessPoolExecutor may start all max_workers processes up front
-            with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-                for row in pool.map(_eval_one, *jobs):
-                    raw.append(row)
-        except BrokenProcessPool:  # rows come in job order; no later one will
-            raw += [("error", Path(p).stem, "worker process died") for p in jobs[0][len(raw):]]
+        raw = []  # rows come in job order, so job len(raw) is the first not collected
+        while len(raw) < n:
+            try:
+                # ProcessPoolExecutor may start all max_workers processes up front
+                with ProcessPoolExecutor(max_workers=min(workers, n - len(raw))) as pool:
+                    for row in pool.map(_eval_one, *(column[len(raw):] for column in jobs)):
+                        raw.append(row)
+            except BrokenProcessPool:  # a worker died: the first job missing runs alone
+                alone = [column[len(raw) : len(raw) + 1] for column in jobs]
+                try:
+                    with ProcessPoolExecutor(max_workers=1) as pool:
+                        raw += pool.map(_eval_one, *alone)
+                except BrokenProcessPool:
+                    raw.append(("error", Path(alone[0][0]).stem, "worker process died"))
     else:
         raw = list(map(_eval_one, *jobs))
 

@@ -405,6 +405,23 @@ def test_minutiae_file_format_exact(tmp_path):
     assert path.read_text() == "# id1 64 64\n5 6 E 0.0\n"
 
 
+@pytest.mark.parametrize("direction", [-1e-20, -1e-300, -0.0, -2 * math.pi, -4 * math.pi,
+                                       -6 * math.pi])
+def test_a_direction_a_hair_below_zero_folds_to_zero(direction):
+    # float % rounds -1e-20 % 2 pi up to 2 pi itself, outside [0, 2 pi)
+    got = Minutia(1, 2, ENDING, direction).direction
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+def test_a_truth_line_a_hair_below_zero_degrees_writes_back_as_zero(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text("# a 10 10\n1 2 E -1e-20\n")
+    back, width, height = read_minutiae(path)
+    assert back.minutiae[0].direction == 0.0
+    write_minutiae(path, back, width, height)
+    assert path.read_text() == "# a 10 10\n1 2 E 0.0\n"
+
+
 def test_read_minutiae_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("5 6 E 0.0\n")

@@ -1,12 +1,14 @@
 import concurrent.futures.process
 import csv
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from conftest import GRID_10, corpus_spec
 from ridgekit.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_REJECTED, main
 from ridgekit.config import PipelineConfig, load_config, read_key_values
-from ridgekit.evaluate import match_minutiae
+from ridgekit.evaluate import EvalRun, format_report_csv, format_report_text, match_minutiae
 from ridgekit.image import GrayImage, save_pgm
 from ridgekit.minutiae import read_minutiae
 import ridgekit
@@ -893,13 +895,57 @@ def test_cli_flag_range_error_keeps_its_message(tmp_path, capsys):
     assert capsys.readouterr().err == "error: block_size must be >= 4\n"
 
 
+_EVAL_ONE = pipeline._eval_one
+
+
+def _dies_on(culprit, image_path, *args):
+    """pipeline._eval_one, except that the worker process exits at once on
+    the image whose stem is culprit. Module-level, so a pool can pickle it."""
+    if Path(image_path).stem == culprit:
+        os._exit(1)
+    return _EVAL_ONE(image_path, *args)
+
+
+def _as_if_their_workers_died(run, culprits):
+    """run with each culprit's row replaced by the error row of a dead worker."""
+    return EvalRun(tuple(r for r in run.results if r.image_id not in culprits), run.rejected,
+                   tuple(sorted(run.errors + tuple((c, "worker process died") for c in culprits))))
+
+
+def _assert_reports_of(out_dir, run):
+    config_lines = PipelineConfig().echo_lines()
+    assert (out_dir / "report.txt").read_text() == format_report_text(run, config_lines)
+    assert (out_dir / "report.csv").read_text() == format_report_csv(run, config_lines)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only a forked worker inherits the patched _eval_one")
+def test_run_eval_loses_only_the_image_whose_worker_died(tmp_path, monkeypatch):
+    # a real worker death on the third of 8 prints: the other 7 score as in
+    # the serial run, and the reports differ from its only by that row
+    data, truthd = build_corpus(tmp_path, n=8)
+    stems = sorted(p.stem for p in data.glob("*.pgm"))
+    serial = run_eval(data, truthd, PipelineConfig(), tmp_path / "serial")
+    assert serial.report.n == 8
+    monkeypatch.setattr(pipeline, "_eval_one", partial(_dies_on, stems[2]))
+    run = run_eval(data, truthd, PipelineConfig(), tmp_path / "out", workers=2)
+    want = _as_if_their_workers_died(serial, {stems[2]})
+    assert run == want and run.report.n == 7
+    _assert_reports_of(tmp_path / "out", want)
+    assert sorted(p.stem for p in (tmp_path / "out").glob("synth_*.txt")) == stems[:2] + stems[3:]
+
+
 def test_run_eval_worker_death_becomes_error_rows(tmp_path, monkeypatch):
     class DyingPool:
-        """Stand-in executor whose result iterator breaks after two rows,
-        as ProcessPoolExecutor.map does when a worker process dies."""
+        """Stand-in executor whose result iterator breaks, as
+        ProcessPoolExecutor.map does when a worker process dies, one row
+        before a deadly image (as if that job were still running in the
+        other worker), or at the deadly image when it runs alone."""
+
+        starts = []
 
         def __init__(self, max_workers):
-            pass
+            self.starts.append(max_workers)
 
         def __enter__(self):
             return self
@@ -908,22 +954,25 @@ def test_run_eval_worker_death_becomes_error_rows(tmp_path, monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            for k, args in enumerate(zip(*iterables)):
-                if k == 2:
+            rows = list(zip(*iterables))
+            for k, args in enumerate(rows):
+                if any(Path(row[0]).stem in deadly for row in rows[k : k + 2]):
                     raise concurrent.futures.process.BrokenProcessPool("a process in the pool was terminated abruptly")
                 yield fn(*args)
 
-    data, truthd = build_corpus(tmp_path, n=4)
+    data, truthd = build_corpus(tmp_path, n=6)
+    stems = sorted(p.stem for p in data.glob("*.pgm"))
+    deadly = {stems[1], stems[4]}
     serial = run_eval(data, truthd, PipelineConfig(), tmp_path / "serial")
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", DyingPool)
     run = run_eval(data, truthd, PipelineConfig(), tmp_path / "out", workers=2)
-    stems = sorted(p.stem for p in data.glob("*.pgm"))
-    assert run.results == serial.results[:2]
-    assert run.errors == tuple((stem, "worker process died") for stem in stems[2:])
-    assert run.report.n == 2
-    text = (tmp_path / "out" / "report.txt").read_text()
-    assert all(stem in text for stem in stems[2:]) and "worker process died" in text
-    assert "worker process died" in (tmp_path / "out" / "report.csv").read_text()
+    want = _as_if_their_workers_died(serial, deadly)
+    assert run == want and run.report.n == 4
+    _assert_reports_of(tmp_path / "out", want)
+    # per death: a pool that breaks, the job before the deadly one alone, a
+    # fresh pool that breaks at the deadly job, that job alone; then the
+    # last pool, of one job
+    assert DyingPool.starts == [2, 1, 2, 1, 2, 1, 2, 1, 1]
 
 
 def test_runtime_never_imports_scipy():

@@ -1,11 +1,11 @@
 """A truth-free oracle: the eight symmetries of the square grid.
 
 A quarter turn or a mirror image of a capture whose sides are whole blocks
-maps its block grid onto itself, so it is a capture of the same finger
-with the same blocks. Every front-end stage must commute with the map:
-the gate must give the same Rejection on each mapped must-reject capture,
-and the enhanced image and the binary bitmap of a mapped print, mapped
-back, must equal the print's own bit for bit. The skeleton may differ,
+maps its block grid onto the mapped capture's, square or not, so it is a
+capture of the same finger with the same blocks. Every front-end stage
+must commute with the map: the gate must give the same Rejection on each
+mapped must-reject capture, and the enhanced image and the binary bitmap
+of a mapped print, mapped back, must equal the print's own bit for bit. The skeleton may differ,
 since thin peels the boundary in a fixed order of directions, so the
 minutiae, mapped back, are held to an agreement floor at the evaluation
 tolerance instead.
@@ -18,13 +18,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import GRID_10
 from test_intensity_scale import _dense_spec
 from ridgekit.config import PipelineConfig
 from ridgekit.evaluate import DEFAULT_TOLERANCE, match_minutiae
 from ridgekit.image import GrayImage
 from ridgekit.minutiae import POSTPROCESSED, Minutia, MinutiaeSet
 from ridgekit.pipeline import extract_from_image
-from ridgekit.synth import generate
+from ridgekit.synth import ConcentricPattern, SynthSpec, generate
 
 CONFIG = PipelineConfig()
 # (quarter turns counterclockwise, transposed first); the identity is left out
@@ -54,12 +55,20 @@ def gate_captures():
             for item in workloads.gate(0)]
 
 
+# 256 px wide and 320 high, whole blocks both ways: the transposing maps
+# give a 320 x 256 capture, whose row bands differ from the print's
+TALL_SPEC = SynthSpec(256, 320, ConcentricPattern(-60.0, -60.0), 8.0,
+                      injected=GRID_10 + ((60, 280, "bifurcation"), (190, 280, "ending")),
+                      noise_amplitude=20.0, seed=7)
+
+
 @pytest.fixture(scope="module")
 def prints(corpus_prints):
-    """Every fifth acceptance print and the 512^2 print of 8 row bands,
-    each with its own extraction."""
+    """Every fifth acceptance print, the 512^2 print of 8 row bands and the
+    256 x 320 print, each with its own extraction."""
     images = {f"corpus_{k:02d}": corpus_prints[k][0] for k in range(0, 20, 5)}
     images["dense_512x512"] = generate(_dense_spec())[0]
+    images["print_256x320"] = generate(TALL_SPEC)[0]
     return {name: (img, extract_from_image(img, name, CONFIG)) for name, img in images.items()}
 
 
@@ -73,7 +82,7 @@ def test_the_gate_rejects_every_mapped_capture_alike(gate_captures, k, t):
 
 @pytest.mark.parametrize("k, t", SYMMETRIES, ids=SYMMETRY_IDS)
 @pytest.mark.parametrize("name", ["corpus_00", "corpus_05", "corpus_10", "corpus_15",
-                                  "dense_512x512"])
+                                  "dense_512x512", "print_256x320"])
 def test_a_mapped_print_maps_back_to_the_same_bitmaps(prints, name, k, t):
     img, want = prints[name]
     h, w = img.pixels.shape
