@@ -23,7 +23,6 @@ class PipelineConfig:
     variance_floor: float = 10.0  # block variance x NORMALIZED_VARIANCE / capture variance
     adjacency_window: int = 6
     border_distance: int = 10
-    reconnect_gap: int = 6
     spur_length: int = 6  # ridge-path distance; endings at <= this are spurs
     tolerance: float = DEFAULT_TOLERANCE
     dump_intermediates: bool = False
@@ -58,7 +57,7 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be <= {bound:g}")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        for name in ("adjacency_window", "border_distance", "reconnect_gap", "spur_length"):
+        for name in ("adjacency_window", "border_distance", "spur_length"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 

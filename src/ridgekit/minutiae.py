@@ -264,29 +264,6 @@ def _spur_walks(flat: np.ndarray, offsets: np.ndarray, starts: np.ndarray,
     return np.stack(trail, axis=1), hit
 
 
-def _segment_pixels(a: tuple[int, int], b: tuple[int, int]) -> list[tuple[int, int]]:
-    """Bresenham pixels strictly between a and b (both (y, x))."""
-    y0, x0 = a
-    y1, x1 = b
-    dx, dy = abs(x1 - x0), -abs(y1 - y0)
-    sx = 1 if x0 < x1 else -1
-    sy = 1 if y0 < y1 else -1
-    err = dx + dy
-    pixels = []
-    x, y = x0, y0
-    while (x, y) != (x1, y1):
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x += sx
-        if e2 <= dx:
-            err += dx
-            y += sy
-        if (x, y) != (x1, y1):
-            pixels.append((y, x))
-    return pixels
-
-
 def close_pairs(a: Sequence[Minutia], b: Sequence[Minutia],
                 reach: float) -> tuple[np.ndarray, np.ndarray]:
     """All index pairs (i, j) with a[i] and b[j] within Chebyshev distance
@@ -308,36 +285,24 @@ def close_pairs(a: Sequence[Minutia], b: Sequence[Minutia],
     return i[keep], j[keep]
 
 
-def _angle_between(a: float, b: float) -> float:
-    d = abs(a - b) % (2 * math.pi)
-    return min(d, 2 * math.pi - d)
-
-
 def postprocess(
     mset: MinutiaeSet, skel: Skeleton, config: PipelineConfig
 ) -> tuple[MinutiaeSet, Skeleton]:
-    """Remove spurious minutiae and repair broken ridges.
+    """Remove spurious minutiae.
 
     In order: (1) spur removal: an ending whose ridge path reaches a
     bifurcation within spur_length steps is deleted together with that
     bifurcation, and the spur branch is erased from the skeleton; (2) border
     removal: minutiae closer than border_distance to an image edge are
-    dropped; (3) broken-ridge reconnection: ending pairs within
-    reconnect_gap, roughly antiparallel, with no ridge pixel between them
-    are removed and the connecting segment is drawn into the skeleton;
-    (4) mutual-adjacency removal: any two minutiae within Chebyshev distance
-    adjacency_window kill each other.
-
-    Reconnection runs before adjacency removal: with the default windows
-    every reconnectable pair is also mutually adjacent, so the stated rules
-    would otherwise never repair a ridge.
+    dropped; (3) mutual-adjacency removal: any two minutiae within Chebyshev
+    distance adjacency_window kill each other. The returned skeleton is the
+    input with the spurs erased.
 
     Spur walks run for all endings in lockstep (_spur_walks); spurs are then
     accepted in ending order, with a live mask over the input minutiae, and a
-    walk that read a pixel next to an erased spur walks again. Reconnection
-    and adjacency take their candidate pairs from one windowed search on
-    y-sorted coordinate arrays (close_pairs); only those few pairs get the
-    angle and segment checks.
+    walk that read a pixel next to an erased spur walks again. Adjacency
+    takes its pairs from one windowed search on y-sorted coordinate arrays
+    (close_pairs).
     """
     h, w = skel.bits.shape
     ms = mset.minutiae
@@ -377,40 +342,12 @@ def postprocess(
         live[[at[p] for p in branch.tolist() if p in at]] = False
         near_erased[branch[:, None] + np.append(offsets, 0)] = True
         stale |= near_erased[trail].any(axis=1)
-    bits = grid.reshape(h + 2, pw)[1:-1, 1:-1]  # a view: reconnections are drawn into grid
 
     # (2) border
     edge = np.minimum(np.minimum(xs, ys), np.minimum(w - 1 - xs, h - 1 - ys))
     live &= edge >= config.border_distance
 
-    # (3) reconnection of broken ridges
-    ends = np.flatnonzero(live & ~is_bif)
-    endings = [ms[k] for k in ends]
-    near_i, near_j = close_pairs(endings, endings, config.reconnect_gap)
-    candidates = []
-    for i, j in zip(near_i.tolist(), near_j.tolist()):
-        if i >= j:
-            continue
-        a, b = endings[i], endings[j]
-        dist = math.hypot(a.x - b.x, a.y - b.y)
-        if dist > config.reconnect_gap:
-            continue
-        if _angle_between(a.direction, b.direction) < math.pi - math.pi / 6:
-            continue
-        candidates.append((dist, i, j, _segment_pixels((a.y, a.x), (b.y, b.x))))
-    candidates.sort(key=lambda t: (t[0], t[1], t[2]))
-    used: set[int] = set()
-    for dist, i, j, between in candidates:
-        if i in used or j in used:
-            continue
-        if any(bits[y, x] for y, x in between):  # a ridge, or an earlier redraw, blocks it
-            continue
-        used.update((i, j))
-        for y, x in between:
-            bits[y, x] = 1
-    live[ends[sorted(used)]] = False
-
-    # (4) mutual adjacency
+    # (3) mutual adjacency
     alive = np.flatnonzero(live)
     survivors = [ms[k] for k in alive]
     near_i, near_j = close_pairs(survivors, survivors, config.adjacency_window)
@@ -420,7 +357,7 @@ def postprocess(
     kept = kept[np.lexsort((xs[kept], ys[kept]))]
     return (
         MinutiaeSet(mset.image_id, tuple(ms[k] for k in kept.tolist()), POSTPROCESSED),
-        Skeleton(bits),
+        Skeleton(grid.reshape(h + 2, pw)[1:-1, 1:-1]),
     )
 
 
@@ -428,13 +365,15 @@ def write_minutiae(path: str | Path, mset: MinutiaeSet, width: int, height: int)
     """Write the shared minutiae/ground-truth text format.
 
     Header line ``# image_id width height``, then one ``x y kind
-    direction_deg`` line per minutia with kind E or B.
+    direction_deg`` line per minutia with kind E or B, the direction
+    rounded to 0.1 degree and taken mod 360, so it never reads 360.0.
     """
     lines = [f"# {mset.image_id} {width} {height}"]
     for m in mset.minutiae:
-        lines.append(
-            f"{m.x} {m.y} {_KIND_CODE[m.kind]} {math.degrees(m.direction):.1f}"
-        )
+        degrees = f"{math.degrees(m.direction):.1f}"
+        if degrees == "360.0":  # a direction within 0.05 degree below 2 pi
+            degrees = "0.0"
+        lines.append(f"{m.x} {m.y} {_KIND_CODE[m.kind]} {degrees}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -25,12 +25,10 @@ from ridgekit.minutiae import (
     _DIRECTION,
     _NEIGHBOR_OFFSETS,
     _UNIT,
-    _angle_between,
     _branch_vectors,
     _clusters,
     _count_grid,
     _minutia_directions,
-    _segment_pixels,
 )
 
 EIGHT = np.ones((3, 3))
@@ -293,7 +291,7 @@ def octagon_ring(y0=16, x0=20, straight=16, corner=4):
 
 def test_gap_reconnection():
     # ring with a 3 px break in the top side: the break makes the only two
-    # endings, and reconnection must close the ring again
+    # endings, 4 px apart, and at the defaults adjacency removes both
     bits = np.zeros((48, 60), np.uint8)
     ring = octagon_ring()
     for y, x in ring:
@@ -305,10 +303,10 @@ def test_gap_reconnection():
     skel = Skeleton(bits)
     raw = extract_minutiae(skel, "gap")
     assert [m.kind for m in raw.minutiae] == [ENDING, ENDING]
-    final, out_skel = postprocess(raw, skel, PipelineConfig())
+    final, _ = postprocess(raw, skel, PipelineConfig())
     assert len(final) == 0
-    for y, x in gap:
-        assert out_skel.bits[y, x] == 1  # segment drawn back in
+    final, _ = postprocess(raw, skel, PipelineConfig(adjacency_window=3))
+    assert len(final) == 2
 
 
 def test_gap_reconnection_merges_components():
@@ -316,23 +314,10 @@ def test_gap_reconnection_merges_components():
     bits[20, 10:26] = 1
     bits[20, 29:46] = 1  # two segments, 3 px apart
     skel = Skeleton(bits)
-    assert ndimage.label(skel.bits, structure=EIGHT)[1] == 2
     raw = extract_minutiae(skel, "merge")
-    final, out_skel = postprocess(raw, skel, PipelineConfig())
-    assert ndimage.label(out_skel.bits, structure=EIGHT)[1] == 1
-    # only the outer endpoints survive
+    final, _ = postprocess(raw, skel, PipelineConfig())
+    # the break endings, 4 px apart, die by adjacency; the outer endpoints survive
     assert sorted((m.x, m.y) for m in final.minutiae) == [(10, 20), (45, 20)]
-
-
-def test_reconnection_blocked_by_crossing_ridge():
-    bits = np.zeros((40, 60), np.uint8)
-    bits[20, 5:26] = 1
-    bits[20, 29:55] = 1
-    bits[10:31, 27] = 1  # a ridge passes through the gap
-    skel = Skeleton(bits)
-    raw = extract_minutiae(skel, "blocked")
-    final, out_skel = postprocess(raw, skel, PipelineConfig(border_distance=3))
-    assert ndimage.label(out_skel.bits, structure=EIGHT)[1] == ndimage.label(bits, structure=EIGHT)[1]
 
 
 def test_border_removal():
@@ -350,7 +335,7 @@ def test_adjacency_removes_both():
     bits[24, 12:18] = 1  # two parallel stubs; their tips at x=17 are 4 apart
     skel = Skeleton(bits)
     raw = extract_minutiae(skel, "adj")
-    final, _ = postprocess(raw, skel, PipelineConfig(border_distance=2, reconnect_gap=0))
+    final, _ = postprocess(raw, skel, PipelineConfig(border_distance=2))
     # tips at (17,20) and (17,24) are Chebyshev 4 <= 6: both die; tail tips at
     # (12,20),(12,24) likewise
     assert len(final) == 0
@@ -420,6 +405,18 @@ def test_a_truth_line_a_hair_below_zero_degrees_writes_back_as_zero(tmp_path):
     assert back.minutiae[0].direction == 0.0
     write_minutiae(path, back, width, height)
     assert path.read_text() == "# a 10 10\n1 2 E 0.0\n"
+
+
+@pytest.mark.parametrize("degrees", ["359.96", "359.97", "359.999"])
+def test_a_truth_line_a_hair_below_360_degrees_writes_back_as_zero(tmp_path, degrees):
+    # the direction lies below 2 pi, but rounds to 360.0 at 0.1 degree
+    path = tmp_path / "a.txt"
+    path.write_text(f"# a 10 10\n1 2 E {degrees}\n")
+    back, width, height = read_minutiae(path)
+    assert 0.0 < back.minutiae[0].direction < 2 * math.pi
+    write_minutiae(path, back, width, height)
+    assert path.read_text() == "# a 10 10\n1 2 E 0.0\n"
+    assert read_minutiae(path)[0].minutiae[0].direction == 0.0
 
 
 def test_read_minutiae_rejects_malformed(tmp_path):
@@ -615,34 +612,6 @@ def _reference_postprocess(mset, skel, params):
         if min(m.x, m.y, w - 1 - m.x, h - 1 - m.y) >= params.border_distance
     ]
 
-    endings = [m for m in current if m.kind == ENDING]
-    candidates = []
-    for i in range(len(endings)):
-        for j in range(i + 1, len(endings)):
-            a, b = endings[i], endings[j]
-            dist = math.hypot(a.x - b.x, a.y - b.y)
-            if dist > params.reconnect_gap:
-                continue
-            if _angle_between(a.direction, b.direction) < math.pi - math.pi / 6:
-                continue
-            between = _segment_pixels((a.y, a.x), (b.y, b.x))
-            if any(bits[y, x] for y, x in between):
-                continue
-            candidates.append((dist, i, j, between))
-    candidates.sort(key=lambda t: (t[0], t[1], t[2]))
-    used = set()
-    removed_ids = set()
-    for dist, i, j, between in candidates:
-        if i in used or j in used:
-            continue
-        if any(bits[y, x] for y, x in between):
-            continue
-        used.update((i, j))
-        for y, x in between:
-            bits[y, x] = 1
-        removed_ids.update((id(endings[i]), id(endings[j])))
-    current = [m for m in current if id(m) not in removed_ids]
-
     doomed = set()
     for i in range(len(current)):
         for j in range(i + 1, len(current)):
@@ -753,7 +722,7 @@ def test_extract_and_postprocess_match_reference_on_corpus(corpus_bitmaps):
 def test_extract_and_postprocess_match_reference_on_random_skeletons():
     for image_id, skel in _random_skeletons():
         for params in (PipelineConfig(), PipelineConfig(adjacency_window=2, border_distance=0,
-                                                        reconnect_gap=12, spur_length=9)):
+                                                        spur_length=9)):
             _assert_matches_references(skel, image_id, params)
 
 
@@ -763,7 +732,7 @@ def test_postprocess_matches_reference_on_raw_noise(seed):
     rng = np.random.default_rng(seed)
     skel = Skeleton((rng.random((48, 64)) < 0.3).astype(np.uint8))
     for params in (PipelineConfig(), PipelineConfig(adjacency_window=1, border_distance=3,
-                                                    reconnect_gap=9, spur_length=3)):
+                                                    spur_length=3)):
         _assert_matches_references(skel, "noise", params)
 
 
@@ -803,32 +772,13 @@ def test_spur_walk_never_steps_back_onto_its_start():
     for y, x in octagon_ring(y0=4, x0=6, straight=3, corner=2) + [(3, 5), (2, 4), (1, 3)]:
         bits[y, x] = 1
     mset = MinutiaeSet("loop", (Minutia(6, 4, ENDING, 0.0), Minutia(3, 1, ENDING, 0.0)), "raw")
-    params = PipelineConfig(adjacency_window=0, border_distance=0, reconnect_gap=0,
+    params = PipelineConfig(adjacency_window=0, border_distance=0,
                             spur_length=20)  # the ring is 20 px round
     final, final_skel = postprocess(mset, Skeleton(bits), params)
     want, want_bits = _reference_postprocess(mset, Skeleton(bits), params)
     assert final.minutiae == want.minutiae
     assert (final_skel.bits == want_bits).all()
     assert want_bits[4, 6] == 1 and want_bits[1, 3] == 0  # only the tail was a spur
-
-
-def test_reconnection_equal_distance_ties_match_reference():
-    bits = np.zeros((70, 60), np.uint8)
-    # the ending at (29, 20) has two antiparallel partners at distance 5:
-    # (34, 20) along the row and (32, 24) on a (3, 4) diagonal
-    bits[20, 10:30] = 1
-    bits[20, 34:50] = 1
-    bits[24, 32:50] = 1
-    # the ending at (40, 50) is the later partner of two endings at
-    # distance 5: (37, 46) and (35, 50)
-    bits[46, 20:38] = 1
-    bits[50, 20:36] = 1
-    bits[50, 40:55] = 1
-    params = PipelineConfig(adjacency_window=2, border_distance=2, reconnect_gap=6, spur_length=6)
-    raw, final = _assert_matches_references(Skeleton(bits), "ties", params)
-    assert {(m.x, m.y) for m in raw.minutiae} - {(m.x, m.y) for m in final.minutiae} == {
-        (29, 20), (34, 20), (37, 46), (40, 50)
-    }
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -849,8 +799,7 @@ def test_spur_bifurcation_ties_match_reference(seed):
     rng.shuffle(minutiae)
     skel = Skeleton(bits)
     mset = MinutiaeSet("ties", tuple(minutiae), "raw")
-    params = PipelineConfig(adjacency_window=0, border_distance=0, reconnect_gap=0,
-                            spur_length=6)
+    params = PipelineConfig(adjacency_window=0, border_distance=0, spur_length=6)
     final, final_skel = postprocess(mset, skel, params)
     want, want_bits = _reference_postprocess(mset, skel, params)
     assert final.minutiae == want.minutiae

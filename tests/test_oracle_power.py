@@ -52,11 +52,11 @@ def _theta_plus_90(monkeypatch):
 
 
 def _no_postprocessing(monkeypatch):
-    # the spur, reconnection and adjacency windows 0; the border rule kept
+    # the spur and adjacency windows 0; the border rule kept
     post = pipeline.postprocess
 
     def windows_0(mset, skel, config):
-        return post(mset, skel, replace(config, spur_length=0, reconnect_gap=0, adjacency_window=0))
+        return post(mset, skel, replace(config, spur_length=0, adjacency_window=0))
 
     monkeypatch.setattr(pipeline, "postprocess", windows_0)
 

@@ -45,7 +45,7 @@ def test_config_validation():
         PipelineConfig(reject_threshold=1.5)
     with pytest.raises(ValueError, match="freq_window"):
         PipelineConfig(freq_window=0)
-    for name in ("adjacency_window", "border_distance", "reconnect_gap", "spur_length"):
+    for name in ("adjacency_window", "border_distance", "spur_length"):
         with pytest.raises(ValueError, match=name):
             PipelineConfig(**{name: -1})
         assert getattr(PipelineConfig(**{name: 0}), name) == 0
@@ -131,7 +131,7 @@ def test_config_echo_stable():
 
 
 def test_config_postprocess_defaults_come_from_params():
-    assert {"adjacency_window = 6", "border_distance = 10", "reconnect_gap = 6",
+    assert {"adjacency_window = 6", "border_distance = 10",
             "spur_length = 6"} <= set(PipelineConfig().echo_lines())
 
 
@@ -242,7 +242,6 @@ EMPTY_RUN_CSV = """\
 # coherence_floor = 0.3
 # dump_intermediates = False
 # freq_window = 32
-# reconnect_gap = 6
 # reject_threshold = 0.25
 # sigma = 4.0
 # smooth_sigma = 1.0
@@ -702,6 +701,18 @@ def test_cli_target_variance_config_key_is_an_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_reconnect_gap_config_key_is_an_input_error(tmp_path, capsys):
+    # post-processing draws no ridge back in, so no key sets a repair distance
+    path, _, _ = write_synth_fixture(tmp_path)
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("reconnect_gap = 6\n")
+    out = tmp_path / "out"
+    code = main(["extract", str(path), "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {cfg}: unknown config key 'reconnect_gap'\n"
+    assert not out.exists()
+
+
 def test_cli_freq_window_longer_than_the_image_is_a_rejection(tmp_path, capsys, monkeypatch):
     # no block can have a signature, so none is sampled and the mask rejects
     def fail(*args):
@@ -849,7 +860,7 @@ def test_config_refuses_non_integer_ints():
     int_keys = [f.name for f in fields(PipelineConfig) if type(f.default) is int]
     assert sorted(int_keys) == [
         "adjacency_window", "block_size", "border_distance", "freq_window",
-        "reconnect_gap", "spur_length",
+        "spur_length",
     ]
     for key in int_keys:
         default = getattr(PipelineConfig, key)
