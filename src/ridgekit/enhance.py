@@ -209,19 +209,20 @@ def estimate_frequency(
 ) -> FrequencyMap:
     """Block-wise ridge frequency from oriented projection peak spacing.
 
-    Each block samples (bilinear) a window x block_size patch centered on
-    the block (window = config.freq_window), its window axis orthogonal to
-    the local ridge direction, and averages along the ridge into a
-    projection signature; blocks where too much of the patch falls outside
-    the image get none. The signature is smoothed (3 taps), its peaks above
-    the signature mean are refined to sub-pixel positions by a parabola, and
-    the mean peak spacing is the ridge period. Blocks with fewer than two
-    peaks or no period in [3, 25] px are marked absent, then filled with the
-    mean of their present 3x3 neighbors (up to 3 passes). Each band of block
-    rows (_bands) is sampled and searched for peaks before the next. A
-    signature needs samples inside the image at both ends of its window,
-    window - 1 px apart, so a window longer than the image diagonal leaves
-    every block absent, and nothing is sampled.
+    Each block samples a window x block_size patch centered on the block
+    (window = config.freq_window), its window axis orthogonal to the local
+    ridge direction, each sample from its nearest pixel, and averages along
+    the ridge into a projection signature; blocks where too much of the
+    patch falls outside the image get none. The signature is smoothed (3
+    taps), its peaks above the signature mean are refined to sub-pixel
+    positions by a parabola, and the mean peak spacing is the ridge period.
+    Blocks with fewer than two peaks or no period in [3, 25] px are marked
+    absent, then filled with the mean of their present 3x3 neighbors (up
+    to 3 passes). Each band of block rows (_bands) is sampled and searched
+    for peaks before the next. A signature needs samples inside the image
+    at both ends of its window, window - 1 px apart, so a window longer
+    than the image diagonal leaves every block absent, and nothing is
+    sampled.
     """
     bs = orient.block_size
     h, w = img.pixels.shape
@@ -232,9 +233,10 @@ def estimate_frequency(
     freq = np.full((rows, cols), np.nan)
     if window - 1 > math.hypot(w - 1, h - 1):
         return FrequencyMap(bs, freq)
+    pixels = np.ascontiguousarray(img.pixels)  # each band reads it as one flat view
     for top, bottom in _bands(h, w, bs):
         blocks = slice(top // bs, -(-bottom // bs))
-        sig, has_sig = _projection_signatures(img.pixels, orient, window, blocks)
+        sig, has_sig = _projection_signatures(pixels, orient, window, blocks)
         freq[blocks][has_sig] = _signature_frequency(sig[has_sig])
     return FrequencyMap(bs, _fill_absent(freq))
 
@@ -266,87 +268,58 @@ def _projection_signatures(
     """estimate_frequency's (rows, cols, window) signatures of the block
     rows `blocks`, and which blocks have one.
 
-    Samples are scipy's map_coordinates (order 1, mode "constant") bit for
-    bit, (a wy0) wx0 + (b wy0) wx1 + (c wy1) wx0 + (e wy1) wx1 with
-    w1 = 1 - w0, and the signature is their np.nanmean over the inside
-    samples. The image rows that inside samples can reach are copied once
-    into a float slab of the image's width, so the taps are the flat
-    indices i, i+1, i+w, i+w+1 counted from the slab's first row. A tap
-    that is not its pixel (past the last column it reads the next row,
-    past the slab it is off the slab) is read only by an outside sample,
-    which the 0/1 weights zero, or by an inside sample on the last row or
-    column, at a weight of exactly 0. Pixels are finite and non-negative,
-    so each such product is +0.0, and mode "wrap" folds an off-slab index
-    into bounds. Blocks are sampled in row-major groups of at most
-    BAND_PIXELS / 4 samples, into buffers allocated once.
+    Each sample is its nearest pixel, floor(t + 0.5) on each axis, inside
+    when 0 <= y <= h-1 and 0 <= x <= w-1 before rounding: scipy's
+    map_coordinates (order 0, mode "constant") bit for bit. A signature is
+    an exact integer sum over its inside samples divided by their count, so
+    it equals their np.nanmean whatever the order of the sum. Blocks are
+    sampled in row-major groups of at most BAND_PIXELS / 2 samples, 27 B
+    each in buffers allocated once: under half a MiB.
     """
     h, w = data.shape
     bs = orient.block_size
     rows, cols = orient.theta[blocks].shape
     theta = orient.theta[blocks].ravel()
-    # hypot(window, bs) exceeds hypot(window - 1, bs - 1) by more than 1, so
-    # a sample lies less than reach - 1/2 from its block's center cy, and
-    # its taps lie within reach rows of floor(cy)
-    reach = math.ceil(math.hypot(window, bs) / 2.0)
-    y0 = np.arange(blocks.start, blocks.start + rows) * bs
-    cy = (y0 + np.minimum(y0 + bs, h) - 1) / 2.0
-    top = max(math.floor(cy[0]) - reach, 0)  # image row y is slab row y - top
-    flat = data[top : math.floor(cy[-1]) + reach + 1].astype(float).ravel()
-
+    flat = data.ravel()
     # sample offsets across (k) and along (d) the ridge, per block
     k = (np.arange(window) - (window - 1) / 2.0)[None, :, None]
     d = (np.arange(bs) - (bs - 1) / 2.0)[None, None, :]
+    y0 = np.arange(blocks.start, blocks.start + rows) * bs
     x0 = np.arange(cols) * bs
+    cy = np.repeat((y0 + np.minimum(y0 + bs, h) - 1) / 2.0, cols)[:, None, None]
     cx = np.tile((x0 + np.minimum(x0 + bs, w) - 1) / 2.0, rows)[:, None, None]
-    cy = np.repeat(cy, cols)[:, None, None]
     ux, uy, vx, vy = (f(a)[:, None, None] for a in (theta + np.pi / 2, theta)
                       for f in (np.cos, np.sin))
-    groups = list(_bands(rows * cols, 4 * window * bs))  # 6 buffers: 1.5 BAND_PIXELS values
+    groups = list(_bands(rows * cols, 2 * window * bs))
     shape = (groups[0][1], window, bs)
-    buffers = [np.empty(shape, t) for t in [float] * 5 + [np.intp, bool, bool]]
+    yx = np.empty((2, *shape))
+    buffers = [np.empty(shape, t) for t in (np.intp, np.uint8, bool, bool)]
     sig, ones = np.zeros((rows * cols, window)), np.ones(bs)
     has_sig = np.zeros(rows * cols, dtype=bool)
     for c0, c1 in groups:
-        wy, wx0, wx1, val, tap, idx, inside, edge = (b[: c1 - c0] for b in buffers)
+        idx, val, inside, edge = (b[: c1 - c0] for b in buffers)
         g = slice(c0, c1)
-        np.add(cx[g] + k * ux[g], d * vx[g], out=wx0)
-        np.add(cy[g] + k * uy[g], d * vy[g], out=wy)
-        np.greater_equal(wy, 0, out=inside)
-        inside &= np.less_equal(wy, h - 1, out=edge)
-        inside &= np.greater_equal(wx0, 0, out=edge)
-        inside &= np.less_equal(wx0, w - 1, out=edge)
-        # the floors give the top-left tap's flat index, then
-        # w0 = 1 - (t - floor t) replaces t, and w1 = 1 - w0
-        np.floor(wy, out=tap)
-        np.floor(wx0, out=wx1)
-        wy -= tap
-        wx0 -= wx1
-        tap -= top
-        tap *= w
-        tap += wx1
-        np.copyto(idx, tap, casting="unsafe")
-        np.subtract(1.0, wy, out=wy)
-        np.subtract(1.0, wx0, out=wx0)
-        np.subtract(1.0, wx0, out=wx1)
-        # mode "wrap" (every index is in bounds) takes into out= without
-        # the copy that the default "raise" makes
-        flat.take(idx, out=val, mode="wrap")
-        val *= wy
-        val *= wx0
-        for shift, wx in ((1, wx1), (w, wx0), (w + 1, wx1)):
-            if wx is wx0:  # the lower taps: wy0 becomes wy1 in place
-                np.subtract(1.0, wy, out=wy)
-            # a shift past the slab's end (a slab of one row, or of two rows
-            # one column wide) is read only at weight 0; % keeps the view non-empty
-            flat[shift % len(flat) :].take(idx, out=tap, mode="wrap")
-            tap *= wy
-            tap *= wx
-            val += tap
-        np.copyto(tap, inside)  # 0/1 weights
-        val *= tap
-        counts = tap @ ones  # sums of 0s and 1s: exact in any order
+        y, x = part = yx[:, : c1 - c0]
+        np.add(cy[g] + k * uy[g], d * vy[g], out=y)
+        np.add(cx[g] + k * ux[g], d * vx[g], out=x)
+        np.greater_equal(y, 0, out=inside)
+        inside &= np.less_equal(y, h - 1, out=edge)
+        inside &= np.greater_equal(x, 0, out=edge)
+        inside &= np.less_equal(x, w - 1, out=edge)
+        for t in (y, x):
+            t += 0.5
+            np.floor(t, out=t)
+        y *= w
+        y += x  # the nearest pixel's flat index, exact
+        np.copyto(idx, y, casting="unsafe")
+        # an outside sample's index may leave the image: "clip" keeps it in
+        # bounds (and takes into out= without a copy), and its 0 weight drops it
+        flat.take(idx, out=val, mode="clip")
+        np.multiply(val, inside, out=y)
+        np.copyto(x, inside)
+        sums, counts = part @ ones  # integers: exact in any order
         ok = has_sig[g] = (counts >= bs // 2).all(axis=1)
-        sig[g][ok] = val.sum(axis=2)[ok] / counts[ok]  # nanmean's sum, in its order
+        sig[g][ok] = sums[ok] / counts[ok]
     return sig.reshape(rows, cols, window), has_sig.reshape(rows, cols)
 
 

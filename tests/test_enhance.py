@@ -135,7 +135,7 @@ def _oriented_signature(data, cx, cy, theta, window, depth):
     xs = cx + k * ux + d * vx
     ys = cy + k * uy + d * vy
     vals = ndimage.map_coordinates(
-        data, np.stack([ys, xs]), order=1, mode="constant", cval=np.nan
+        data, np.stack([ys, xs]), order=0, mode="constant", cval=np.nan
     )
     counts = np.isfinite(vals).sum(axis=1)
     if (counts < depth // 2).any():
@@ -715,7 +715,7 @@ def test_stacked_gaussian_matches_scipy_on_each_grid(shape, sigma):
 
 
 @pytest.mark.parametrize("shape", [(40, 61), (1, 7), (7, 1), (2, 2)])
-def test_bilinear_matches_scipy(shape):
+def test_nearest_pixel_matches_scipy(shape):
     rng = np.random.default_rng(11)
     data = rng.normal(100.0, 60.0, shape)
     h, w = shape
@@ -732,10 +732,15 @@ def test_bilinear_matches_scipy(shape):
     for k, x in enumerate((0.0, w - 1.0, -1e-9, w - 1 + 1e-9)):
         xs[4000 + 500 * k : 4500 + 500 * k] = x
     ys[6000:6500], xs[6000:6500] = h - 1.0, w - 1.0
-    want = ndimage.map_coordinates(data, np.stack([ys, xs]), order=1,
+    # exact ties k + 1/2 (-1/2 and h - 1/2 outside), and the doubles just
+    # below 1/2, where t + 0.5 rounds up to 1
+    ys[17000:18500] = rng.integers(-1, h, 1500) + 0.5
+    xs[17500:19000] = rng.integers(-1, w, 1500) + 0.5
+    ys[19000:19500] = xs[19500:] = np.nextafter(0.5, 0.0)
+    want = ndimage.map_coordinates(data, np.stack([ys, xs]), order=0,
                                    mode="constant", cval=np.nan)
     assert np.isnan(want).any() and np.isfinite(want).any()
-    got = _bilinear(data, ys.reshape(40, 500), xs.reshape(40, 500))
+    got = _nearest_pixel(data, ys.reshape(40, 500), xs.reshape(40, 500))
     assert np.array_equal(got.ravel(), want, equal_nan=True)
 
 
@@ -747,23 +752,15 @@ def test_bilinear_matches_scipy(shape):
 # must reproduce them bit for bit, signed zeros and NaN included.
 
 
-def _bilinear(data, ys, xs):
-    """ndimage.map_coordinates(data, [ys, xs], order=1, mode="constant",
-    cval=nan) bit for bit: NaN unless 0 <= y <= h-1 and 0 <= x <= w-1."""
+def _nearest_pixel(data, ys, xs):
+    """ndimage.map_coordinates(data, [ys, xs], order=0, mode="constant",
+    cval=nan) bit for bit: the pixel at floor(t + 0.5) on each axis, NaN
+    unless 0 <= y <= h-1 and 0 <= x <= w-1."""
     h, w = data.shape
     inside = (ys >= 0) & (ys <= h - 1) & (xs >= 0) & (xs <= w - 1)
-    y0, x0 = np.floor(ys), np.floor(xs)
-    # flat index of the top-left tap; a +1 tap past the last row or column
-    # stays on it (its weight is 0 there)
-    iy = np.clip(y0, 0, h - 1).astype(np.intp)
-    ix = np.clip(x0, 0, w - 1).astype(np.intp)
-    i00 = iy * w + ix
-    i01 = i00 + (ix < w - 1)
-    down = (iy < h - 1) * w
-    wy0, wx0 = 1.0 - (ys - y0), 1.0 - (xs - x0)
-    wy1, wx1 = 1.0 - wy0, 1.0 - wx0  # scipy's last weight: 1 - the others
-    t = (data.take(i00) * wy0 * wx0 + data.take(i01) * wy0 * wx1
-         + data.take(i00 + down) * wy1 * wx0 + data.take(i01 + down) * wy1 * wx1)
+    iy = np.clip(np.floor(ys + 0.5), 0, h - 1).astype(np.intp)
+    ix = np.clip(np.floor(xs + 0.5), 0, w - 1).astype(np.intp)
+    t = data[iy, ix].astype(float)
     t[~inside] = np.nan
     return t
 
@@ -813,7 +810,7 @@ def _reference_signatures(data, orient, window, blocks=slice(None)):
     sig = np.zeros((len(rows), orient.theta.shape[1], window))
     has_sig = np.zeros(sig.shape[:2], dtype=bool)
     for i, r in enumerate(rows):
-        vals = _bilinear(data, *_sample_points(h, w, orient, window, r))
+        vals = _nearest_pixel(data, *_sample_points(h, w, orient, window, r))
         has_sig[i] = (np.isfinite(vals).sum(axis=2) >= bs // 2).all(axis=1)
         sig[i, has_sig[i]] = np.nanmean(vals[has_sig[i]], axis=2)
     return sig, has_sig
@@ -1139,9 +1136,8 @@ def test_frequency_bit_identical_to_reference_at_edge_exact_angles(name, theta, 
 @example(h=100, w=100, bs=16, window=32, exact=True, seed=3, band_pixels=3000, edge=True)
 def test_projection_signatures_equal_the_reference_in_bands_of_one_block_row(
         h, w, bs, window, exact, seed, band_pixels, edge):
-    # each band's slab holds only the image rows its inside samples reach;
     # theta at multiples of pi/4 puts samples exactly on the last row and
-    # column, whose +1 taps lie off the slab or on the next row at weight 0
+    # column, and on the ties k + 1/2 that round to the next pixel
     rng = np.random.default_rng(seed)
     pixels = rng.integers(0, 256, (h, w)).astype(np.uint8)
     shape = (-(-h // bs), -(-w // bs))
@@ -1165,9 +1161,10 @@ def test_projection_signatures_equal_the_reference_in_bands_of_one_block_row(
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (2, 1), (9, 1), (2, 2)])
 def test_projection_signatures_equal_the_reference_on_slabs_shorter_than_a_tap_shift(shape):
-    # a slab of one row, or of two rows one column wide, ends before the
-    # lower or right taps' shift: those taps are read only at weight 0.
-    # Only the one-row images here have blocks with a signature.
+    # images of one row or one column, where a nearest pixel on the last
+    # row or column is the last pixel of the flat image, and where outside
+    # samples' indices are clipped onto it. Only the one-row images here
+    # have blocks with a signature.
     h, w = shape
     pixels = np.random.default_rng(5).integers(0, 256, shape).astype(np.uint8)
     for bs in (4, 5):
