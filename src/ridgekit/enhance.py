@@ -412,9 +412,9 @@ def _kernel_keys(theta: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _separable_bank(
     degrees: np.ndarray, freqs: np.ndarray, sigma: float, half: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The Gabor kernel of each (degrees, freq) key as an x-pass and a
-    y-pass filter, each (len(degrees), K, 3): K taps of three channels.
+    y-pass filter, stacked (2, len(degrees), K, 3): K taps of three channels.
 
     The kernel on the K x K grid dx, dy in [-half, half] is
     exp(-(dx^2 + dy^2) / 2 sigma^2) cos(2 pi freq (dx ux + dy uy)) minus its
@@ -443,25 +443,25 @@ def _separable_bank(
     x_bank[..., 2] = 1.0
     np.negative(y_bank[..., 1], out=y_bank[..., 1])
     y_bank[..., 2] = -((sums[0] * sums[1]).real / size**2)[:, None]
-    return x_bank, y_bank
+    return banks
 
 
 def gabor_response(
     img: GrayImage, orient: OrientationField, freq: FrequencyMap, mask: RegionMask,
     config: PipelineConfig,
 ) -> np.ndarray:
-    """Raw Gabor filter response; zero outside the recoverable region.
+    """Raw Gabor filter response, float32; zero outside the recoverable region.
 
     Each recoverable block is filtered with its own even-symmetric kernel
     tuned to its (theta, freq) under an isotropic envelope of width
     config.sigma. theta is quantized to 1 degree and freq to 1e-6
-    (_kernel_keys), as the dense K x K reference keys its kernels, so the
-    taps equal that reference's kernels. Each kernel is separable
-    into a complex 1-D pair (Areekul et al., "Separable Gabor filter
-    realization for fast fingerprint enhancement", ICIP 2005), applied by
-    two matrix products, windows @ X, then Y @ that, batched over groups of
-    recoverable blocks. Each band of block rows (_bands) reads its windows
-    from its own reflect-padded slab.
+    (_kernel_keys), as the dense K x K reference keys its kernels. Each
+    kernel is separable into a complex 1-D pair (Areekul et al., "Separable
+    Gabor filter realization for fast fingerprint enhancement", ICIP 2005),
+    whose float64 taps (_separable_bank) are rounded to float32 once per band
+    of block rows (_bands). Two float32 matrix products apply them, windows
+    @ X, then Y @ that, batched over groups of recoverable blocks; each band
+    reads its windows from its own reflect-padded float32 slab.
 
     A 1-D pass of filter k over a block's padded window is a product with
     B[u, j] = k[u - j] (0 <= u - j <= 2 half, else 0). X holds a block's
@@ -498,8 +498,8 @@ def gabor_response(
     padded_rows = np.pad(np.arange(h), (half, half + rows * bs - h), mode="reflect")
     padded_cols = np.pad(np.arange(w), (half, half + cols * bs - w), mode="reflect")
     group = max(1, BAND_PIXELS // (2 * span * span))
-    x_mats = np.zeros((group, 3, bs, span))
-    y_mats = np.zeros((group, bs, span, 3))
+    x_mats = np.zeros((group, 3, bs, span), np.float32)
+    y_mats = np.zeros((group, bs, span, 3), np.float32)
     # the bands: each row of a block's X (Y) starts one column (u) right of the last
     s = x_mats.strides
     x_band = as_strided(x_mats, (group, 3, bs, size), (s[0], s[1], s[2] + s[3], s[3]))
@@ -508,7 +508,7 @@ def gabor_response(
     x = x_mats.reshape(group, 3 * bs, span).swapaxes(1, 2)
     y = y_mats.reshape(group, bs, 3 * span)
 
-    response = np.zeros((rows * bs, cols * bs))
+    response = np.zeros((rows * bs, cols * bs), np.float32)
     blocks = response.reshape(rows, bs, cols, bs).swapaxes(1, 2)
     for top, bottom in _bands(h, w, bs):
         r0, r1 = top // bs, -(-bottom // bs)
@@ -517,11 +517,11 @@ def gabor_response(
         degrees, freqs = _kernel_keys(orient.theta[r0:r1][labels], freq.freq[r0:r1][labels])
         if not len(degrees):
             continue
-        x_taps, y_taps = _separable_bank(degrees, freqs, sigma, half)
+        x_taps, y_taps = _separable_bank(degrees, freqs, sigma, half).astype(np.float32)
         x_taps, y_taps = x_taps.swapaxes(1, 2), y_taps.reshape(len(degrees), 3 * size)
         # column-major: the band's rows, transposed while uint8, then cast contiguously
         slab = (data.take(padded_rows[top : r1 * bs + 2 * half], axis=0).T
-                .take(padded_cols, axis=0).astype(np.float64).T)
+                .take(padded_cols, axis=0).astype(np.float32).T)
         windows = sliding_window_view(slab, (span, span))[::bs, ::bs]  # [r, c] at (r bs, c bs)
         # the runs of recoverable blocks, row-major: start and stop alternate
         rs, edges = np.nonzero(np.diff(labels, axis=1, prepend=False, append=False))
@@ -544,18 +544,22 @@ def gabor_enhance(
 ) -> GrayImage:
     """Gabor band-pass enhancement, rescaled to an 8-bit image.
 
-    Recoverable pixels carry the rescaled filter response (ridges stay
-    dark); unrecoverable pixels are set to the background intensity. A
-    constant response maps to mid-gray (the kernels are DC-free). The
-    response is rescaled in place.
+    Recoverable pixels carry the float32 filter response, rescaled in place
+    (ridges stay dark); unrecoverable pixels are set to the background
+    intensity. A response flat to within twice its rounding bound maps to
+    mid-gray, as a constant capture's (the kernels are DC-free). Each term
+    y_ch[t] x_ch[s] p (p <= 255) of a value takes at most n = 4K + 2 float32
+    roundings, K = 2 ceil(3 sigma) + 1, so the value is within gamma_n 255
+    3 E^2 of exact, gamma_n = n u / (1 - n u), u = 2^-24: E = 1 + sqrt(2 pi)
+    sigma bounds the envelope's sum, 3 E^2 the taps' sum_ch |y_ch|_1 |x_ch|_1.
     """
     response = gabor_response(img, orient, freq, mask, config)
-    h, w = response.shape
-    sel = mask.pixel_mask(h, w)
-    out = np.full((h, w), BACKGROUND_INTENSITY, dtype=np.uint8)
+    sel = mask.pixel_mask(*response.shape)
+    out = np.full(response.shape, BACKGROUND_INTENSITY, dtype=np.uint8)
     if sel.any():
         lo, hi = response.min(where=sel, initial=np.inf), response.max(where=sel, initial=-np.inf)
-        if hi - lo < 1e-12:
+        n, e = 8 * math.ceil(3.0 * config.sigma) + 6, 1 + math.sqrt(2 * math.pi) * config.sigma
+        if hi - lo <= 2 * n * 2.0**-24 / (1 - n * 2.0**-24) * 255 * 3 * e * e:
             out[sel] = 128
         else:  # rint((v - lo) * 255 / (hi - lo)) in place, in that order
             response -= lo

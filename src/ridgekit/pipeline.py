@@ -94,15 +94,11 @@ def _extract_and_write(img: GrayImage, stem: str, config: PipelineConfig,
     write_minutiae(out_dir / f"{stem}.txt", outcome.minutiae, img.width, img.height)
     if config.dump_intermediates:
         inter = outcome.intermediates
-        save_pgm(inter["enhanced"], out_dir / f"{stem}_enhanced.pgm")
-        save_pgm(inter["binary"], out_dir / f"{stem}_binary.pgm")
-        save_pgm(inter["skeleton"], out_dir / f"{stem}_skeleton.pgm")
-        (out_dir / f"{stem}_orientation.txt").write_text(
-            enh.orientation_to_text(inter["orientation"]), encoding="utf-8"
-        )
-        (out_dir / f"{stem}_frequency.txt").write_text(
-            enh.frequency_to_text(inter["frequency"]), encoding="utf-8"
-        )
+        for name in ("enhanced", "binary", "skeleton"):
+            save_pgm(inter[name], out_dir / f"{stem}_{name}.pgm")
+        for name, to_text in (("orientation", enh.orientation_to_text),
+                              ("frequency", enh.frequency_to_text)):
+            (out_dir / f"{stem}_{name}.txt").write_text(to_text(inter[name]), encoding="utf-8")
     return outcome
 
 

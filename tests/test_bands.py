@@ -17,6 +17,7 @@ from test_enhance import (
     _reference_block_variance,
     _reference_orientation,
     _reference_signatures,
+    assert_enhanced_near,
     assert_same_bits,
 )
 from ridgekit import enhance as enh
@@ -87,9 +88,9 @@ def test_bands_split_the_front_end_bit_identically(name, monkeypatch):
     assert_same_bits(response, _reference_banded(img, orient, freq, mask, CONFIG))
     sel = mask.pixel_mask(h, w)
     assert np.array_equal(enhanced.pixels, _parent_enhance(response, sel))
-    with monkeypatch.context() as m:
+    with monkeypatch.context() as m:  # float32 against float64: 0, 1 and 3 pixels differ
         m.setattr(enh, "gabor_response", _dense_reference)
-        assert np.array_equal(enhanced.pixels, enh.gabor_enhance(img, orient, freq, mask, CONFIG).pixels)
+        assert_enhanced_near(enhanced, enh.gabor_enhance(img, orient, freq, mask, CONFIG), mask, 6)
 
     work = invert(enhanced)
     want = int(np.rint(work.pixels[sel].astype(np.float64).mean()))
@@ -120,15 +121,15 @@ def _peak(fn):
 
 
 def test_front_end_allocates_no_image_sized_temporary_at_512():
-    # each stage may allocate its output once (Gabor response, enhanced
-    # image) and at most 1 MiB besides
+    # each stage may allocate its output once (the float32 Gabor response,
+    # enhanced image) and at most 1 MiB besides
     img = BAND_IMAGES["512x512"]()
     orient = enh.estimate_orientation(img, NO_GATE)
     freq = enh.estimate_frequency(img, orient, CONFIG)
     mask = enh.compute_region_mask(img, orient, freq, CONFIG)
     assert isinstance(mask, enh.RegionMask) and mask.labels.all()
     work = invert(enh.gabor_enhance(img, orient, freq, mask, CONFIG))
-    image_bytes = 512 * 512 * 8
+    image_bytes = 512 * 512 * 4
     stages = {
         "estimate_orientation": (lambda: enh.estimate_orientation(img, NO_GATE), 0),
         "estimate_frequency": (lambda: enh.estimate_frequency(img, orient, CONFIG), 0),

@@ -9,11 +9,13 @@ lines hold the sha256 of report.txt and report.csv of a run_eval over the
 prints, one capture with a one-point truth (a rejected row) and one print
 without a truth file (an error row).
 
-The enhanced pixels are not locked: they are rounded from float64 Gabor
-responses and follow numpy's SIMD dispatch. With every dispatched feature
-above the x86-64-v2 baseline turned off
-(NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"), 4
-pixels of corpus_00 round one step the other way, while every line of the
+The enhanced pixels are not locked: they are rounded from float32 Gabor
+responses, whose sgemm rounding follows the OpenBLAS kernel, and follow
+numpy's SIMD dispatch. Under OPENBLAS_CORETYPE=Prescott (or Sandybridge),
+18 pixels of 11 corpus prints and the 512^2 print round one step the
+other way. With every dispatched feature above the x86-64-v2 baseline
+turned off (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL
+AVX512_SPR"), 5 pixels of corpus_00 do; with both, 24. Every line of the
 lock stays the same.
 
 A change that alters outputs on purpose regenerates the file and names the

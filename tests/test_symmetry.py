@@ -4,8 +4,10 @@ A quarter turn or a mirror image of a capture whose sides are whole blocks
 maps its block grid onto the mapped capture's, square or not, so it is a
 capture of the same finger with the same blocks. Every front-end stage
 must commute with the map: the gate must give the same Rejection on each
-mapped must-reject capture, and the enhanced image and the binary bitmap
-of a mapped print, mapped back, must equal the print's own bit for bit. The skeleton may differ,
+mapped must-reject capture, and the binary bitmap of a mapped print,
+mapped back, must equal the print's own bit for bit. Its enhanced image,
+rounded from float32 Gabor responses, may differ by 1 level on a few
+pixels. The skeleton may differ,
 since thin peels the boundary in a fixed order of directions, so the
 minutiae, mapped back, are held to an agreement floor at the evaluation
 tolerance instead.
@@ -89,9 +91,14 @@ def test_a_mapped_print_maps_back_to_the_same_bitmaps(prints, name, k, t):
     assert h % CONFIG.block_size == 0 and w % CONFIG.block_size == 0
     got = extract_from_image(GrayImage(_map(img.pixels, k, t)), name, CONFIG)
     assert not want.rejected and not got.rejected
-    for stage, field in (("enhanced", "pixels"), ("binary", "bits")):
-        back = _unmap(getattr(got.intermediates[stage], field), k, t)
-        assert np.array_equal(back, getattr(want.intermediates[stage], field)), stage
+    back = _unmap(got.intermediates["binary"].bits, k, t)
+    assert np.array_equal(back, want.intermediates["binary"].bits)
+    # float32 Gabor sums run in another order on the mapped grid, so a value
+    # near a half may round one level the other way: 8 pixels at most
+    # measured in one case, 100 over the 42
+    back = _unmap(got.intermediates["enhanced"].pixels, k, t).astype(np.int16)
+    diff = np.abs(back - want.intermediates["enhanced"].pixels)
+    assert diff.max() <= 1 and np.count_nonzero(diff) <= 12, np.count_nonzero(diff)
     # each mapped pixel's coordinates in the print, read off mapped index grids
     ys, xs = (_map(a, k, t) for a in np.mgrid[0:h, 0:w])
     mapped = [Minutia(int(xs[m.y, m.x]), int(ys[m.y, m.x]), m.kind, 0.0)
