@@ -1,5 +1,7 @@
 """Pipeline configuration: one flat record of every tunable, loadable from a
-key = value file with CLI overrides, echoed into reports."""
+key = value file with CLI overrides, echoed into reports. The widths that
+Hong's method fixes (orientation smoothing, frequency window, Gabor
+envelope) are constants of the enhance module, not keys."""
 
 from __future__ import annotations
 
@@ -8,16 +10,12 @@ from dataclasses import dataclass, fields
 from numbers import Real
 from pathlib import Path
 
-from .enhance import MAX_RIDGE_PERIOD
 from .evaluate import DEFAULT_TOLERANCE
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     block_size: int = 16
-    smooth_sigma: float = 1.0  # in blocks
-    freq_window: int = 32
-    sigma: float = 4.0  # px, isotropic Gabor envelope (Hong et al. 1998)
     reject_threshold: float = 0.25
     coherence_floor: float = 0.3
     variance_floor: float = 10.0  # block variance x NORMALIZED_VARIANCE / capture variance
@@ -43,18 +41,8 @@ class PipelineConfig:
             raise ValueError("block_size must be >= 4")
         if self.block_size > 2048:  # the int32 gradient sums: 2048 x 1020^2 < 2^31
             raise ValueError("block_size must be <= 2048")
-        if self.smooth_sigma < 0:
-            raise ValueError("smooth_sigma must be >= 0")
-        if self.freq_window < 1:
-            raise ValueError("freq_window must be >= 1")
         if not 0.0 <= self.reject_threshold <= 1.0:
             raise ValueError("reject_threshold must lie in [0, 1]")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        # a Gaussian kernel spans 6 sigma: bound what a config can allocate
-        for name, bound in (("sigma", MAX_RIDGE_PERIOD), ("smooth_sigma", 16.0)):
-            if getattr(self, name) > bound:
-                raise ValueError(f"{name} must be <= {bound:g}")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         for name in ("adjacency_window", "border_distance", "spur_length"):

@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .image import BAND_PIXELS, GrayImage, _bands
 
-if TYPE_CHECKING:  # config imports this module
+if TYPE_CHECKING:  # config imports this module, through evaluate
     from .config import PipelineConfig
 
 NORMALIZED_VARIANCE = 100.0  # Hong et al.'s target variance, the variance floor's scale
@@ -25,6 +25,10 @@ GATE_COHERENCE = 0.5  # a block counts as coherent for the image-level gate
 MIN_RIDGE_PERIOD = 3.0  # px, at 500 dpi
 MAX_RIDGE_PERIOD = 25.0
 FREQ_FILL_PASSES = 3
+# Hong, Wan & Jain's fixed widths (TPAMI 1998)
+ORIENTATION_SMOOTHING = 1.0  # blocks, the Gaussian on the doubled-angle field
+FREQ_WINDOW = 32  # px, the oriented window of a projection signature
+GABOR_SIGMA = 4.0  # px, the isotropic Gabor envelope
 BACKGROUND_INTENSITY = 255  # masked-out pixels in the enhanced image
 
 
@@ -151,13 +155,12 @@ def _gradients(data: np.ndarray, y0: int, y1: int, out: np.ndarray) -> None:
 
 
 def _gaussian(data: np.ndarray, sigma: float) -> np.ndarray:
-    """ndimage.gaussian_filter(data, sigma, mode="nearest") bit for bit on
-    each 2-D grid over the last two axes, so a stack of grids is filtered in
-    one pass per axis: per axis (rows, then columns), in*w0 plus the tap
-    pairs from the outermost inward, reading clamped edge indices."""
+    """ndimage.gaussian_filter(data, sigma, mode="nearest") bit for bit,
+    for sigma * sigma > 0, on each 2-D grid over the last two axes, so a
+    stack of grids is filtered in one pass per axis: per axis (rows, then
+    columns), in*w0 plus the tap pairs from the outermost inward, reading
+    clamped edge indices."""
     r = int(4.0 * sigma + 0.5)
-    if r == 0:  # one tap of weight 1 (scipy skips sigma <= 1e-15 outright)
-        return data
     phi = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
     taps = (phi / phi.sum())[r:]
     for _ in (0, 1):  # rows, then rows of the grids transposed
@@ -177,14 +180,14 @@ def estimate_orientation(img: GrayImage, config: PipelineConfig) -> OrientationF
     Uses 3x3 Sobel gradients; per block of config.block_size px,
     theta = atan2(sum 2*Gx*Gy, sum Gx^2 - Gy^2) / 2 + pi/2, i.e. the
     direction orthogonal to the dominant gradient, folded into [0, pi).
-    The field is then smoothed with a Gaussian (config.smooth_sigma, in
+    The field is then smoothed with a Gaussian (ORIENTATION_SMOOTHING, in
     block units) on the doubled-angle unit vectors so antipodal angles
     average correctly. The gradients of the 8-bit pixels are int16 and
     their products are summed exactly per band of block rows (_block_sums).
     The gate reads only the coherence, so it decides straight after the
     gradient sums, before theta is formed.
     """
-    block_size, smooth_sigma = config.block_size, config.smooth_sigma
+    block_size = config.block_size
     data = img.pixels
     h, w = data.shape
     if h < block_size or w < block_size:
@@ -196,47 +199,39 @@ def estimate_orientation(img: GrayImage, config: PipelineConfig) -> OrientationF
     if rejection is not None:
         return rejection
     theta = 0.5 * np.arctan2(sum_cross, sum_diff) + np.pi / 2.0
-    if smooth_sigma > 0:
-        doubled = 2.0 * theta
-        cos2, sin2 = _gaussian(np.stack((np.cos(doubled), np.sin(doubled))), smooth_sigma)
-        theta = 0.5 * np.arctan2(sin2, cos2)
-    theta = np.mod(theta, np.pi)
+    doubled = 2.0 * theta
+    cos2, sin2 = _gaussian(np.stack((np.cos(doubled), np.sin(doubled))), ORIENTATION_SMOOTHING)
+    theta = np.mod(0.5 * np.arctan2(sin2, cos2), np.pi)
     return OrientationField(block_size, theta, coherence)
 
 
-def estimate_frequency(
-    img: GrayImage, orient: OrientationField, config: PipelineConfig
-) -> FrequencyMap:
+def estimate_frequency(img: GrayImage, orient: OrientationField) -> FrequencyMap:
     """Block-wise ridge frequency from oriented projection peak spacing.
 
-    Each block samples a window x block_size patch centered on the block
-    (window = config.freq_window), its window axis orthogonal to the local
-    ridge direction, each sample from its nearest pixel, and averages along
-    the ridge into a projection signature; blocks where too much of the
-    patch falls outside the image get none. The signature is smoothed (3
-    taps), its peaks above the signature mean are refined to sub-pixel
-    positions by a parabola, and the mean peak spacing is the ridge period.
+    Each block samples a FREQ_WINDOW x block_size patch centered on the
+    block, its window axis orthogonal to the local ridge direction, each
+    sample from its nearest pixel, and averages along the ridge into a
+    projection signature; blocks where too much of the patch falls outside
+    the image get none. The signature is smoothed (3 taps), its peaks above
+    the signature mean are refined to sub-pixel positions by a parabola,
+    and the mean peak spacing is the ridge period.
     Blocks with fewer than two peaks or no period in [3, 25] px are marked
     absent, then filled with the mean of their present 3x3 neighbors (up
     to 3 passes). Each band of block rows (_bands) is sampled and searched
     for peaks before the next. A signature needs samples inside the image
-    at both ends of its window, window - 1 px apart, so a window longer
-    than the image diagonal leaves every block absent, and nothing is
-    sampled.
+    at both ends of its window, FREQ_WINDOW - 1 px apart, so an image with
+    a shorter diagonal has every block absent.
     """
     bs = orient.block_size
     h, w = img.pixels.shape
     rows, cols = _block_grid(h, w, bs)
     if (rows, cols) != orient.theta.shape:
         raise ValueError("orientation field does not cover the image")
-    window = config.freq_window
     freq = np.full((rows, cols), np.nan)
-    if window - 1 > math.hypot(w - 1, h - 1):
-        return FrequencyMap(bs, freq)
     pixels = np.ascontiguousarray(img.pixels)  # each band reads it as one flat view
     for top, bottom in _bands(h, w, bs):
         blocks = slice(top // bs, -(-bottom // bs))
-        sig, has_sig = _projection_signatures(pixels, orient, window, blocks)
+        sig, has_sig = _projection_signatures(pixels, orient, FREQ_WINDOW, blocks)
         freq[blocks][has_sig] = _signature_frequency(sig[has_sig])
     return FrequencyMap(bs, _fill_absent(freq))
 
@@ -447,14 +442,13 @@ def _separable_bank(
 
 
 def gabor_response(
-    img: GrayImage, orient: OrientationField, freq: FrequencyMap, mask: RegionMask,
-    config: PipelineConfig,
+    img: GrayImage, orient: OrientationField, freq: FrequencyMap, mask: RegionMask
 ) -> np.ndarray:
     """Raw Gabor filter response, float32; zero outside the recoverable region.
 
     Each recoverable block is filtered with its own even-symmetric kernel
     tuned to its (theta, freq) under an isotropic envelope of width
-    config.sigma. theta is quantized to 1 degree and freq to 1e-6
+    GABOR_SIGMA. theta is quantized to 1 degree and freq to 1e-6
     (_kernel_keys), as the dense K x K reference keys its kernels. Each
     kernel is separable into a complex 1-D pair (Areekul et al., "Separable
     Gabor filter realization for fast fingerprint enhancement", ICIP 2005),
@@ -478,7 +472,7 @@ def gabor_response(
     1.5x as long under OpenBLAS's SkylakeX kernels. Neither layout changes
     a bit.
     """
-    data, sigma = img.pixels, config.sigma
+    data = img.pixels
     if not (
         orient.block_size == freq.block_size == mask.block_size
         and orient.theta.shape == freq.freq.shape == mask.labels.shape
@@ -492,7 +486,7 @@ def gabor_response(
     h, w = data.shape
     bs = orient.block_size
     rows, cols = mask.labels.shape
-    half = math.ceil(3.0 * sigma)
+    half = math.ceil(3.0 * GABOR_SIGMA)
     size, span = 2 * half + 1, bs + 2 * half
     # rows and columns of the image reflect-padded to whole blocks: every block has a full window
     padded_rows = np.pad(np.arange(h), (half, half + rows * bs - h), mode="reflect")
@@ -517,7 +511,7 @@ def gabor_response(
         degrees, freqs = _kernel_keys(orient.theta[r0:r1][labels], freq.freq[r0:r1][labels])
         if not len(degrees):
             continue
-        x_taps, y_taps = _separable_bank(degrees, freqs, sigma, half).astype(np.float32)
+        x_taps, y_taps = _separable_bank(degrees, freqs, GABOR_SIGMA, half).astype(np.float32)
         x_taps, y_taps = x_taps.swapaxes(1, 2), y_taps.reshape(len(degrees), 3 * size)
         # column-major: the band's rows, transposed while uint8, then cast contiguously
         slab = (data.take(padded_rows[top : r1 * bs + 2 * half], axis=0).T
@@ -539,8 +533,7 @@ def gabor_response(
 
 
 def gabor_enhance(
-    img: GrayImage, orient: OrientationField, freq: FrequencyMap, mask: RegionMask,
-    config: PipelineConfig,
+    img: GrayImage, orient: OrientationField, freq: FrequencyMap, mask: RegionMask
 ) -> GrayImage:
     """Gabor band-pass enhancement, rescaled to an 8-bit image.
 
@@ -549,16 +542,17 @@ def gabor_enhance(
     intensity. A response flat to within twice its rounding bound maps to
     mid-gray, as a constant capture's (the kernels are DC-free). Each term
     y_ch[t] x_ch[s] p (p <= 255) of a value takes at most n = 4K + 2 float32
-    roundings, K = 2 ceil(3 sigma) + 1, so the value is within gamma_n 255
-    3 E^2 of exact, gamma_n = n u / (1 - n u), u = 2^-24: E = 1 + sqrt(2 pi)
-    sigma bounds the envelope's sum, 3 E^2 the taps' sum_ch |y_ch|_1 |x_ch|_1.
+    roundings, K = 2 ceil(3 sigma) + 1, sigma = GABOR_SIGMA, so the value is
+    within gamma_n 255 3 E^2 of exact, gamma_n = n u / (1 - n u), u = 2^-24:
+    E = 1 + sqrt(2 pi) sigma bounds the envelope's sum, 3 E^2 the taps'
+    sum_ch |y_ch|_1 |x_ch|_1.
     """
-    response = gabor_response(img, orient, freq, mask, config)
+    response = gabor_response(img, orient, freq, mask)
     sel = mask.pixel_mask(*response.shape)
     out = np.full(response.shape, BACKGROUND_INTENSITY, dtype=np.uint8)
     if sel.any():
         lo, hi = response.min(where=sel, initial=np.inf), response.max(where=sel, initial=-np.inf)
-        n, e = 8 * math.ceil(3.0 * config.sigma) + 6, 1 + math.sqrt(2 * math.pi) * config.sigma
+        n, e = 8 * math.ceil(3.0 * GABOR_SIGMA) + 6, 1 + math.sqrt(2 * math.pi) * GABOR_SIGMA
         if hi - lo <= 2 * n * 2.0**-24 / (1 - n * 2.0**-24) * 255 * 3 * e * e:
             out[sel] = 128
         else:  # rint((v - lo) * 255 / (hi - lo)) in place, in that order

@@ -49,12 +49,12 @@ def extract_from_image(img: GrayImage, image_id: str, config: PipelineConfig) ->
     orient = enh.estimate_orientation(img, config)
     if isinstance(orient, enh.Rejection):
         return ExtractOutcome(image_id, None, orient)
-    freq = enh.estimate_frequency(img, orient, config)
+    freq = enh.estimate_frequency(img, orient)
     mask = enh.compute_region_mask(img, orient, freq, config)
     if isinstance(mask, enh.Rejection):
         return ExtractOutcome(image_id, None, mask)
 
-    enhanced = enh.gabor_enhance(img, orient, freq, mask, config)
+    enhanced = enh.gabor_enhance(img, orient, freq, mask)
     work = invert(enhanced)  # ridges become bright so that ridge => 1
     if mask.labels.any():
         bin_img = binarize(work, auto_threshold(work, mask))

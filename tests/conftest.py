@@ -155,7 +155,7 @@ def corpus_enhance_inputs(corpus_prints):
     out = []
     for img, truth in corpus_prints:
         orient = enh.estimate_orientation(img, NO_GATE)
-        freq = enh.estimate_frequency(img, orient, CONFIG)
+        freq = enh.estimate_frequency(img, orient)
         mask = enh.compute_region_mask(img, orient, freq, CONFIG)
         assert isinstance(mask, enh.RegionMask), truth.image_id
         out.append((truth.image_id, img, orient, freq, mask))

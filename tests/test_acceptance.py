@@ -100,7 +100,7 @@ def test_criterion_4_frequency_recovery():
         img, _ = generate(
             SynthSpec(256, 256, ParallelPattern(math.radians(30)), float(period))
         )
-        freq = estimate_frequency(img, estimate_orientation(img, NO_GATE), CONFIG)
+        freq = estimate_frequency(img, estimate_orientation(img, NO_GATE))
         f = freq.freq[2:-2, 2:-2]
         present = np.isfinite(f)
         rel_ok = np.abs(f[present] * period - 1.0) <= 0.10
@@ -114,14 +114,14 @@ def test_criterion_5_gabor_selectivity_and_denoising():
     t0 = time.perf_counter()
     clean, _ = generate(SynthSpec(256, 256, ParallelPattern(math.radians(30)), 8.0))
     orient = estimate_orientation(clean, NO_GATE)
-    freq = estimate_frequency(clean, orient, CONFIG)
+    freq = estimate_frequency(clean, orient)
     mask = compute_region_mask(clean, orient, freq, CONFIG)
     sl = (slice(32, -32), slice(32, -32))
-    matched = gabor_response(clean, orient, freq, mask, CONFIG)[sl].std()
+    matched = gabor_response(clean, orient, freq, mask)[sl].std()
     rotated = OrientationField(
         orient.block_size, np.mod(orient.theta + np.pi / 2, np.pi), orient.coherence
     )
-    crossed = gabor_response(clean, rotated, freq, mask, CONFIG)[sl].std()
+    crossed = gabor_response(clean, rotated, freq, mask)[sl].std()
     assert matched >= 5.0 * crossed
 
     ref = clean.pixels[sl].astype(float).ravel()
@@ -131,9 +131,9 @@ def test_criterion_5_gabor_selectivity_and_denoising():
                       noise_amplitude=30.0, seed=200 + seed)
         )
         n_orient = estimate_orientation(noisy, NO_GATE)
-        n_freq = estimate_frequency(noisy, n_orient, CONFIG)
+        n_freq = estimate_frequency(noisy, n_orient)
         n_mask = compute_region_mask(noisy, n_orient, n_freq, CONFIG)
-        out = gabor_enhance(noisy, n_orient, n_freq, n_mask, CONFIG)
+        out = gabor_enhance(noisy, n_orient, n_freq, n_mask)
         c_noisy = np.corrcoef(noisy.pixels[sl].astype(float).ravel(), ref)[0, 1]
         c_enh = np.corrcoef(out.pixels[sl].astype(float).ravel(), ref)[0, 1]
         assert c_enh > c_noisy, f"seed {seed}"

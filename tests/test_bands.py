@@ -63,14 +63,14 @@ def test_bands_split_the_front_end_bit_identically(name, monkeypatch):
     assert_same_bits(orient.coherence, coherence)
 
     rows = orient.theta.shape[0]
-    sig, has_sig = enh._projection_signatures(img.pixels, orient, 32, slice(0, rows))
-    want_sig, want_has = _reference_signatures(data, orient, 32)
+    sig, has_sig = enh._projection_signatures(img.pixels, orient, enh.FREQ_WINDOW, slice(0, rows))
+    want_sig, want_has = _reference_signatures(data, orient, enh.FREQ_WINDOW)
     assert_same_bits(sig, want_sig)
     assert np.array_equal(has_sig, want_has)
-    freq = enh.estimate_frequency(img, orient, CONFIG)
+    freq = enh.estimate_frequency(img, orient)
     with monkeypatch.context() as m:
         m.setattr(enh, "_projection_signatures", _reference_signatures)
-        assert_same_bits(freq.freq, enh.estimate_frequency(img, orient, CONFIG).freq)
+        assert_same_bits(freq.freq, enh.estimate_frequency(img, orient).freq)
 
     variance = _reference_block_variance(data, orient.block_size)
     got_variance, capture = enh._block_variance(img.pixels, orient.block_size)
@@ -83,14 +83,14 @@ def test_bands_split_the_front_end_bit_identically(name, monkeypatch):
     # unrecoverable blocks inside every band, runs of 1 to 3 blocks
     labels = mask.labels & (np.indices(mask.labels.shape).sum(axis=0) % 4 != 1)
     mask = enh.RegionMask(orient.block_size, labels)
-    enhanced = enh.gabor_enhance(img, orient, freq, mask, CONFIG)
-    response = enh.gabor_response(img, orient, freq, mask, CONFIG)
-    assert_same_bits(response, _reference_banded(img, orient, freq, mask, CONFIG))
+    enhanced = enh.gabor_enhance(img, orient, freq, mask)
+    response = enh.gabor_response(img, orient, freq, mask)
+    assert_same_bits(response, _reference_banded(img, orient, freq, mask))
     sel = mask.pixel_mask(h, w)
     assert np.array_equal(enhanced.pixels, _parent_enhance(response, sel))
     with monkeypatch.context() as m:  # float32 against float64: 0, 1 and 3 pixels differ
         m.setattr(enh, "gabor_response", _dense_reference)
-        assert_enhanced_near(enhanced, enh.gabor_enhance(img, orient, freq, mask, CONFIG), mask, 6)
+        assert_enhanced_near(enhanced, enh.gabor_enhance(img, orient, freq, mask), mask, 6)
 
     work = invert(enhanced)
     want = int(np.rint(work.pixels[sel].astype(np.float64).mean()))
@@ -125,16 +125,16 @@ def test_front_end_allocates_no_image_sized_temporary_at_512():
     # enhanced image) and at most 1 MiB besides
     img = BAND_IMAGES["512x512"]()
     orient = enh.estimate_orientation(img, NO_GATE)
-    freq = enh.estimate_frequency(img, orient, CONFIG)
+    freq = enh.estimate_frequency(img, orient)
     mask = enh.compute_region_mask(img, orient, freq, CONFIG)
     assert isinstance(mask, enh.RegionMask) and mask.labels.all()
-    work = invert(enh.gabor_enhance(img, orient, freq, mask, CONFIG))
+    work = invert(enh.gabor_enhance(img, orient, freq, mask))
     image_bytes = 512 * 512 * 4
     stages = {
         "estimate_orientation": (lambda: enh.estimate_orientation(img, NO_GATE), 0),
-        "estimate_frequency": (lambda: enh.estimate_frequency(img, orient, CONFIG), 0),
+        "estimate_frequency": (lambda: enh.estimate_frequency(img, orient), 0),
         "compute_region_mask": (lambda: enh.compute_region_mask(img, orient, freq, CONFIG), 0),
-        "gabor_enhance": (lambda: enh.gabor_enhance(img, orient, freq, mask, CONFIG), image_bytes),
+        "gabor_enhance": (lambda: enh.gabor_enhance(img, orient, freq, mask), image_bytes),
         "auto_threshold": (lambda: auto_threshold(work, mask), 0),
     }
     for name, (fn, response) in stages.items():

@@ -1,6 +1,7 @@
 import math
 import statistics
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -81,20 +82,11 @@ def test_orientation_rejects_small_image():
         enh.estimate_orientation(img, NO_GATE)
 
 
-@pytest.mark.parametrize("sigma", [-2.0, -1e-300, math.inf, math.nan])
-def test_orientation_refuses_negative_or_non_finite_smoothing(sigma):
-    # the config is the one gate on the smoothing that orientation reads
-    message = ("smooth_sigma must be >= 0" if math.isfinite(sigma)
-               else "smooth_sigma: must be finite")
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        replace(NO_GATE, smooth_sigma=sigma)
-
-
 @pytest.mark.parametrize("period", [4, 6, 8, 10, 12])
 def test_frequency_recovery(period):
     img = oriented_image(30.0, period=float(period))
     orient = enh.estimate_orientation(img, NO_GATE)
-    freq = enh.estimate_frequency(img, orient, CONFIG)
+    freq = enh.estimate_frequency(img, orient)
     f = freq.freq[2:-2, 2:-2]
     present = np.isfinite(f)
     assert present.mean() >= 0.9
@@ -107,19 +99,19 @@ def test_frequency_period_30_out_of_band():
     img = GrayImage(
         np.clip(np.rint(127.5 - 100 * np.cos(2 * np.pi * xs / 30.0)), 0, 255).astype(np.uint8)
     )
-    freq = enh.estimate_frequency(img, enh.estimate_orientation(img, NO_GATE), CONFIG)
+    freq = enh.estimate_frequency(img, enh.estimate_orientation(img, NO_GATE))
     assert not np.isfinite(freq.freq).any()
 
 
 def test_frequency_constant_image_absent():
     img = GrayImage(np.full((64, 64), 90, np.uint8))
-    freq = enh.estimate_frequency(img, enh.estimate_orientation(img, NO_GATE), CONFIG)
+    freq = enh.estimate_frequency(img, enh.estimate_orientation(img, NO_GATE))
     assert not np.isfinite(freq.freq).any()
 
 
 def test_frequency_band_invariant():
     img = oriented_image(75.0, period=6.0, noise=25.0, seed=2)
-    freq = enh.estimate_frequency(img, enh.estimate_orientation(img, NO_GATE), CONFIG)
+    freq = enh.estimate_frequency(img, enh.estimate_orientation(img, NO_GATE))
     present = freq.freq[np.isfinite(freq.freq)]
     assert (present >= 1.0 / 25.0).all() and (present <= 1.0 / 3.0).all()
 
@@ -170,7 +162,7 @@ def _period_from_signature(sig):
     return period
 
 
-def _reference_frequency(img, orient, window=PipelineConfig.freq_window):
+def _reference_frequency(img, orient, window=enh.FREQ_WINDOW):
     data = img.pixels.astype(np.float64)
     h, w = data.shape
     bs = orient.block_size
@@ -203,7 +195,7 @@ PIN_IMAGES = {
 def test_frequency_matches_per_block_reference(name):
     img = PIN_IMAGES[name]()
     orient = enh.estimate_orientation(img, NO_GATE)
-    got = enh.estimate_frequency(img, orient, CONFIG).freq
+    got = enh.estimate_frequency(img, orient).freq
     want = _reference_frequency(img, orient)
     assert np.isfinite(want).any()
     assert (np.isnan(got) == np.isnan(want)).all()
@@ -214,7 +206,7 @@ def test_frequency_matches_per_block_reference(name):
 def test_region_mask_clean_accepted(clean_stripes):
     img, _ = clean_stripes
     orient = enh.estimate_orientation(img, NO_GATE)
-    freq = enh.estimate_frequency(img, orient, CONFIG)
+    freq = enh.estimate_frequency(img, orient)
     mask = enh.compute_region_mask(img, orient, freq, PipelineConfig(reject_threshold=0.3))
     assert isinstance(mask, enh.RegionMask)
     assert mask.recoverable_fraction >= 0.9
@@ -237,7 +229,7 @@ def test_region_mask_noise_rejected():
     rng = np.random.default_rng(9)
     img = GrayImage(rng.integers(0, 256, (256, 256)).astype(np.uint8))
     orient = enh.estimate_orientation(img, NO_GATE)
-    freq = enh.estimate_frequency(img, orient, CONFIG)
+    freq = enh.estimate_frequency(img, orient)
     out = enh.compute_region_mask(img, orient, freq, PipelineConfig(reject_threshold=0.3))
     assert isinstance(out, enh.Rejection)
     assert out.recoverable_fraction < 0.3
@@ -247,14 +239,14 @@ def test_region_mask_threshold_zero_never_rejects():
     rng = np.random.default_rng(10)
     img = GrayImage(rng.integers(0, 256, (64, 64)).astype(np.uint8))
     orient = enh.estimate_orientation(img, NO_GATE)
-    freq = enh.estimate_frequency(img, orient, CONFIG)
+    freq = enh.estimate_frequency(img, orient)
     assert isinstance(enh.compute_region_mask(img, orient, freq, NO_GATE), enh.RegionMask)
 
 
 def test_region_mask_monotone_in_threshold(clean_stripes):
     img, _ = clean_stripes
     orient = enh.estimate_orientation(img, NO_GATE)
-    freq = enh.estimate_frequency(img, orient, CONFIG)
+    freq = enh.estimate_frequency(img, orient)
     accepted_at = [
         t for t in (0.0, 0.25, 0.5, 0.75, 1.0)
         if isinstance(enh.compute_region_mask(img, orient, freq, PipelineConfig(reject_threshold=t)),
@@ -270,7 +262,7 @@ def test_region_mask_monotone_in_threshold(clean_stripes):
 
 def _enhance_setup(img):
     orient = enh.estimate_orientation(img, NO_GATE)
-    freq = enh.estimate_frequency(img, orient, CONFIG)
+    freq = enh.estimate_frequency(img, orient)
     mask = enh.compute_region_mask(img, orient, freq, CONFIG)
     assert isinstance(mask, enh.RegionMask)
     return img, orient, freq, mask
@@ -279,7 +271,7 @@ def _enhance_setup(img):
 def test_gabor_matched_correlation(clean_stripes):
     img, _ = clean_stripes
     img, orient, freq, mask = _enhance_setup(img)
-    out = enh.gabor_enhance(img, orient, freq, mask, CONFIG)
+    out = enh.gabor_enhance(img, orient, freq, mask)
     sl = (slice(32, -32), slice(32, -32))
     cc = np.corrcoef(
         out.pixels[sl].astype(float).ravel(), img.pixels[sl].astype(float).ravel()
@@ -290,11 +282,11 @@ def test_gabor_matched_correlation(clean_stripes):
 def test_gabor_orientation_selectivity(clean_stripes):
     img, _ = clean_stripes
     img, orient, freq, mask = _enhance_setup(img)
-    matched = enh.gabor_response(img, orient, freq, mask, CONFIG)
+    matched = enh.gabor_response(img, orient, freq, mask)
     rotated = enh.OrientationField(
         orient.block_size, np.mod(orient.theta + np.pi / 2, np.pi), orient.coherence
     )
-    crossed = enh.gabor_response(img, rotated, freq, mask, CONFIG)
+    crossed = enh.gabor_response(img, rotated, freq, mask)
     sl = (slice(32, -32), slice(32, -32))
     assert crossed[sl].std() < 0.2 * matched[sl].std()
 
@@ -304,7 +296,7 @@ def test_gabor_constant_input_mid_gray():
     orient = enh.OrientationField(16, np.zeros((4, 4)), np.ones((4, 4)))
     freq = enh.FrequencyMap(16, np.full((4, 4), 0.125))
     mask = enh.RegionMask(16, np.ones((4, 4), bool))
-    out = enh.gabor_enhance(img, orient, freq, mask, CONFIG)
+    out = enh.gabor_enhance(img, orient, freq, mask)
     assert (out.pixels == 128).all()
 
 
@@ -317,7 +309,7 @@ def test_gabor_flat_response_within_rounding_is_mid_gray():
         orient = enh.OrientationField(16, rng.uniform(0.0, np.pi, (4, 4)), np.ones((4, 4)))
         freq = enh.FrequencyMap(16, rng.uniform(1 / 25, 1 / 3, (4, 4)))
         img = GrayImage(np.full((64, 64), value, np.uint8))
-        assert (enh.gabor_enhance(img, orient, freq, mask, CONFIG).pixels == 128).all(), value
+        assert (enh.gabor_enhance(img, orient, freq, mask).pixels == 128).all(), value
     # a grating of +-1 level is signal, not residue
     theta, period = math.radians(30.0), 8.0
     y, x = np.mgrid[:64, :64]
@@ -325,7 +317,7 @@ def test_gabor_flat_response_within_rounding_is_mid_gray():
     pixels = np.where(np.cos(2 * np.pi * across / period) >= 0, 201, 199).astype(np.uint8)
     orient = enh.OrientationField(16, np.full((4, 4), theta), np.ones((4, 4)))
     freq = enh.FrequencyMap(16, np.full((4, 4), 1 / period))
-    out = enh.gabor_enhance(GrayImage(pixels), orient, freq, mask, CONFIG).pixels
+    out = enh.gabor_enhance(GrayImage(pixels), orient, freq, mask).pixels
     assert out.min() == 0 and out.max() == 255
 
 
@@ -335,7 +327,7 @@ def test_gabor_denoising_property():
     ref = clean.pixels[sl].astype(float).ravel()
     noisy = oriented_image(30.0, noise=30.0, seed=4)
     img, orient, freq, mask = _enhance_setup(noisy)
-    out = enh.gabor_enhance(img, orient, freq, mask, CONFIG)
+    out = enh.gabor_enhance(img, orient, freq, mask)
     c_noisy = np.corrcoef(noisy.pixels[sl].astype(float).ravel(), ref)[0, 1]
     c_enh = np.corrcoef(out.pixels[sl].astype(float).ravel(), ref)[0, 1]
     assert c_enh > c_noisy
@@ -349,25 +341,7 @@ def test_gabor_missing_frequency_in_recoverable_block_reports_block():
     freq = enh.FrequencyMap(16, f)
     mask = enh.RegionMask(16, np.ones((4, 4), bool))
     with pytest.raises(ValueError, match=r"\(1, 2\)"):
-        enh.gabor_response(img, orient, freq, mask, CONFIG)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("stage, kwargs, message", [
-    ("estimate_frequency", {"freq_window": 0}, "freq_window must be >= 1"),
-    ("estimate_frequency", {"freq_window": -3}, "freq_window must be >= 1"),
-    ("gabor_enhance", {"sigma": 0.0}, "sigma must be positive"),
-    ("gabor_enhance", {"sigma": -1.0}, "sigma must be positive"),
-    ("gabor_enhance", {"sigma": math.nan}, "sigma: must be finite"),
-    ("gabor_enhance", {"sigma": math.inf}, "sigma: must be finite"),
-    ("gabor_response", {"sigma": 0.0}, "sigma must be positive"),
-], ids=["window-0", "window-neg", "sigma-0", "sigma-neg", "sigma-nan", "sigma-inf", "response-sigma-0"])
-def test_stage_refuses_bad_parameter(stage, kwargs, message):
-    # a stage reads its parameters from a config, which refuses the value
-    img, orient, freq, mask = _enhance_setup(oriented_image(30.0, size=64))
-    args = (img, orient) if stage == "estimate_frequency" else (img, orient, freq, mask)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        getattr(enh, stage)(*args, PipelineConfig(**kwargs))
+        enh.gabor_response(img, orient, freq, mask)
 
 
 @pytest.mark.parametrize("gaps", [False, True])
@@ -375,7 +349,7 @@ def test_stage_refuses_bad_parameter(stage, kwargs, message):
 def test_gabor_separable_matches_dense_path(name, gaps):
     img = PIN_IMAGES[name]()
     orient = enh.estimate_orientation(img, NO_GATE)
-    freq = enh.estimate_frequency(img, orient, CONFIG)
+    freq = enh.estimate_frequency(img, orient)
     labels = np.isfinite(freq.freq)
     if gaps:  # unrecoverable blocks inside block rows, runs of 1 to 3 blocks
         labels &= np.indices(labels.shape).sum(axis=0) % 4 != 1
@@ -399,10 +373,10 @@ def _gabor_kernel(theta, freq, sigma, half):
     return kernel - kernel.mean()
 
 
-def _dense_reference(img, orient, freq, mask, config):
+def _dense_reference(img, orient, freq, mask):
     """gabor_response by one dense K x K kernel per recoverable block: the
     reference the separable realization is pinned against."""
-    data, sigma = img.pixels.astype(np.float64), config.sigma
+    data, sigma = img.pixels.astype(np.float64), enh.GABOR_SIGMA
     half = math.ceil(3.0 * sigma)
     h, w = data.shape
     bs = orient.block_size
@@ -424,14 +398,14 @@ def _dense_reference(img, orient, freq, mask, config):
     return response
 
 
-def _reference_banded(img, orient, freq, mask, config):
+def _reference_banded(img, orient, freq, mask):
     """gabor_response by the same two matrix products per block, windows @ X,
     then Y @ that, with every operand gathered per group: the windows by
     fancy indexing, X and Y by taking each channel's taps through lag
     tables (a lag outside the band reads a zero tap after the channel), and
     the responses scattered back, in float32 from taps rounded once. The
     realization gabor_response is pinned against bit for bit."""
-    data, sigma = img.pixels, config.sigma
+    data, sigma = img.pixels, enh.GABOR_SIGMA
     h, w = data.shape
     bs = orient.block_size
     rows, cols = mask.labels.shape
@@ -463,7 +437,7 @@ def _reference_banded(img, orient, freq, mask, config):
     return response[:h, :w]
 
 
-def float32_error_bound(img, sigma):
+def float32_error_bound(img):
     """The most a float32 gabor_response value can differ from the dense
     float64 reference. Each term y_ch[t] x_ch[s] p of a value takes at most
     n = 4K + 2 float32 roundings: the two taps, the x pass's product and
@@ -476,6 +450,7 @@ def float32_error_bound(img, sigma):
     3 E^2. The float64 reference is within ~1e-12 of the exact sum, below
     the bound's last digit. 0.47 at sigma 4 for p_max 255; the measured
     error is ~0.003."""
+    sigma = enh.GABOR_SIGMA
     half = math.ceil(3.0 * sigma)
     n = 8 * half + 6
     e = np.exp(-0.5 * np.arange(-half, half + 1.0) ** 2 / sigma**2).sum()
@@ -483,16 +458,15 @@ def float32_error_bound(img, sigma):
 
 
 def assert_matches_dense(img, orient, freq, mask):
-    for config in (CONFIG, replace(CONFIG, sigma=3.5)):  # the default envelope and a narrower one
-        got = enh.gabor_response(img, orient, freq, mask, config)
-        assert_same_bits(got, _reference_banded(img, orient, freq, mask, config))
-        want = _dense_reference(img, orient, freq, mask, config)
-        scale = np.abs(want).max()
-        assert scale > 0
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= float32_error_bound(img, config.sigma)
-        h, w = want.shape
-        assert (got[~mask.pixel_mask(h, w)] == 0).all()
+    got = enh.gabor_response(img, orient, freq, mask)
+    assert_same_bits(got, _reference_banded(img, orient, freq, mask))
+    want = _dense_reference(img, orient, freq, mask)
+    scale = np.abs(want).max()
+    assert scale > 0
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= float32_error_bound(img)
+    h, w = want.shape
+    assert (got[~mask.pixel_mask(h, w)] == 0).all()
 
 
 @pytest.mark.parametrize("defect", ["sigma_x1.01", "y_pass_dc_zeroed"])
@@ -501,7 +475,7 @@ def test_float32_dense_bound_catches_a_planted_kernel_defect(defect, monkeypatch
     # far below what a one-percent envelope or a lost DC term moves
     img = PIN_IMAGES["256x256"]()
     orient = enh.estimate_orientation(img, NO_GATE)
-    freq = enh.estimate_frequency(img, orient, CONFIG)
+    freq = enh.estimate_frequency(img, orient)
     mask = enh.RegionMask(orient.block_size, np.isfinite(freq.freq))
     bank = enh._separable_bank
 
@@ -513,10 +487,9 @@ def test_float32_dense_bound_catches_a_planted_kernel_defect(defect, monkeypatch
         return banks
 
     monkeypatch.setattr(enh, "_separable_bank", planted)
-    for config in (CONFIG, replace(CONFIG, sigma=3.5)):
-        got = enh.gabor_response(img, orient, freq, mask, config)
-        want = _dense_reference(img, orient, freq, mask, config)
-        assert np.abs(got - want).max() > float32_error_bound(img, config.sigma)
+    got = enh.gabor_response(img, orient, freq, mask)
+    want = _dense_reference(img, orient, freq, mask)
+    assert np.abs(got - want).max() > float32_error_bound(img)
 
 
 def _single_block(labels):
@@ -546,7 +519,7 @@ def _last_row_and_column(labels):
 def test_gabor_separable_block_geometry_matches_dense_path(name, labels_of):
     img = PIN_IMAGES[name]()
     orient = enh.estimate_orientation(img, NO_GATE)
-    freq = enh.estimate_frequency(img, orient, CONFIG)
+    freq = enh.estimate_frequency(img, orient)
     labels = np.empty(orient.theta.shape, bool)
     labels_of(labels)
     assert_matches_dense(img, orient, freq, enh.RegionMask(orient.block_size, labels))
@@ -575,7 +548,7 @@ def _complex_bank(degrees, freqs, sigma, half):
             np.stack([hy.real, -hy.imag, -mean[:, None] * ones], axis=2))
 
 
-@pytest.mark.parametrize("sigma", [PipelineConfig.sigma, 3.5, 1.0, 0.3, 7.25])
+@pytest.mark.parametrize("sigma", [enh.GABOR_SIGMA, 3.5, 1.0, 0.3, 7.25])
 def test_separable_bank_equals_complex_taps_bit_for_bit(sigma):
     rng = np.random.default_rng(7)
     degrees = np.concatenate([np.arange(180.0), rng.integers(0, 180, 2000).astype(float)])
@@ -606,10 +579,10 @@ def test_gabor_enhance_matches_dense_path_on_corpus(corpus_enhance_inputs, monke
     # the enhanced 8-bit images with the dense float64 kernels put in place
     # of the separable float32 ones under the same rescaling: 20 pixels of
     # the 20 prints differ by 1 level, at most 2 in one print
-    got = [enh.gabor_enhance(*inputs[1:], CONFIG) for inputs in corpus_enhance_inputs]
+    got = [enh.gabor_enhance(*inputs[1:]) for inputs in corpus_enhance_inputs]
     monkeypatch.setattr(enh, "gabor_response", _dense_reference)
     for enhanced, (_, *inputs) in zip(got, corpus_enhance_inputs):
-        assert_enhanced_near(enhanced, enh.gabor_enhance(*inputs, CONFIG), inputs[-1], 4)
+        assert_enhanced_near(enhanced, enh.gabor_enhance(*inputs), inputs[-1], 4)
 
 
 def _exact_half_degrees():
@@ -654,18 +627,18 @@ def test_kernel_keys_round_large_frequencies_as_python():
 def test_unrecoverable_pixels_are_background():
     img = oriented_image(30.0, size=64)
     orient = enh.estimate_orientation(img, NO_GATE)
-    freq = enh.estimate_frequency(img, orient, CONFIG)
+    freq = enh.estimate_frequency(img, orient)
     labels = np.ones((4, 4), bool)
     labels[0, 0] = False
     mask = enh.RegionMask(16, labels)
-    out = enh.gabor_enhance(img, orient, freq, mask, CONFIG)
+    out = enh.gabor_enhance(img, orient, freq, mask)
     assert (out.pixels[:16, :16] == enh.BACKGROUND_INTENSITY).all()
 
 
 def test_debug_dumps_shapes(clean_stripes):
     img, _ = clean_stripes
     orient = enh.estimate_orientation(img, NO_GATE)
-    freq = enh.estimate_frequency(img, orient, CONFIG)
+    freq = enh.estimate_frequency(img, orient)
     assert len(enh.orientation_to_text(orient).splitlines()) == orient.theta.shape[0]
     assert len(enh.frequency_to_text(freq).splitlines()) == freq.freq.shape[0]
 
@@ -685,7 +658,8 @@ def _block_grid_of_32x32():
     smaller than the Gaussian's radius of 4."""
     img = generate(SynthSpec(32, 32, ParallelPattern(math.radians(40.0)), 7.0,
                              noise_amplitude=30.0, seed=9))[0]
-    theta = enh.estimate_orientation(img, replace(NO_GATE, smooth_sigma=0.0)).theta
+    xy, xx, yy = enh._block_sums(img.pixels.shape, 16, partial(enh._gradients, img.pixels), 2)
+    theta = np.mod(0.5 * np.arctan2(2 * xy, xx - yy) + np.pi / 2.0, np.pi)  # not smoothed
     assert theta.shape == (2, 2)
     return np.cos(2.0 * theta)
 
@@ -768,7 +742,7 @@ def test_sobel_reaches_the_extremes_of_int16_gradients():
         assert np.array_equal(grad, want) and np.abs(grad).max() == 4 * 255
 
 
-@pytest.mark.parametrize("sigma", [PipelineConfig.smooth_sigma, 0.6, 2.3, 0.1, 1e-200])
+@pytest.mark.parametrize("sigma", [enh.ORIENTATION_SMOOTHING, 0.6, 2.3, 0.1])
 @pytest.mark.parametrize("name", sorted(FILTER_GRIDS))
 def test_gaussian_matches_scipy(name, sigma):
     data = FILTER_GRIDS[name]()
@@ -851,8 +825,7 @@ def _reference_block_sum(arr, bs):
     return np.add.reduceat(np.add.reduceat(arr, rows, axis=0), cols, axis=1)
 
 
-def _reference_orientation(data, block_size=PipelineConfig.block_size,
-                           smooth_sigma=PipelineConfig.smooth_sigma):
+def _reference_orientation(data, block_size=PipelineConfig.block_size):
     gx = ndimage.sobel(data, axis=1, mode="nearest")
     gy = ndimage.sobel(data, axis=0, mode="nearest")
     sum_cross = _reference_block_sum(2.0 * gx * gy, block_size)
@@ -860,11 +833,10 @@ def _reference_orientation(data, block_size=PipelineConfig.block_size,
     sum_total = _reference_block_sum(gx * gx + gy * gy, block_size)
     theta = 0.5 * np.arctan2(sum_cross, sum_diff) + np.pi / 2.0
     coherence = np.hypot(sum_diff, sum_cross) / np.maximum(sum_total, 1e-12)
-    if smooth_sigma > 0:
-        doubled = 2.0 * theta
-        cos2 = ndimage.gaussian_filter(np.cos(doubled), smooth_sigma, mode="nearest")
-        sin2 = ndimage.gaussian_filter(np.sin(doubled), smooth_sigma, mode="nearest")
-        theta = 0.5 * np.arctan2(sin2, cos2)
+    doubled = 2.0 * theta
+    cos2 = ndimage.gaussian_filter(np.cos(doubled), enh.ORIENTATION_SMOOTHING, mode="nearest")
+    sin2 = ndimage.gaussian_filter(np.sin(doubled), enh.ORIENTATION_SMOOTHING, mode="nearest")
+    theta = 0.5 * np.arctan2(sin2, cos2)
     return np.mod(theta, np.pi), coherence
 
 
@@ -909,27 +881,26 @@ def _reference_block_variance(data, bs):
 def assert_frequency_matches_reference(img, orient, monkeypatch):
     """Signatures, their presence mask and the frequency map equal the
     reference sampling's; returns the frequency map."""
-    window = PipelineConfig.freq_window
+    window = enh.FREQ_WINDOW
     everything = slice(0, orient.theta.shape[0])
     sig, has_sig = enh._projection_signatures(img.pixels, orient, window, everything)
     want_sig, want_has = _reference_signatures(img.pixels.astype(np.float64), orient, window)
     assert_same_bits(sig, want_sig)
     assert np.array_equal(has_sig, want_has)
-    freq = enh.estimate_frequency(img, orient, CONFIG)
+    freq = enh.estimate_frequency(img, orient)
     with monkeypatch.context() as m:
         m.setattr(enh, "_projection_signatures", _reference_signatures)
-        assert_same_bits(freq.freq, enh.estimate_frequency(img, orient, CONFIG).freq)
+        assert_same_bits(freq.freq, enh.estimate_frequency(img, orient).freq)
     return freq
 
 
 def assert_front_end_matches_reference(img, monkeypatch):
     """theta, coherence, frequency and mask of img equal the references'."""
     data = img.pixels.astype(np.float64)
-    # two other block sizes and smoothings, then the defaults, whose field the stages below read
-    for config in (replace(NO_GATE, block_size=8, smooth_sigma=0.0),
-                   replace(NO_GATE, block_size=20, smooth_sigma=2.3), NO_GATE):
+    # two other block sizes, then the default, whose field the stages below read
+    for config in (replace(NO_GATE, block_size=8), replace(NO_GATE, block_size=20), NO_GATE):
         orient = enh.estimate_orientation(img, config)
-        theta, coherence = _reference_orientation(data, config.block_size, config.smooth_sigma)
+        theta, coherence = _reference_orientation(data, config.block_size)
         assert orient.block_size == config.block_size
         assert_same_bits(orient.theta, theta)
         assert_same_bits(orient.coherence, coherence)
@@ -1175,22 +1146,32 @@ def test_variance_floor_scale_matches_pvariance_bit_for_bit(name):
     assert np.array_equal(got, want, equal_nan=True)
 
 
-def test_frequency_window_longer_than_the_diagonal_is_absent_unsampled(monkeypatch):
-    img = oriented_image(30.0, size=64)
-    orient = enh.estimate_orientation(img, NO_GATE)
-    rows = slice(0, orient.theta.shape[0])
-    # the diagonal is 63 sqrt 2 = 89.1 px; a 91-px window's end columns lie 90 px apart
-    assert not enh._projection_signatures(img.pixels, orient, 91, rows)[1].any()
+def test_frequency_window_longer_than_the_diagonal_is_absent(monkeypatch):
+    # a signature needs samples inside the image at both ends of its window,
+    # FREQ_WINDOW - 1 px apart: no block of a shorter image has one, and
+    # the general path, sampling every block, finds none
+    rng = np.random.default_rng(3)
+    sampled = []
+    signatures = enh._projection_signatures
 
-    def fail(*args):
-        raise AssertionError("window sampled")
+    def recording(*args):
+        sig, has_sig = signatures(*args)
+        sampled.append(has_sig.any())
+        return sig, has_sig
 
-    monkeypatch.setattr(enh, "_projection_signatures", fail)
-    for window in (91, 100000):
-        freq = enh.estimate_frequency(img, orient, PipelineConfig(freq_window=window))
-        assert freq.freq.shape == orient.theta.shape and np.isnan(freq.freq).all()
-    with pytest.raises(AssertionError, match="^window sampled$"):  # 89 px apart: sampled
-        enh.estimate_frequency(img, orient, PipelineConfig(freq_window=90))
+    monkeypatch.setattr(enh, "_projection_signatures", recording)
+    for bs in range(4, 17):
+        for h, w in ((bs, bs), (bs, 29), (29, bs), (22, 22)):
+            if math.hypot(h - 1, w - 1) >= enh.FREQ_WINDOW - 1:
+                continue
+            pixels = rng.integers(0, 256, (h, w)).astype(np.uint8)
+            grid = (-(-h // bs), -(-w // bs))
+            for theta in (rng.uniform(0.0, np.pi, grid), np.full(grid, np.pi / 4)):
+                sampled.clear()
+                orient = enh.OrientationField(bs, theta, np.ones(grid))
+                freq = enh.estimate_frequency(GrayImage(pixels), orient)
+                assert freq.freq.shape == grid and np.isnan(freq.freq).all()
+                assert sampled and not any(sampled), (bs, h, w)
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2])
@@ -1202,7 +1183,7 @@ def test_frequency_bit_identical_to_reference_at_edge_exact_angles(name, theta, 
     orient = enh.OrientationField(16, np.full(shape, theta), np.ones(shape))
     # some samples fall exactly on the last row or column, where the +1 tap
     # lies outside the image at weight 0
-    points = [_sample_points(h, w, orient, PipelineConfig.freq_window, r) for r in range(shape[0])]
+    points = [_sample_points(h, w, orient, enh.FREQ_WINDOW, r) for r in range(shape[0])]
     assert any((ys == h - 1).any() or (xs == w - 1).any() for ys, xs in points)
     assert_frequency_matches_reference(img, orient, monkeypatch)
 

@@ -746,10 +746,10 @@ def blurred_noise_skeletons():
     for seed in (1, 8):
         img = _blurred_noise(seed)
         orient = enh.estimate_orientation(img, NO_GATE)
-        freq = enh.estimate_frequency(img, orient, CONFIG)
+        freq = enh.estimate_frequency(img, orient)
         mask = enh.compute_region_mask(img, orient, freq, CONFIG)
         assert isinstance(mask, enh.RegionMask)
-        work = invert(enh.gabor_enhance(img, orient, freq, mask, CONFIG))
+        work = invert(enh.gabor_enhance(img, orient, freq, mask))
         out.append((f"blurred_noise_{seed}", thin(binarize(work, auto_threshold(work, mask)))))
     return out
 

@@ -113,8 +113,8 @@ def _theta_plus_15(monkeypatch):
 def _freq_times_1_25(monkeypatch):
     estimate = enh.estimate_frequency
 
-    def scaled(img, orient, config):
-        freq = estimate(img, orient, config)
+    def scaled(img, orient):
+        freq = estimate(img, orient)
         return replace(freq, freq=freq.freq * 1.25)
 
     monkeypatch.setattr(enh, "estimate_frequency", scaled)
@@ -122,7 +122,7 @@ def _freq_times_1_25(monkeypatch):
 
 def _no_gabor(monkeypatch):
     # binarize the masked capture: recoverable pixels as captured
-    def masked(img, orient, freq, mask, config):
+    def masked(img, orient, freq, mask):
         sel = mask.pixel_mask(*img.pixels.shape)
         return GrayImage(np.where(sel, img.pixels, enh.BACKGROUND_INTENSITY).astype(np.uint8))
 
