@@ -1146,7 +1146,7 @@ def test_variance_floor_scale_matches_pvariance_bit_for_bit(name):
     assert np.array_equal(got, want, equal_nan=True)
 
 
-def test_frequency_window_longer_than_the_diagonal_is_absent(monkeypatch):
+def test_frequency_window_longer_than_the_diagonal_is_absent_unsampled(monkeypatch):
     # a signature needs samples inside the image at both ends of its window,
     # FREQ_WINDOW - 1 px apart: no block of a shorter image has one, and
     # the general path, sampling every block, finds none

@@ -19,6 +19,7 @@ from ridgekit.evaluate import EvalRun, format_report_csv, format_report_text, ma
 from ridgekit.image import GrayImage, save_pgm
 from ridgekit.minutiae import read_minutiae
 import ridgekit
+from ridgekit import enhance as enh
 from ridgekit import pipeline
 from ridgekit.pipeline import extract_from_image, run_eval, run_extract, run_synth
 from ridgekit.synth import ParallelPattern, SynthSpec, generate
@@ -675,6 +676,29 @@ def test_cli_reconnect_gap_config_key_is_an_input_error(tmp_path, capsys, key):
     assert code == EXIT_INPUT_ERROR
     assert capsys.readouterr().err == f"error: {cfg}: unknown config key '{key}'\n"
     assert not out.exists()
+
+
+def test_cli_freq_window_longer_than_the_image_is_a_rejection(tmp_path, capsys, monkeypatch):
+    # the 256 x 256 fixture's diagonal is 255 sqrt 2 = 360.6 px; a 363-px
+    # window's ends lie 362 px apart, so no block has a signature and the
+    # mask rejects
+    sampled = []
+    signatures = enh._projection_signatures
+
+    def recording(*args):
+        sig, has_sig = signatures(*args)
+        sampled.append(has_sig.any())
+        return sig, has_sig
+
+    monkeypatch.setattr(enh, "_projection_signatures", recording)
+    monkeypatch.setattr(enh, "FREQ_WINDOW", 363)
+    path, _, _ = write_synth_fixture(tmp_path)
+    out = tmp_path / "out"
+    code = main(["extract", str(path), "--out", str(out)])
+    assert code == EXIT_REJECTED
+    assert capsys.readouterr().err == "rejected: recoverable fraction 0.000 below threshold 0.250\n"
+    assert not out.exists()
+    assert sampled and not any(sampled)
 
 
 def test_cli_threshold_flag_is_a_usage_error(tmp_path, capsys):
